@@ -188,17 +188,38 @@ def _map_chunks(worker, bounds, threads: int) -> list:
         return list(pool.map(lambda b: worker(*b), bounds))
 
 
+def _chunk_buffers(n_rows: int, num_qubits: int):
+    """``(state, spare, work)`` for one chunk of ``n_rows`` variants.
+
+    Each is a C-contiguous ``(dim, V)`` buffer, so the kernel's inner loops
+    run over the variants; ``rotate_batch`` reads the state's transpose and
+    writes the spare's, and the two swap after every gate.  The state
+    starts as ``|0...0>`` in every column.
+    """
+    shape = (1 << num_qubits, n_rows)
+    state = np.zeros(shape, dtype=np.complex128)
+    state[0] = 1.0
+    return state, np.empty_like(state), np.empty_like(state)
+
+
+def _as_rows(state: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """Copy a ``(dim, V)`` state into ``buffer``'s memory as the C-ordered
+    ``(V, dim)`` batch that expectation and overlap code reads."""
+    rows = buffer.reshape(state.shape[::-1])
+    np.copyto(rows, state.T)
+    return rows
+
+
 def _simulate_variants(
     generators, angles: np.ndarray, num_qubits: int
 ) -> np.ndarray:
     """Run one realized circuit per row of ``angles`` from the all-zeros
-    state; returns the ``(V, dim)`` amplitude batch."""
-    n_rows = angles.shape[0]
-    amps = np.zeros((n_rows, 1 << num_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    state; returns the C-ordered ``(V, dim)`` amplitude batch."""
+    state, spare, work = _chunk_buffers(angles.shape[0], num_qubits)
     for j, generator in enumerate(generators):
-        amps = rotate_batch(amps, generator, angles[:, j])
-    return amps
+        rotate_batch(state.T, generator, angles[:, j], out=spare.T, work=work.T)
+        state, spare = spare, state
+    return _as_rows(state, spare)
 
 
 def _circuit_qubits(circuit, observable: PauliString) -> int:
@@ -468,15 +489,18 @@ def two_notch_fidelity_profile(
         for i in range(count):
             u[i] = stream(master_seed, *key_prefix, lo_v + i).random(nu)
         angles = np.where(u < thresholds, low, high)
-        amps = np.zeros((count, 1 << n), dtype=np.complex128)
-        amps[:, 0] = 1.0
+        state, spare, work = _chunk_buffers(count, n)
         fid = np.empty((count, len(cps)))
         step = 0
         for m, cp in enumerate(cps):
             while step < cp:
-                amps = rotate_batch(amps, generators[step], angles[:, step])
+                rotate_batch(
+                    state.T, generators[step], angles[:, step], out=spare.T, work=work.T
+                )
+                state, spare = spare, state
                 step += 1
-            fid[:, m] = np.abs(amps @ np.conj(ideal[cp])) ** 2
+            # work is free between gates; it holds the checkpoint rows
+            fid[:, m] = np.abs(_as_rows(state, work) @ np.conj(ideal[cp])) ** 2
         return fid
 
     bounds = _chunk_bounds(n_variants, _auto_chunk(1 << n))

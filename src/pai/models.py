@@ -28,7 +28,8 @@ from .statevector import (
     Observable,
     PauliString,
     Statevector,
-    _pauli_tables,
+    _pauli_phase_vector,
+    _pauli_view,
     batch_pauli_expectation,
     expectation,
     run_circuit,
@@ -193,8 +194,10 @@ def dense_hamiltonian(model: SpinRingModel) -> np.ndarray:
     mat = np.zeros((dim, dim), dtype=np.complex128)
     rows = np.arange(dim)
     for coeff, pauli in model.terms():
-        src, phase = _pauli_tables(pauli.letters)
-        mat[rows, src] += coeff * phase
+        # G[c, c ^ flip] = phase[c]: the view helper applied to the column
+        # indices yields c ^ flip
+        src, _ = _pauli_view(rows[None, :], pauli)
+        mat[rows, src.reshape(dim)] += coeff * _pauli_phase_vector(pauli)
     return mat
 
 
@@ -205,13 +208,15 @@ def ground_energy(model: SpinRingModel) -> float:
     if n <= 8:
         return float(np.linalg.eigvalsh(dense_hamiltonian(model))[0])
     dim = 1 << n
-    tables = [(coeff, *_pauli_tables(p.letters)) for coeff, p in model.terms()]
+    # every term reads its flipped view of one input buffer
+    buf = np.empty((1, dim), dtype=np.complex128)
+    terms = [(coeff, *_pauli_view(buf, p)) for coeff, p in model.terms()]
 
     def matvec(vec):
-        vec = np.asarray(vec).reshape(dim)
+        buf[0] = np.asarray(vec).reshape(dim)
         out = np.zeros(dim, dtype=np.complex128)
-        for coeff, src, phase in tables:
-            out += coeff * (phase * vec[src])
+        for coeff, view, phase in terms:
+            out += coeff * (phase * view).reshape(dim)
         return out
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
@@ -255,8 +260,7 @@ def _per_term_expectations(amps: np.ndarray, terms) -> np.ndarray:
         if "X" not in pauli.letters and "Y" not in pauli.letters:
             if probs is None:
                 probs = amps.real**2 + amps.imag**2
-            _, phase = _pauli_tables(pauli.letters)
-            out[:, t] = probs @ phase.real
+            out[:, t] = probs @ _pauli_phase_vector(pauli).real
         else:
             out[:, t] = batch_pauli_expectation(amps, pauli)
     return out

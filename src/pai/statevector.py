@@ -14,15 +14,23 @@ Conventions
   number of qubits is capped at ``MAX_QUBITS`` to keep memory bounded.
 
 Any non-identity Pauli string squares to the identity, so the rotation
-acts as ``cos(phi/2) * psi - 1j * sin(phi/2) * (G psi)``; applying ``G``
-to a dense vector is a permutation of amplitudes times a phase table,
-which is what the cached tables below store.
+acts as ``cos(phi/2) * psi - 1j * sin(phi/2) * (G psi)``.  ``G psi`` needs
+no index table: with the amplitudes of a row viewed as one length-2 axis
+per qubit, the X and Y factors flip their qubit's bit, which is that axis
+read backwards (a strided view; no data moves), and the Y and Z factors
+contribute a +-1 / +-i phase that depends only on their own axes, so it is
+a table of at most ``2**weight`` entries broadcast over the rest.
+
+Batch kernels take ``(V, dim)`` arrays: row ``v`` is the state of variant
+``v``.  Any strides work; the variant engine in :mod:`pai.estimate` passes
+the transpose of a C-contiguous ``(dim, V)`` buffer, so every inner loop
+runs over ``V`` contiguous variants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +83,33 @@ class PauliString:
     def __str__(self) -> str:
         return self.letters
 
+    @cached_property
+    def _view_factors(self) -> tuple[tuple[slice, ...], np.ndarray]:
+        """``(index, phase)`` of :func:`_pauli_view`, built once per string.
+
+        ``index`` reverses the X and Y qubit axes of a batch reshaped to
+        ``(V, 2, ..., 2)``; ``phase`` is the read-only +-1 / +-i table, of
+        length 2 on the Y and Z axes and 1 elsewhere (at most ``2**weight``
+        entries), so it lives and dies with this string.
+        """
+        n = self.num_qubits
+        if n > MAX_QUBITS:
+            raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+        axes = self.letters[::-1]  # axis 1 + k holds qubit n - 1 - k
+        index = (
+            slice(None),
+            *(slice(None, None, -1) if c in "XY" else slice(None) for c in axes),
+        )
+        # (G psi)[c] = (-1)**popcount(src & yz) * 1j**n_y * psi[src] with
+        # src = c ^ flip; on a Y axis the source bit is 1 - c's bit
+        yz = [c for c in axes if c in "YZ"]
+        y_bits = int("".join("1" if c == "Y" else "0" for c in yz) or "0", 2)
+        pops = np.bitwise_count(np.arange(1 << len(yz)) ^ y_bits)
+        phase = np.where(pops & 1, -1.0, 1.0) * (1j ** self.letters.count("Y"))
+        phase = phase.reshape([1] + [2 if c in "YZ" else 1 for c in axes])
+        phase.flags.writeable = False
+        return index, phase
+
 
 @dataclass(frozen=True)
 class Observable:
@@ -102,30 +137,23 @@ class Observable:
         return float(sum(abs(c) for c, _ in self.terms))
 
 
-@lru_cache(maxsize=None)
-def _pauli_tables(letters: str) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(src, phase)`` with ``(G psi)[c] = phase[c] * psi[src[c]]``."""
-    n = len(letters)
-    if n > MAX_QUBITS:
-        raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
-    flip = 0
-    y_mask = 0
-    z_mask = 0
-    for q, letter in enumerate(letters):
-        bit = 1 << q
-        if letter in ("X", "Y"):
-            flip |= bit
-        if letter == "Y":
-            y_mask |= bit
-        if letter == "Z":
-            z_mask |= bit
-    idx = np.arange(1 << n, dtype=np.uint64)
-    src = idx ^ np.uint64(flip)
-    pops = np.bitwise_count(src & np.uint64(y_mask)) + np.bitwise_count(
-        src & np.uint64(z_mask)
-    )
-    phase = np.where(pops & 1, -1.0, 1.0) * (1j ** letters.count("Y"))
-    return src.astype(np.intp), phase.astype(np.complex128)
+def _pauli_view(amps: np.ndarray, pauli: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(view, phase)`` with ``G psi == view * phase`` for each row
+    ``psi`` of the ``(V, dim)`` batch ``amps``.
+
+    ``view`` is ``amps`` with each row split into one length-2 axis per
+    qubit (qubit ``q`` on axis ``n - q``) and the X and Y axes reversed; it
+    shares memory with ``amps``.  ``phase`` broadcasts against ``view``.
+    """
+    index, phase = pauli._view_factors
+    return amps.reshape(amps.shape[0], *(2,) * pauli.num_qubits)[index], phase
+
+
+def _pauli_phase_vector(pauli: PauliString) -> np.ndarray:
+    """All ``2**n`` phases of ``G`` as one contiguous complex vector; for a
+    diagonal ``G`` its real part is the diagonal."""
+    _, phase = pauli._view_factors
+    return np.broadcast_to(phase, (1,) + (2,) * pauli.num_qubits).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -169,21 +197,33 @@ def _check_compatible(pauli: PauliString, dim: int) -> None:
 
 
 def rotate_batch(
-    amps: np.ndarray, generator: PauliString, angles: np.ndarray
+    amps: np.ndarray,
+    generator: PauliString,
+    angles: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply ``exp(-1j*angles[v]/2 * G)`` to each row of a ``(V, dim)`` batch.
 
-    This is the workhorse kernel: one Pauli gather plus two scaled
-    accumulations, all vectorized over the batch axis.
+    ``amps`` may have any strides; it runs fastest as the transpose of a
+    C-contiguous ``(dim, V)`` buffer, whose inner loops run over the ``V``
+    contiguous variants.  ``amps`` is left unmodified.  The result goes to
+    ``out`` and ``work`` holds ``G psi``; both are ``(V, dim)`` arrays that
+    must not overlap ``amps`` or each other, and are allocated in the
+    layout of ``amps`` when not given.  Returns ``out``.
     """
     _check_compatible(generator, amps.shape[1])
-    src, phase = _pauli_tables(generator.letters)
+    if out is None:
+        out = np.empty_like(amps)
+    if work is None:
+        work = np.empty_like(amps)
     half = 0.5 * np.asarray(angles, dtype=np.float64)
-    g = amps[:, src]
-    g *= phase
-    out = amps * np.cos(half)[:, None]
-    g *= (-1j * np.sin(half))[:, None]
-    out += g
+    view, phase = _pauli_view(amps, generator)
+    np.multiply(view, phase, out=work.reshape(view.shape))
+    np.multiply(amps, np.cos(half)[:, None], out=out)
+    work *= (-1j * np.sin(half))[:, None]
+    out += work
     return out
 
 
@@ -220,9 +260,9 @@ def run_circuit(
 def batch_pauli_expectation(amps: np.ndarray, pauli: PauliString) -> np.ndarray:
     """``<row|G|row>`` for each row of a ``(V, dim)`` batch; real output."""
     _check_compatible(pauli, amps.shape[1])
-    src, phase = _pauli_tables(pauli.letters)
-    g = amps[:, src]
-    g *= phase
+    view, phase = _pauli_view(amps, pauli)
+    g = np.empty(amps.shape, dtype=np.complex128)
+    np.multiply(view, phase, out=g.reshape(view.shape))
     return np.einsum("vi,vi->v", np.conj(amps), g).real
 
 
@@ -240,8 +280,7 @@ def batch_expectation(amps: np.ndarray, observable: Observable) -> np.ndarray:
             # diagonal term: expectation is a signed sum of probabilities
             if probs is None:
                 probs = amps.real**2 + amps.imag**2
-            _, phase = _pauli_tables(pauli.letters)
-            out += coeff * (probs @ phase.real)
+            out += coeff * (probs @ _pauli_phase_vector(pauli).real)
         else:
             out += coeff * batch_pauli_expectation(amps, pauli)
     return out

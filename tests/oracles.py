@@ -79,3 +79,41 @@ def random_circuit(rng: np.random.Generator, num_qubits: int, n_gates: int):
         )
         for _ in range(n_gates)
     ]
+
+
+def pauli_gather_tables(letters: str) -> tuple[np.ndarray, np.ndarray]:
+    """Return ``(src, phase)`` with ``(G psi)[c] = phase[c] * psi[src[c]]``."""
+    n = len(letters)
+    flip = 0
+    y_mask = 0
+    z_mask = 0
+    for q, letter in enumerate(letters):
+        bit = 1 << q
+        if letter in ("X", "Y"):
+            flip |= bit
+        if letter == "Y":
+            y_mask |= bit
+        if letter == "Z":
+            z_mask |= bit
+    idx = np.arange(1 << n, dtype=np.uint64)
+    src = idx ^ np.uint64(flip)
+    pops = np.bitwise_count(src & np.uint64(y_mask)) + np.bitwise_count(
+        src & np.uint64(z_mask)
+    )
+    phase = np.where(pops & 1, -1.0, 1.0) * (1j ** letters.count("Y"))
+    return src.astype(np.intp), phase.astype(np.complex128)
+
+
+def gather_rotate_batch(amps: np.ndarray, letters: str, angles) -> np.ndarray:
+    """Reference rotation kernel: an index gather of ``G psi`` through the
+    tables above, with the package kernel's per-element arithmetic in the
+    same order (phase product, cos scaling, -1j*sin scaling, add), so the
+    two must agree bit for bit."""
+    src, phase = pauli_gather_tables(letters)
+    half = 0.5 * np.asarray(angles, dtype=np.float64)
+    g = amps[:, src]
+    g *= phase
+    out = amps * np.cos(half)[:, None]
+    g *= (-1j * np.sin(half))[:, None]
+    out += g
+    return out

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 import oracles
 from pai.estimate import (
     EnumerationLimitError,
+    _auto_chunk,
+    _chunk_bounds,
+    _simulate_variants,
     approximate_two_notch_state,
     continuous_estimate,
     continuous_expectation,
@@ -119,14 +122,32 @@ def test_pai_bank_is_reproducible_and_key_separated():
     assert not np.array_equal(a.outcomes, d.outcomes)
 
 
+def _n_chunks(n_variants: int, num_qubits: int) -> int:
+    return len(_chunk_bounds(n_variants, _auto_chunk(1 << num_qubits)))
+
+
 def test_thread_count_never_changes_results():
     grid = NotchGrid.uniform(5)
-    args = (grid, _fixed_circuit(), PauliString("ZII"), 700, 2, 9)
+    # three chunks, so the threaded run really splits the variants
+    assert _n_chunks(4200, 3) == 3
+    args = (grid, _fixed_circuit(), PauliString("ZII"), 4200, 2, 9)
     one = pai_shot_bank(*args, threads=1)
     four = pai_shot_bank(*args, threads=4)
     assert np.array_equal(one.outcomes, four.outcomes)
     assert np.array_equal(one.variant_signs, four.variant_signs)
     assert one.weight == four.weight
+
+
+def test_simulate_variants_matches_gate_by_gate_reference(rng):
+    circuit = oracles.random_circuit(rng, 4, 12)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(37, len(circuit)))
+    got = _simulate_variants([g for g, _ in circuit], angles, 4)
+    want = np.zeros((37, 16), dtype=np.complex128)
+    want[:, 0] = 1.0
+    for j, (generator, _) in enumerate(circuit):
+        want = oracles.gather_rotate_batch(want, generator.letters, angles[:, j])
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_first_variant_regenerates_in_isolation():
@@ -284,8 +305,9 @@ def test_two_notch_profile_shape_and_decay(rng):
 def test_two_notch_threads_do_not_change_results(rng):
     grid = NotchGrid.uniform(4)
     circuit = oracles.random_circuit(rng, 2, 30)
-    a = two_notch_fidelity_profile(grid, circuit, [0, 15, 30], 400, 3, threads=1)
-    b = two_notch_fidelity_profile(grid, circuit, [0, 15, 30], 400, 3, threads=3)
+    assert _n_chunks(2500, 2) == 2
+    a = two_notch_fidelity_profile(grid, circuit, [0, 15, 30], 2500, 3, threads=1)
+    b = two_notch_fidelity_profile(grid, circuit, [0, 15, 30], 2500, 3, threads=3)
     for pa, pb in zip(a, b):
         assert pa == pb
 

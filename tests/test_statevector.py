@@ -51,7 +51,7 @@ def test_qubit_count_cap():
     too_wide = PauliString("X" * (MAX_QUBITS + 1))
     state25 = np.zeros(4)
     with pytest.raises(ValueError):
-        # table construction rejects strings past the cap
+        # strings past the cap are rejected
         pauli_expectation(Statevector(np.array([1.0, 0, 0, 0])), too_wide)
     del state25
 
@@ -193,6 +193,46 @@ def test_rotate_batch_rows_are_independent(rng):
     for v in range(5):
         want = oracles.rotation_matrix("XY", angles[v]) @ amps[v]
         np.testing.assert_allclose(batch[v], want, atol=1e-12)
+
+
+wide_letters_st = st.integers(1, 6).flatmap(
+    lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n).filter(
+        lambda s: s.strip("I")
+    )
+)
+
+
+@given(
+    letters=wide_letters_st,
+    n_rows=st.sampled_from([1, 2, 7, 64]),
+    transposed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150)
+def test_rotate_batch_is_bit_identical_to_gather_reference(
+    letters, n_rows, transposed, seed
+):
+    # same per-element arithmetic as the index-gather kernel, so equal bits,
+    # for C-ordered (V, dim) rows and for the transpose of a (dim, V) buffer
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    r = np.random.default_rng(seed)
+    dim = 1 << len(letters)
+    amps = r.standard_normal((n_rows, dim)) + 1j * r.standard_normal((n_rows, dim))
+    angles = r.uniform(-4 * np.pi, 4 * np.pi, n_rows)
+    want = oracles.gather_rotate_batch(amps, letters, angles)
+    if transposed:
+        buf = np.ascontiguousarray(amps.T)
+        out, work = np.empty_like(buf), np.empty_like(buf)
+        got = rotate_batch(buf.T, PauliString(letters), angles, out=out.T, work=work.T)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(bits(buf.T), bits(amps))
+    else:
+        before = amps.copy()
+        got = rotate_batch(amps, PauliString(letters), angles)
+        assert np.array_equal(bits(amps), bits(before))
+    assert np.array_equal(bits(got), bits(want))
 
 
 # ----------------------------------------------------------- expectation
