@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
@@ -28,8 +29,8 @@ from .statevector import (
     Observable,
     PauliString,
     Statevector,
+    _apply_pauli,
     _pauli_phase_vector,
-    _pauli_view,
     batch_pauli_expectation,
     expectation,
     run_circuit,
@@ -83,6 +84,10 @@ class SpinRingModel:
 
     def terms(self) -> tuple[tuple[float, PauliString], ...]:
         """Hamiltonian terms in the fixed global order (4n of them)."""
+        return self._terms
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[float, PauliString], ...]:
         n = self.num_qubits
         out: list[tuple[float, PauliString]] = []
         for q in range(n):
@@ -191,13 +196,11 @@ def dense_hamiltonian(model: SpinRingModel) -> np.ndarray:
     dim = 1 << model.num_qubits
     if dim > 1 << 10:
         raise ValueError("dense Hamiltonian capped at 10 qubits; use ground_energy")
+    # row c of the identity maps to G e_c, column c of G
+    eye = np.eye(dim, dtype=np.complex128)
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    rows = np.arange(dim)
     for coeff, pauli in model.terms():
-        # G[c, c ^ flip] = phase[c]: the view helper applied to the column
-        # indices yields c ^ flip
-        src, _ = _pauli_view(rows[None, :], pauli)
-        mat[rows, src.reshape(dim)] += coeff * _pauli_phase_vector(pauli)
+        mat += coeff * _apply_pauli(eye, pauli).T
     return mat
 
 
@@ -208,15 +211,14 @@ def ground_energy(model: SpinRingModel) -> float:
     if n <= 8:
         return float(np.linalg.eigvalsh(dense_hamiltonian(model))[0])
     dim = 1 << n
-    # every term reads its flipped view of one input buffer
-    buf = np.empty((1, dim), dtype=np.complex128)
-    terms = [(coeff, *_pauli_view(buf, p)) for coeff, p in model.terms()]
+    terms = model.terms()
+    g = np.empty((1, dim), dtype=np.complex128)
 
     def matvec(vec):
-        buf[0] = np.asarray(vec).reshape(dim)
+        psi = np.asarray(vec).reshape(1, dim)
         out = np.zeros(dim, dtype=np.complex128)
-        for coeff, view, phase in terms:
-            out += coeff * (phase * view).reshape(dim)
+        for coeff, pauli in terms:
+            out += coeff * _apply_pauli(psi, pauli, out=g)[0]
         return out
 
     op = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)

@@ -19,7 +19,9 @@ no index table: with the amplitudes of a row viewed as one length-2 axis
 per qubit, the X and Y factors flip their qubit's bit, which is that axis
 read backwards (a strided view; no data moves), and the Y and Z factors
 contribute a +-1 / +-i phase that depends only on their own axes, so it is
-a table of at most ``2**weight`` entries broadcast over the rest.
+a table of at most ``2**weight`` entries broadcast over the rest.  Adjacent
+qubits of the same kind share one longer axis, which keeps the view to a
+few dimensions.
 
 Batch kernels take ``(V, dim)`` arrays: row ``v`` is the state of variant
 ``v``.  Any strides work; the variant engine in :mod:`pai.estimate` passes
@@ -30,7 +32,8 @@ runs over ``V`` contiguous variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -83,33 +86,6 @@ class PauliString:
     def __str__(self) -> str:
         return self.letters
 
-    @cached_property
-    def _view_factors(self) -> tuple[tuple[slice, ...], np.ndarray]:
-        """``(index, phase)`` of :func:`_pauli_view`, built once per string.
-
-        ``index`` reverses the X and Y qubit axes of a batch reshaped to
-        ``(V, 2, ..., 2)``; ``phase`` is the read-only +-1 / +-i table, of
-        length 2 on the Y and Z axes and 1 elsewhere (at most ``2**weight``
-        entries), so it lives and dies with this string.
-        """
-        n = self.num_qubits
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
-        axes = self.letters[::-1]  # axis 1 + k holds qubit n - 1 - k
-        index = (
-            slice(None),
-            *(slice(None, None, -1) if c in "XY" else slice(None) for c in axes),
-        )
-        # (G psi)[c] = (-1)**popcount(src & yz) * 1j**n_y * psi[src] with
-        # src = c ^ flip; on a Y axis the source bit is 1 - c's bit
-        yz = [c for c in axes if c in "YZ"]
-        y_bits = int("".join("1" if c == "Y" else "0" for c in yz) or "0", 2)
-        pops = np.bitwise_count(np.arange(1 << len(yz)) ^ y_bits)
-        phase = np.where(pops & 1, -1.0, 1.0) * (1j ** self.letters.count("Y"))
-        phase = phase.reshape([1] + [2 if c in "YZ" else 1 for c in axes])
-        phase.flags.writeable = False
-        return index, phase
-
 
 @dataclass(frozen=True)
 class Observable:
@@ -137,23 +113,68 @@ class Observable:
         return float(sum(abs(c) for c, _ in self.terms))
 
 
-def _pauli_view(amps: np.ndarray, pauli: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(view, phase)`` with ``G psi == view * phase`` for each row
-    ``psi`` of the ``(V, dim)`` batch ``amps``.
+@lru_cache(maxsize=256)
+def _view_factors(
+    letters: str,
+) -> tuple[tuple[int, ...], tuple[slice, ...], np.ndarray]:
+    """``(sizes, index, phase)`` of :func:`_apply_pauli` for one Pauli string.
 
-    ``view`` is ``amps`` with each row split into one length-2 axis per
-    qubit (qubit ``q`` on axis ``n - q``) and the X and Y axes reversed; it
-    shares memory with ``amps``.  ``phase`` broadcasts against ``view``.
+    A row splits into one axis per run of adjacent qubits (highest qubit
+    first) whose letters agree on flipping the bit (X, Y) and on carrying a
+    phase (Y, Z); ``sizes`` holds the run lengths as powers of two.
+    Reversing each of ``k`` adjacent bit axes reverses their merged axis,
+    so ``index`` reverses the X/Y runs.  ``phase`` is the read-only +-1 /
+    +-i table, full length on the Y/Z runs and 1 elsewhere (at most
+    ``2**weight`` entries).  Keyed on the letters, so equal strings built
+    apart share one entry; the cache holds at most 256 strings.
     """
-    index, phase = pauli._view_factors
-    return amps.reshape(amps.shape[0], *(2,) * pauli.num_qubits)[index], phase
+    n = len(letters)
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} qubits exceeds the cap of {MAX_QUBITS}")
+    axes = letters[::-1]  # bit n - 1 - k of the index is axis k
+    runs = [
+        (flip, yz, len(list(run)))
+        for (flip, yz), run in groupby((c in "XY", c in "YZ") for c in axes)
+    ]
+    sizes = tuple(1 << k for _, _, k in runs)
+    index = (slice(None), *(slice(None, None, -1 if f else 1) for f, _, _ in runs))
+    # (G psi)[c] = (-1)**popcount(src & yz) * 1j**n_y * psi[src] with
+    # src = c ^ flip; on a Y axis the source bit is 1 - c's bit
+    yz = [c for c in axes if c in "YZ"]
+    y_bits = int("".join("1" if c == "Y" else "0" for c in yz) or "0", 2)
+    pops = np.bitwise_count(np.arange(1 << len(yz)) ^ y_bits)
+    phase = np.where(pops & 1, -1.0, 1.0) * (1j ** letters.count("Y"))
+    phase = phase.reshape([1] + [1 << k if yz else 1 for _, yz, k in runs])
+    phase.flags.writeable = False
+    return sizes, index, phase
+
+
+def _apply_pauli(
+    amps: np.ndarray, pauli: PauliString, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Write ``G psi`` for each row ``psi`` of the ``(V, dim)`` batch ``amps``
+    into ``out`` and return it.
+
+    Each row is viewed with one axis per run of :func:`_view_factors`, the
+    X/Y runs reversed, which moves no data, and multiplied by the broadcast
+    phase table.  ``out`` must not overlap ``amps``; it is allocated
+    C-ordered when not given.
+    """
+    if out is None:
+        out = np.empty(amps.shape, dtype=np.complex128)
+    sizes, index, phase = _view_factors(pauli.letters)
+    shape = (amps.shape[0], *sizes)
+    np.multiply(amps.reshape(shape)[index], phase, out=out.reshape(shape))
+    return out
 
 
 def _pauli_phase_vector(pauli: PauliString) -> np.ndarray:
     """All ``2**n`` phases of ``G`` as one contiguous complex vector; for a
     diagonal ``G`` its real part is the diagonal."""
-    _, phase = pauli._view_factors
-    return np.broadcast_to(phase, (1,) + (2,) * pauli.num_qubits).reshape(-1)
+    sizes, _, phase = _view_factors(pauli.letters)
+    vec = np.empty(sizes, dtype=np.complex128)
+    vec[...] = phase[0]
+    return vec.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -210,17 +231,15 @@ def rotate_batch(
     C-contiguous ``(dim, V)`` buffer, whose inner loops run over the ``V``
     contiguous variants.  ``amps`` is left unmodified.  The result goes to
     ``out`` and ``work`` holds ``G psi``; both are ``(V, dim)`` arrays that
-    must not overlap ``amps`` or each other, and are allocated in the
-    layout of ``amps`` when not given.  Returns ``out``.
+    must not overlap ``amps`` or each other.  When not given, ``out`` is
+    allocated in the layout of ``amps`` and ``work`` C-ordered.  Returns
+    ``out``.
     """
     _check_compatible(generator, amps.shape[1])
     if out is None:
         out = np.empty_like(amps)
-    if work is None:
-        work = np.empty_like(amps)
     half = 0.5 * np.asarray(angles, dtype=np.float64)
-    view, phase = _pauli_view(amps, generator)
-    np.multiply(view, phase, out=work.reshape(view.shape))
+    work = _apply_pauli(amps, generator, out=work)
     np.multiply(amps, np.cos(half)[:, None], out=out)
     work *= (-1j * np.sin(half))[:, None]
     out += work
@@ -260,10 +279,7 @@ def run_circuit(
 def batch_pauli_expectation(amps: np.ndarray, pauli: PauliString) -> np.ndarray:
     """``<row|G|row>`` for each row of a ``(V, dim)`` batch; real output."""
     _check_compatible(pauli, amps.shape[1])
-    view, phase = _pauli_view(amps, pauli)
-    g = np.empty(amps.shape, dtype=np.complex128)
-    np.multiply(view, phase, out=g.reshape(view.shape))
-    return np.einsum("vi,vi->v", np.conj(amps), g).real
+    return np.einsum("vi,vi->v", np.conj(amps), _apply_pauli(amps, pauli)).real
 
 
 def pauli_expectation(state: Statevector, pauli: PauliString) -> float:

@@ -28,7 +28,13 @@ from pai.models import (
 )
 from pai.notch import NotchGrid, locate
 from pai.quasiprob import decompose_circuit
-from pai.statevector import PauliString, Statevector, pauli_expectation, run_circuit
+from pai.statevector import (
+    PauliString,
+    Statevector,
+    _view_factors,
+    pauli_expectation,
+    run_circuit,
+)
 
 
 # ------------------------------------------------------------------ model
@@ -84,6 +90,28 @@ def test_hamiltonian_is_hermitian():
     for n, seed in ((3, 0), (4, 5), (5, 9)):
         h = dense_hamiltonian(spin_ring(n, 0.3, seed))
         np.testing.assert_allclose(h, h.conj().T, atol=1e-14)
+
+
+def test_dense_hamiltonian_matches_kronecker_products():
+    for n, seed in ((3, 0), (4, 5), (6, 9)):
+        model = spin_ring(n, 0.3, seed)
+        want = sum(c * oracles.dense_pauli(p.letters) for c, p in model.terms())
+        np.testing.assert_allclose(dense_hamiltonian(model), want, atol=1e-14)
+
+
+def test_equal_pauli_strings_share_cached_view_factors():
+    # the view factors are keyed on the letters, so a second model object,
+    # with PauliString objects of its own, builds no new factors
+    params = np.linspace(0.1, 2.0, 20)
+
+    def evaluate():
+        model = spin_ring(5, 0.3, 2)
+        return energy(model, run_circuit(hva_circuit(model, 1, params), 5))
+
+    first = evaluate()
+    misses = _view_factors.cache_info().misses
+    assert evaluate() == first
+    assert _view_factors.cache_info().misses == misses
 
 
 def test_all_zeros_energy_is_fields_plus_bonds():
