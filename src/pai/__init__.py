@@ -18,13 +18,9 @@ from .estimate import (
     FidelityPoint,
     RmsPoint,
     ShotBank,
-    ShotRecord,
-    approximate_two_notch_state,
-    continuous_estimate,
     continuous_expectation,
     continuous_shot_bank,
     exact_pai_expectation,
-    nearest_notch_estimate,
     nearest_notch_shot_bank,
     pai_estimate,
     pai_shot_bank,
@@ -45,15 +41,20 @@ from .models import (
     hva_circuit,
     neel_prep_circuit,
     notch_floor_energy,
-    round_params_to_grid,
     spin_ring,
     trotter_circuit,
     vqe_run,
 )
-from .notch import AnglePosition, NotchGrid, antipolar_notch, locate, nearest_notch
+from .notch import (
+    AnglePosition,
+    NotchGrid,
+    antipolar_notch,
+    locate,
+    nearest_notch,
+    round_params_to_grid,
+)
 from .quasiprob import (
     CircuitDecomposition,
-    CircuitVariant,
     DegenerateSettingsError,
     GateQuasiProb,
     decompose_circuit,
@@ -63,24 +64,19 @@ from .quasiprob import (
     interpolation_residual,
     max_gates_for_bits,
     refined_overhead,
-    sample_gate,
-    sample_variant,
     settings_from_uniforms,
-    variant_angles,
     worst_case_overhead,
 )
-from .rng import derive_seed, stream
+from .rng import stream
 from .statevector import (
     MAX_QUBITS,
     Observable,
     PauliString,
     Statevector,
-    apply_rotation,
     expectation,
     fidelity,
     pauli_expectation,
     run_circuit,
-    sample_pauli_shot,
 )
 
 __version__ = "0.1.0"
@@ -91,11 +87,9 @@ __all__ = [
     "PauliString",
     "Observable",
     "Statevector",
-    "apply_rotation",
     "run_circuit",
     "pauli_expectation",
     "expectation",
-    "sample_pauli_shot",
     "fidelity",
     "NotchGrid",
     "AnglePosition",
@@ -110,16 +104,11 @@ __all__ = [
     "decompose_gate",
     "CircuitDecomposition",
     "decompose_circuit",
-    "CircuitVariant",
-    "sample_gate",
-    "sample_variant",
     "settings_from_uniforms",
-    "variant_angles",
     "worst_case_overhead",
     "refined_overhead",
     "max_gates_for_bits",
     "EnumerationLimitError",
-    "ShotRecord",
     "EstimateResult",
     "ShotBank",
     "FidelityPoint",
@@ -127,13 +116,10 @@ __all__ = [
     "pai_shot_bank",
     "pai_estimate",
     "nearest_notch_shot_bank",
-    "nearest_notch_estimate",
     "continuous_shot_bank",
-    "continuous_estimate",
     "continuous_expectation",
     "exact_pai_expectation",
     "two_notch_fidelity_profile",
-    "approximate_two_notch_state",
     "rms_vs_shots",
     "per_variant_rows",
     "SpinRingModel",
@@ -153,5 +139,4 @@ __all__ = [
     "round_params_to_grid",
     "notch_floor_energy",
     "stream",
-    "derive_seed",
 ]

@@ -7,11 +7,13 @@ estimators (nearest-notch rounding and the continuous-angle circuit) fill
 the same structure with a single trivial variant so downstream analysis
 treats all three identically.
 
-Random-stream layout (see :mod:`pai.rng`): variant ``v`` of a run owns the
-stream keyed ``(*key_prefix, v)`` and draws, in order, one uniform per
-gate for the setting choice and then one uniform per shot.  Auxiliary
-streams (reference estimators, repeat-level draws) use key tuples of
-length >= 2, which never collide with bare variant keys.
+Every sampled estimator runs one variant loop, the quasiprobability
+sampling of Endo, Benjamin and Li (PRX 8, 031027, 2018), chunk by chunk
+(:func:`_map_variants`): variant ``v`` draws one uniform per gate and then
+its shot uniforms from the stream ``(master_seed, *key, v)``
+(:func:`_variant_uniforms`), the settings they select are simulated
+(:func:`_pai_variants`) and measured (:func:`_outcomes`).  :mod:`pai.rng`
+tables the keys of every subcommand.
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -23,11 +25,11 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .notch import NotchGrid, locate, nearest_notch
+from .notch import NotchGrid, locate, round_params_to_grid
 from .quasiprob import (
     CircuitDecomposition,
     decompose_circuit,
@@ -42,11 +44,11 @@ from .statevector import (
     batch_pauli_expectation,
     rotate_batch,
     run_circuit,
+    term_expectations,
 )
 
 __all__ = [
     "EnumerationLimitError",
-    "ShotRecord",
     "EstimateResult",
     "ShotBank",
     "FidelityPoint",
@@ -54,13 +56,12 @@ __all__ = [
     "pai_shot_bank",
     "pai_estimate",
     "nearest_notch_shot_bank",
-    "nearest_notch_estimate",
     "continuous_shot_bank",
-    "continuous_estimate",
     "continuous_expectation",
     "exact_pai_expectation",
+    "pai_observable_mean",
+    "nearest_observable_mean",
     "two_notch_fidelity_profile",
-    "approximate_two_notch_state",
     "rms_vs_shots",
     "per_variant_rows",
 ]
@@ -74,15 +75,6 @@ _ENUMERATION_CAP = 10
 class EnumerationLimitError(ValueError):
     """Raised when exact variant enumeration is requested for a circuit too
     deep to enumerate (more than 10 interpolated gates)."""
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One measurement outcome with its reweighting factor."""
-
-    variant_id: int
-    outcome: int
-    factor: float
 
 
 @dataclass(frozen=True)
@@ -122,12 +114,6 @@ class ShotBank:
         """Flat per-shot estimates, variant-major order."""
         factors = self.variant_signs.astype(np.float64) * self.weight
         return (self.outcomes * factors[:, None]).ravel()
-
-    def records(self) -> Iterator[ShotRecord]:
-        for v in range(self.n_variants):
-            factor = float(self.variant_signs[v]) * self.weight
-            for outcome in self.outcomes[v]:
-                yield ShotRecord(variant_id=v, outcome=int(outcome), factor=factor)
 
     def result(self) -> EstimateResult:
         vals = self.values()
@@ -181,11 +167,20 @@ def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _map_chunks(worker, bounds, threads: int) -> list:
-    if threads <= 1 or len(bounds) <= 1:
-        return [worker(lo, hi) for lo, hi in bounds]
+def _map_chunks(worker, jobs, threads: int) -> list:
+    """``[worker(*job) for job in jobs]``, spread over ``threads`` threads;
+    results keep the order of ``jobs``."""
+    if threads <= 1 or len(jobs) <= 1:
+        return [worker(*job) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda b: worker(*b), bounds))
+        return list(pool.map(lambda job: worker(*job), jobs))
+
+
+def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> list:
+    """``worker(lo, hi)`` over the chunks of ``n_variants`` variants on
+    ``num_qubits`` qubits; the chunk bounds never depend on ``threads``."""
+    bounds = _chunk_bounds(n_variants, _auto_chunk(1 << num_qubits))
+    return _map_chunks(worker, bounds, threads)
 
 
 def _chunk_buffers(n_rows: int, num_qubits: int):
@@ -222,7 +217,37 @@ def _simulate_variants(
     return _as_rows(state, spare)
 
 
-def _circuit_qubits(circuit, observable: PauliString) -> int:
+def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=None):
+    """Uniforms of variants ``lo`` to ``hi - 1``: ``(V, nu)`` for the
+    settings and, when ``shots`` is given, ``(V, shots)`` for the shots
+    (else ``None``).  Variant ``v`` draws both, in that order, from the
+    stream ``(master_seed, *key, v)``."""
+    count = hi - lo
+    u = np.empty((count, nu))
+    u_shots = None if shots is None else np.empty((count, shots))
+    for i in range(count):
+        r = stream(master_seed, *key, lo + i)
+        u[i] = r.random(nu)
+        if u_shots is not None:
+            u_shots[i] = r.random(shots)
+    return u, u_shots
+
+
+def _pai_variants(dec: CircuitDecomposition, u: np.ndarray, num_qubits: int):
+    """``(signs, amps)`` of the variants that the ``(V, nu)`` setting
+    uniforms ``u`` select; ``amps`` is the C-ordered ``(V, dim)`` batch."""
+    _, signs, angles = settings_from_uniforms(dec, u)
+    return signs, _simulate_variants(dec.generators, angles, num_qubits)
+
+
+def _outcomes(u: np.ndarray, ev) -> np.ndarray:
+    """+-1 outcomes as int8: +1 where ``u`` is below the Born probability
+    ``(1 + ev) / 2``, clipped to [0, 1].  ``ev`` broadcasts against ``u``."""
+    p_plus = np.clip(0.5 * (1.0 + ev), 0.0, 1.0)
+    return np.where(u < p_plus, 1, -1).astype(np.int8)
+
+
+def _circuit_qubits(circuit, observable) -> int:
     n = observable.num_qubits
     for generator, _ in circuit:
         if generator.num_qubits != n:
@@ -238,15 +263,14 @@ def pai_shot_bank(
     shots_per_variant: int,
     master_seed: int,
     *,
-    key_prefix: tuple[int, ...] = (),
     threads: int = 1,
 ) -> ShotBank:
     """Sample ``n_variants`` circuit variants and measure each one
     ``shots_per_variant`` times.
 
-    Variant ``v`` uses the stream ``(master_seed, *key_prefix, v)`` so any
-    variant can be regenerated in isolation and the full bank is identical
-    for any thread count.
+    Variant ``v`` uses the stream ``(master_seed, v)`` so any variant can
+    be regenerated in isolation and the full bank is identical for any
+    thread count.
     """
     observable = _require_pauli(observable)
     if n_variants < 1 or shots_per_variant < 1:
@@ -256,22 +280,12 @@ def pai_shot_bank(
     nu = dec.num_gates
 
     def worker(lo: int, hi: int):
-        count = hi - lo
-        u_settings = np.empty((count, nu))
-        u_shots = np.empty((count, shots_per_variant))
-        for i in range(count):
-            r = stream(master_seed, *key_prefix, lo + i)
-            u_settings[i] = r.random(nu)
-            u_shots[i] = r.random(shots_per_variant)
-        _, signs, angles = settings_from_uniforms(dec, u_settings)
-        amps = _simulate_variants(dec.generators, angles, n)
+        u, u_shots = _variant_uniforms(master_seed, (), lo, hi, nu, shots_per_variant)
+        signs, amps = _pai_variants(dec, u, n)
         ev = batch_pauli_expectation(amps, observable)
-        p_plus = np.clip(0.5 * (1.0 + ev), 0.0, 1.0)
-        outcomes = np.where(u_shots < p_plus[:, None], 1, -1).astype(np.int8)
-        return signs.astype(np.int8), outcomes
+        return signs.astype(np.int8), _outcomes(u_shots, ev[:, None])
 
-    bounds = _chunk_bounds(n_variants, _auto_chunk(1 << n))
-    parts = _map_chunks(worker, bounds, threads)
+    parts = _map_variants(worker, n_variants, n, threads)
     return ShotBank(
         outcomes=np.concatenate([p[1] for p in parts], axis=0),
         variant_signs=np.concatenate([p[0] for p in parts]),
@@ -287,22 +301,14 @@ def pai_estimate(
     shots_per_variant: int,
     master_seed: int,
     *,
-    key_prefix: tuple[int, ...] = (),
     threads: int = 1,
 ) -> EstimateResult:
     """Unbiased estimate of the continuous-angle expectation from sampled
     variants; see :func:`pai_shot_bank` for the sampling contract."""
-    bank = pai_shot_bank(
-        grid,
-        circuit,
-        observable,
-        n_variants,
-        shots_per_variant,
-        master_seed,
-        key_prefix=key_prefix,
+    return pai_shot_bank(
+        grid, circuit, observable, n_variants, shots_per_variant, master_seed,
         threads=threads,
-    )
-    return bank.result()
+    ).result()
 
 
 def _reference_bank(
@@ -315,14 +321,19 @@ def _reference_bank(
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     ev = float(batch_pauli_expectation(state.amps[None, :], observable)[0])
-    p_plus = min(max(0.5 * (1.0 + ev), 0.0), 1.0)
-    u = stream(master_seed, *key).random(n_shots)
-    outcomes = np.where(u < p_plus, 1, -1).astype(np.int8)
+    outcomes = _outcomes(stream(master_seed, *key).random(n_shots), ev)
     return ShotBank(
         outcomes=outcomes[None, :],
         variant_signs=np.ones(1, dtype=np.int8),
         weight=1.0,
     )
+
+
+def _round_circuit(grid: NotchGrid, circuit) -> list[tuple[PauliString, float]]:
+    """``circuit`` with every angle rounded to its nearest notch."""
+    circuit = list(circuit)
+    angles = round_params_to_grid(grid, [angle for _, angle in circuit])
+    return [(generator, angle) for (generator, _), angle in zip(circuit, angles)]
 
 
 def nearest_notch_shot_bank(
@@ -335,23 +346,8 @@ def nearest_notch_shot_bank(
     """Round every angle to its nearest notch, run once, sample shots."""
     observable = _require_pauli(observable)
     n = _circuit_qubits(circuit, observable)
-    rounded = [
-        (generator, grid.angle(nearest_notch(grid, angle)))
-        for generator, angle in circuit
-    ]
-    state = run_circuit(rounded, n)
+    state = run_circuit(_round_circuit(grid, circuit), n)
     return _reference_bank(state, observable, n_shots, seed, NEAREST_STREAM_KEY)
-
-
-def nearest_notch_estimate(
-    grid: NotchGrid,
-    circuit: Sequence[tuple[PauliString, float]],
-    observable: PauliString,
-    n_shots: int,
-    seed: int,
-) -> EstimateResult:
-    """Biased baseline: the discretized circuit's expectation, shot-sampled."""
-    return nearest_notch_shot_bank(grid, circuit, observable, n_shots, seed).result()
 
 
 def continuous_shot_bank(
@@ -365,16 +361,6 @@ def continuous_shot_bank(
     n = _circuit_qubits(circuit, observable)
     state = run_circuit(list(circuit), n)
     return _reference_bank(state, observable, n_shots, seed, CONTINUOUS_STREAM_KEY)
-
-
-def continuous_estimate(
-    circuit: Sequence[tuple[PauliString, float]],
-    observable: PauliString,
-    n_shots: int,
-    seed: int,
-) -> EstimateResult:
-    """Shot-noise-only reference with no angle restriction."""
-    return continuous_shot_bank(circuit, observable, n_shots, seed).result()
 
 
 def continuous_expectation(
@@ -405,13 +391,9 @@ def exact_pai_expectation(
         raise EnumerationLimitError(
             f"{nu} gates would need 3**{nu} variants; cap is {_ENUMERATION_CAP}"
         )
-    n = obs.num_qubits
-    for generator, _ in circuit:
-        if generator.num_qubits != n:
-            raise ValueError("circuit and observable qubit counts differ")
+    n = _circuit_qubits(circuit, obs)
     if nu == 0:
-        state = Statevector.zero(n)
-        return float(batch_expectation(state.amps[None, :], obs)[0])
+        return continuous_expectation([], obs)
     gamma_table = np.array([qp.gammas for qp in dec.per_gate])
     all_idx = np.stack(
         np.meshgrid(*[np.arange(3)] * nu, indexing="ij"), axis=-1
@@ -425,6 +407,71 @@ def exact_pai_expectation(
         amps = _simulate_variants(dec.generators, angles, n)
         total += float(weights @ batch_expectation(amps, obs))
     return total
+
+
+def pai_observable_mean(
+    grid: NotchGrid,
+    circuit: Sequence[tuple[PauliString, float]],
+    observable: Observable,
+    n_variants: int,
+    shots_per_variant: int,
+    master_seed: int,
+    *,
+    key: tuple[int, ...] = (),
+    threads: int = 1,
+) -> float:
+    """Sampled PAI estimate of a Pauli-sum observable.
+
+    The variants are shared across terms; every term measures each variant
+    ``shots_per_variant`` times with shot uniforms of its own.  Variant
+    ``v`` draws its setting uniforms and then the terms' shot uniforms, in
+    term order, from the stream ``(master_seed, *key, v)``.
+    """
+    if n_variants < 1 or shots_per_variant < 1:
+        raise ValueError("n_variants and shots_per_variant must be positive")
+    terms = observable.terms
+    coeffs = np.array([c for c, _ in terms])
+    n = _circuit_qubits(circuit, observable)
+    dec = decompose_circuit(grid, list(circuit))
+    nu = dec.num_gates
+    n_terms = len(terms)
+
+    def worker(lo: int, hi: int):
+        u, u_shots = _variant_uniforms(
+            master_seed, key, lo, hi, nu, n_terms * shots_per_variant
+        )
+        signs, amps = _pai_variants(dec, u, n)
+        evs = term_expectations(amps, terms)
+        u_shots = u_shots.reshape(hi - lo, n_terms, shots_per_variant)
+        outcome_means = _outcomes(u_shots, evs[:, :, None]).mean(axis=2)
+        return signs.astype(np.float64) @ (outcome_means @ coeffs)
+
+    parts = _map_variants(worker, n_variants, n, threads)
+    return dec.norm1_total * float(sum(parts)) / n_variants
+
+
+def nearest_observable_mean(
+    grid: NotchGrid,
+    circuit: Sequence[tuple[PauliString, float]],
+    observable: Observable,
+    n_shots: int,
+    master_seed: int,
+    *,
+    key: tuple[int, ...] = (),
+) -> float:
+    """Biased baseline for a Pauli-sum observable: the nearest-notch
+    circuit, ``n_shots`` shots per term.  The terms draw their shot
+    uniforms in term order from the stream ``(master_seed, *key, 1, 0)``."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be positive")
+    n = _circuit_qubits(circuit, observable)
+    state = run_circuit(_round_circuit(grid, circuit), n)
+    evs = term_expectations(state.amps[None, :], observable.terms)[0]
+    r = stream(master_seed, *key, *NEAREST_STREAM_KEY)
+    total = 0.0
+    for (coeff, _), ev in zip(observable.terms, evs):
+        total += coeff * _outcomes(r.random(n_shots), ev).mean()
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -443,7 +490,6 @@ def two_notch_fidelity_profile(
     n_variants: int,
     master_seed: int,
     *,
-    key_prefix: tuple[int, ...] = (),
     threads: int = 1,
 ) -> list[FidelityPoint]:
     """Fidelity decay of the sign-free two-notch interpolation scheme.
@@ -485,9 +531,7 @@ def two_notch_fidelity_profile(
 
     def worker(lo_v: int, hi_v: int):
         count = hi_v - lo_v
-        u = np.empty((count, nu))
-        for i in range(count):
-            u[i] = stream(master_seed, *key_prefix, lo_v + i).random(nu)
+        u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
         angles = np.where(u < thresholds, low, high)
         state, spare, work = _chunk_buffers(count, n)
         fid = np.empty((count, len(cps)))
@@ -503,37 +547,13 @@ def two_notch_fidelity_profile(
             fid[:, m] = np.abs(_as_rows(state, work) @ np.conj(ideal[cp])) ** 2
         return fid
 
-    bounds = _chunk_bounds(n_variants, _auto_chunk(1 << n))
-    fids = np.concatenate(_map_chunks(worker, bounds, threads), axis=0)
+    fids = np.concatenate(_map_variants(worker, n_variants, n, threads), axis=0)
     points = []
     for m, cp in enumerate(cps):
         col = fids[:, m]
         se = float(col.std(ddof=1) / math.sqrt(n_variants)) if n_variants > 1 else 0.0
         points.append(FidelityPoint(n_gates=cp, fidelity=float(col.mean()), std_error=se))
     return points
-
-
-def approximate_two_notch_state(
-    grid: NotchGrid,
-    circuit: Sequence[tuple[PauliString, float]],
-    n_variants: int,
-    master_seed: int,
-    *,
-    key_prefix: tuple[int, ...] = (),
-    threads: int = 1,
-) -> tuple[float, float]:
-    """Mean fidelity of the two-notch scheme after the full circuit;
-    returns ``(fidelity, std_error)``."""
-    point = two_notch_fidelity_profile(
-        grid,
-        circuit,
-        [len(list(circuit))],
-        n_variants,
-        master_seed,
-        key_prefix=key_prefix,
-        threads=threads,
-    )[-1]
-    return point.fidelity, point.std_error
 
 
 @dataclass(frozen=True)
@@ -582,23 +602,15 @@ def rms_vs_shots(
         n_shots = shot_grid[budget_index]
         acc = 0.0
         for lo, hi in _chunk_bounds(n_shots, block):
-            count = hi - lo
-            u_settings = r.random((count, nu))
-            u_shots = r.random(count)
-            _, signs, angles = settings_from_uniforms(dec, u_settings)
-            amps = _simulate_variants(dec.generators, angles, n)
-            ev = batch_pauli_expectation(amps, observable)
-            p_plus = np.clip(0.5 * (1.0 + ev), 0.0, 1.0)
-            outcomes = np.where(u_shots < p_plus, 1.0, -1.0)
-            acc += float(outcomes @ signs.astype(np.float64))
+            u = r.random((hi - lo, nu))
+            u_shots = r.random(hi - lo)
+            signs, amps = _pai_variants(dec, u, n)
+            outcomes = _outcomes(u_shots, batch_pauli_expectation(amps, observable))
+            acc += float(outcomes @ signs)
         return dec.norm1_total * acc / n_shots
 
     jobs = [(i, r) for i in range(len(shot_grid)) for r in range(repeats)]
-    if threads <= 1:
-        means = [run_mean(i, r) for i, r in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            means = list(pool.map(lambda jr: run_mean(*jr), jobs))
+    means = _map_chunks(run_mean, jobs, threads)
     points = []
     for i, n_shots in enumerate(shot_grid):
         errs = np.array(means[i * repeats : (i + 1) * repeats]) - exact

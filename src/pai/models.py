@@ -22,20 +22,17 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .notch import NotchGrid, nearest_notch
-from .quasiprob import decompose_circuit, settings_from_uniforms
+from .estimate import nearest_observable_mean, pai_observable_mean
+from .notch import NotchGrid, round_params_to_grid
 from .rng import stream
 from .statevector import (
     Observable,
     PauliString,
     Statevector,
     _apply_pauli,
-    _pauli_phase_vector,
-    batch_pauli_expectation,
     expectation,
     run_circuit,
 )
-from .estimate import _chunk_bounds, _map_chunks, _auto_chunk, _simulate_variants
 
 __all__ = [
     "SpinRingModel",
@@ -51,7 +48,6 @@ __all__ = [
     "gradient",
     "VqeResult",
     "vqe_run",
-    "round_params_to_grid",
     "notch_floor_energy",
 ]
 
@@ -99,7 +95,12 @@ class SpinRingModel:
         return tuple(out)
 
     def observable(self) -> Observable:
-        return Observable(terms=self.terms())
+        """The Hamiltonian as an observable, built once per model."""
+        return self._observable
+
+    @cached_property
+    def _observable(self) -> Observable:
+        return Observable(terms=self._terms)
 
     @property
     def num_terms(self) -> int:
@@ -253,21 +254,6 @@ class EstimatorConfig:
                 raise ValueError("sampled modes need positive shot counts")
 
 
-def _per_term_expectations(amps: np.ndarray, terms) -> np.ndarray:
-    """``(V, T)`` expectation of every term for every batch row; diagonal
-    terms share one probability table."""
-    out = np.empty((amps.shape[0], len(terms)))
-    probs = None
-    for t, (_, pauli) in enumerate(terms):
-        if "X" not in pauli.letters and "Y" not in pauli.letters:
-            if probs is None:
-                probs = amps.real**2 + amps.imag**2
-            out[:, t] = probs @ _pauli_phase_vector(pauli).real
-        else:
-            out[:, t] = batch_pauli_expectation(amps, pauli)
-    return out
-
-
 def estimate_energy(
     model: SpinRingModel,
     circuit,
@@ -281,55 +267,27 @@ def estimate_energy(
     give independent noise (the VQE loop keys every gradient term by
     iteration, parameter and shift direction).
     """
-    circuit = list(circuit)
-    terms = model.terms()
-    coeffs = np.array([c for c, _ in terms])
     if config.mode == "exact":
-        state = run_circuit(circuit, model.num_qubits)
-        return energy(model, state)
+        return energy(model, run_circuit(list(circuit), model.num_qubits))
     if config.mode == "nearest":
-        grid = config.grid
-        rounded = [
-            (gen, grid.angle(nearest_notch(grid, ang))) for gen, ang in circuit
-        ]
-        state = run_circuit(rounded, model.num_qubits)
-        evs = _per_term_expectations(state.amps[None, :], terms)[0]
-        p_plus = np.clip(0.5 * (1.0 + evs), 0.0, 1.0)
-        n_shots = config.n_variants * config.shots_per_variant
-        r = stream(config.master_seed, *key, 1, 0)
-        total = 0.0
-        for t in range(len(terms)):
-            u = r.random(n_shots)
-            mean_t = np.where(u < p_plus[t], 1.0, -1.0).mean()
-            total += coeffs[t] * mean_t
-        return float(total)
-    # pai mode: variants are shared across terms, each term keeps an equal
-    # shot budget and its own shot uniforms
-    dec = decompose_circuit(config.grid, circuit)
-    nu = dec.num_gates
-    n_terms = len(terms)
-    shots = config.shots_per_variant
-
-    def worker(lo: int, hi: int):
-        count = hi - lo
-        u_settings = np.empty((count, nu))
-        u_shots = np.empty((count, n_terms, shots))
-        for i in range(count):
-            r = stream(config.master_seed, *key, lo + i)
-            u_settings[i] = r.random(nu)
-            u_shots[i] = r.random((n_terms, shots))
-        _, signs, angles = settings_from_uniforms(dec, u_settings)
-        amps = _simulate_variants(dec.generators, angles, model.num_qubits)
-        evs = _per_term_expectations(amps, terms)
-        p_plus = np.clip(0.5 * (1.0 + evs), 0.0, 1.0)
-        outcome_means = np.where(
-            u_shots < p_plus[:, :, None], 1.0, -1.0
-        ).mean(axis=2)
-        return signs.astype(np.float64) @ (outcome_means @ coeffs)
-
-    bounds = _chunk_bounds(config.n_variants, _auto_chunk(1 << model.num_qubits))
-    parts = _map_chunks(worker, bounds, threads)
-    return dec.norm1_total * float(sum(parts)) / config.n_variants
+        return nearest_observable_mean(
+            config.grid,
+            circuit,
+            model.observable(),
+            config.n_variants * config.shots_per_variant,
+            config.master_seed,
+            key=key,
+        )
+    return pai_observable_mean(
+        config.grid,
+        circuit,
+        model.observable(),
+        config.n_variants,
+        config.shots_per_variant,
+        config.master_seed,
+        key=key,
+        threads=threads,
+    )
 
 
 def gradient(
@@ -337,7 +295,7 @@ def gradient(
     n_layers: int,
     params,
     config: EstimatorConfig,
-    key_prefix: tuple[int, ...] = (),
+    key: tuple[int, ...] = (),
     threads: int = 1,
 ) -> np.ndarray:
     """Parameter-shift gradient of the estimated energy.
@@ -345,29 +303,20 @@ def gradient(
     Every Pauli generator squares to the identity, so the derivative in
     parameter ``j`` is exactly half the difference of energies at shifts
     of +-pi/2 in that channel angle.  Evaluation ``(j, s)`` uses stream
-    key ``(*key_prefix, j, s)`` with ``s`` 0 for the plus shift.
+    key ``(*key, j, s)`` with ``s`` 0 for the plus shift.
     """
     params = np.asarray(params, dtype=np.float64)
     grad = np.empty(params.shape[0])
     for j in range(params.shape[0]):
         shifted = params.copy()
-        shifted[j] = params[j] + 0.5 * np.pi
-        e_plus = estimate_energy(
-            model,
-            hva_circuit(model, n_layers, shifted),
-            config,
-            key=(*key_prefix, j, 0),
-            threads=threads,
-        )
-        shifted[j] = params[j] - 0.5 * np.pi
-        e_minus = estimate_energy(
-            model,
-            hva_circuit(model, n_layers, shifted),
-            config,
-            key=(*key_prefix, j, 1),
-            threads=threads,
-        )
-        grad[j] = 0.5 * (e_plus - e_minus)
+        energies = []
+        for s, shift in enumerate((0.5 * np.pi, -0.5 * np.pi)):
+            shifted[j] = params[j] + shift
+            circuit = hva_circuit(model, n_layers, shifted)
+            energies.append(
+                estimate_energy(model, circuit, config, key=(*key, j, s), threads=threads)
+            )
+        grad[j] = 0.5 * (energies[0] - energies[1])
     return grad
 
 
@@ -421,7 +370,7 @@ def vqe_run(
             best_energy = float(energies[it])
             best_params = params.copy()
         step = gradient(
-            model, n_layers, params, config, key_prefix=(it,), threads=threads
+            model, n_layers, params, config, key=(it,), threads=threads
         )
         params = params - float(learning_rate) * step
     state = run_circuit(hva_circuit(model, n_layers, params), model.num_qubits)
@@ -435,13 +384,6 @@ def vqe_run(
         final_params=params,
         best_params=best_params,
         best_energy=best_energy,
-    )
-
-
-def round_params_to_grid(grid: NotchGrid, params) -> np.ndarray:
-    """Round every channel angle to its nearest notch."""
-    return np.array(
-        [grid.angle(nearest_notch(grid, float(p))) for p in np.asarray(params)]
     )
 
 

@@ -30,6 +30,7 @@ __all__ = [
     "NotchGrid",
     "locate",
     "nearest_notch",
+    "round_params_to_grid",
     "antipolar_notch",
 ]
 
@@ -206,6 +207,13 @@ def nearest_notch(grid: NotchGrid, target_angle: float) -> int:
     if pos.lam >= 0.5 - _TIE_TOL:
         return (pos.k + 1) % grid.size
     return pos.k
+
+
+def round_params_to_grid(grid: NotchGrid, params) -> np.ndarray:
+    """Round every channel angle to its nearest notch."""
+    return np.array(
+        [grid.angle(nearest_notch(grid, float(p))) for p in np.asarray(params)]
+    )
 
 
 def antipolar_notch(grid: NotchGrid, k: int) -> int:

@@ -42,11 +42,7 @@ __all__ = [
     "decompose_gate",
     "CircuitDecomposition",
     "decompose_circuit",
-    "CircuitVariant",
-    "sample_gate",
-    "sample_variant",
     "settings_from_uniforms",
-    "variant_angles",
     "worst_case_overhead",
     "refined_overhead",
     "max_gates_for_bits",
@@ -229,30 +225,6 @@ def decompose_circuit(
     )
 
 
-@dataclass(frozen=True)
-class CircuitVariant:
-    """One sampled realizable circuit: setting index (1, 2 or 3) per gate,
-    the product of setting signs, and the weight ``||g||_1``."""
-
-    indices: np.ndarray
-    sign: int
-    weight: float
-
-
-def sample_gate(qp: GateQuasiProb, rng: np.random.Generator) -> tuple[int, int]:
-    """Draw one setting for one gate by inverse CDF on a single uniform.
-
-    Returns ``(setting, sign)`` with setting 1 for draws below ``p1``,
-    2 below ``p1 + p2``, and 3 otherwise.
-    """
-    u = rng.random()
-    if u < qp.probs[0]:
-        return 1, qp.setting_signs[0]
-    if u < qp.probs[0] + qp.probs[1]:
-        return 2, qp.setting_signs[1]
-    return 3, qp.setting_signs[2]
-
-
 def settings_from_uniforms(
     dec: CircuitDecomposition, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -260,8 +232,9 @@ def settings_from_uniforms(
 
     Returns ``(indices, signs, angles)`` where ``indices`` is ``(V, nu)``
     with values in {1, 2, 3}, ``signs`` is the per-variant sign product and
-    ``angles`` the realized setting angles.  Uses the same thresholds and
-    branch order as :func:`sample_gate`.
+    ``angles`` the realized setting angles.  Gate ``j`` of a row takes
+    setting 1 for a uniform below ``p1``, 2 below ``p1 + p2`` and 3
+    otherwise.
     """
     idx0 = (u >= dec.thresholds_low).astype(np.int8)
     idx0 += u >= dec.thresholds_high
@@ -270,22 +243,6 @@ def settings_from_uniforms(
     signs = dec.setting_sign_table[cols, idx0].prod(axis=1)
     angles = dec.setting_angle_table[cols, idx0]
     return idx0 + np.int8(1), signs.astype(np.int64), angles
-
-
-def sample_variant(dec: CircuitDecomposition, rng: np.random.Generator) -> CircuitVariant:
-    """Draw one circuit variant: ``num_gates`` uniforms, one per gate, in
-    gate order."""
-    u = rng.random(dec.num_gates)
-    indices, signs, _ = settings_from_uniforms(dec, u[None, :])
-    return CircuitVariant(
-        indices=indices[0], sign=int(signs[0]), weight=dec.norm1_total
-    )
-
-
-def variant_angles(dec: CircuitDecomposition, variant: CircuitVariant) -> np.ndarray:
-    """Realized channel angles of a sampled variant, in gate order."""
-    cols = np.arange(dec.num_gates)
-    return dec.setting_angle_table[cols, np.asarray(variant.indices) - 1]
 
 
 def worst_case_overhead(nu: int, delta_max: float) -> float:

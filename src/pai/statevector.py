@@ -31,6 +31,7 @@ runs over ``V`` contiguous variants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -42,14 +43,13 @@ __all__ = [
     "PauliString",
     "Observable",
     "Statevector",
-    "apply_rotation",
     "rotate_batch",
     "run_circuit",
     "pauli_expectation",
     "batch_pauli_expectation",
+    "term_expectations",
     "expectation",
     "batch_expectation",
-    "sample_pauli_shot",
     "fidelity",
 ]
 
@@ -246,18 +246,6 @@ def rotate_batch(
     return out
 
 
-def apply_rotation(
-    state: Statevector, generator: PauliString, channel_angle: float
-) -> Statevector:
-    """Rotate ``state`` by ``channel_angle`` about a non-identity generator."""
-    if generator.weight == 0:
-        raise ValueError("rotation generator must be a non-identity Pauli string")
-    if not np.isfinite(channel_angle):
-        raise ValueError("channel angle must be finite")
-    amps = rotate_batch(state.amps[None, :], generator, np.array([channel_angle]))
-    return Statevector(amps[0])
-
-
 def run_circuit(
     circuit: list[tuple[PauliString, float]],
     num_qubits: int,
@@ -272,7 +260,10 @@ def run_circuit(
             raise ValueError("circuit generator qubit count mismatch")
         if generator.weight == 0:
             raise ValueError("rotation generator must be a non-identity Pauli string")
-        amps = rotate_batch(amps, generator, np.array([float(angle)]))
+        angle = float(angle)
+        if not math.isfinite(angle):
+            raise ValueError("channel angle must be finite")
+        amps = rotate_batch(amps, generator, np.array([angle]))
     return Statevector(amps[0])
 
 
@@ -288,35 +279,33 @@ def pauli_expectation(state: Statevector, pauli: PauliString) -> float:
     return float(batch_pauli_expectation(state.amps[None, :], pauli)[0])
 
 
-def batch_expectation(amps: np.ndarray, observable: Observable) -> np.ndarray:
-    out = np.zeros(amps.shape[0])
+def term_expectations(amps: np.ndarray, terms) -> np.ndarray:
+    """``(V, T)`` expectation of every ``(coeff, pauli)`` term for every row
+    of a ``(V, dim)`` batch; the coefficients are not applied."""
+    out = np.empty((amps.shape[0], len(terms)))
     probs = None
-    for coeff, pauli in observable.terms:
+    for t, (_, pauli) in enumerate(terms):
         if "X" not in pauli.letters and "Y" not in pauli.letters:
             # diagonal term: expectation is a signed sum of probabilities
             if probs is None:
                 probs = amps.real**2 + amps.imag**2
-            out += coeff * (probs @ _pauli_phase_vector(pauli).real)
+            out[:, t] = probs @ _pauli_phase_vector(pauli).real
         else:
-            out += coeff * batch_pauli_expectation(amps, pauli)
+            out[:, t] = batch_pauli_expectation(amps, pauli)
+    return out
+
+
+def batch_expectation(amps: np.ndarray, observable: Observable) -> np.ndarray:
+    evs = term_expectations(amps, observable.terms)
+    out = np.zeros(amps.shape[0])
+    for t, (coeff, _) in enumerate(observable.terms):
+        out += coeff * evs[:, t]
     return out
 
 
 def expectation(state: Statevector, observable: Observable) -> float:
     """Expectation value of a real Pauli-sum observable."""
     return float(batch_expectation(state.amps[None, :], observable)[0])
-
-
-def sample_pauli_shot(
-    state: Statevector, pauli: PauliString, rng: np.random.Generator
-) -> int:
-    """Draw one projective +-1 outcome of measuring a Pauli string.
-
-    Uses the Born probability ``p(+1) = (1 + <G>) / 2``; one uniform draw
-    per shot so callers control the stream layout.
-    """
-    p_plus = 0.5 * (1.0 + pauli_expectation(state, pauli))
-    return 1 if rng.random() < min(max(p_plus, 0.0), 1.0) else -1
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

@@ -117,3 +117,14 @@ def gather_rotate_batch(amps: np.ndarray, letters: str, angles) -> np.ndarray:
     g *= (-1j * np.sin(half))[:, None]
     out += g
     return out
+
+
+def sample_gate(probs, signs, u: float) -> tuple[int, int]:
+    """Scalar inverse-CDF draw of one gate's setting from one uniform:
+    ``(setting, sign)`` with setting 1 below ``p1``, 2 below ``p1 + p2``
+    and 3 otherwise."""
+    if u < probs[0]:
+        return 1, signs[0]
+    if u < probs[0] + probs[1]:
+        return 2, signs[1]
+    return 3, signs[2]

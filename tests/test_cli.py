@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pai import __version__, cli
+from pai import __version__, cli, rng
 
 
 def run_cli(*argv) -> int:
@@ -470,3 +472,55 @@ def test_rms_curve_output(tmp_path, capsys):
     payload = json.loads(out.with_suffix(".json").read_text())
     assert payload["loglog_slope"] < 0.0
     assert len(payload["points"]) == 2
+
+
+# -------------------------------------------------------------- stream keys
+
+
+def _record_stream_keys(monkeypatch) -> list:
+    """Replace ``stream`` in every ``pai`` namespace that holds it with a
+    wrapper that records each ``(master_seed, *key)`` it is asked for."""
+    original = rng.stream
+    drawn: list = []
+
+    def recording(master_seed, *key):
+        drawn.append((int(master_seed), *(int(k) for k in key)))
+        return original(master_seed, *key)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "pai" or name.startswith("pai.")) and getattr(
+            module, "stream", None
+        ) is original:
+            monkeypatch.setattr(module, "stream", recording)
+    return drawn
+
+
+_KEYED_RUNS = {
+    "trotter": "trotter --num-qubits 3 --bits 4 --total-time 0.7 --n-layers 1 "
+    "--n-variants 60 --shots-per-variant 2 --batch-size 10 --n-batches 50",
+    "rms": "rms --num-qubits 3 --bits 4 --n-layers 1 --shot-grid 5,20 --repeats 3",
+    "fidelity-decay": "fidelity-decay --num-qubits 3 --bits 4 --n-layers 1 "
+    "--n-variants 20 --n-checkpoints 3",
+    "vqe-pai": "vqe --num-qubits 3 --bits 4 --n-layers 1 --mode pai --n-iters 2 "
+    "--n-variants 4 --shots-per-variant 2",
+    "vqe-nearest": "vqe --num-qubits 3 --bits 4 --n-layers 1 --mode nearest "
+    "--n-iters 2 --n-variants 4 --shots-per-variant 2",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_KEYED_RUNS))
+def test_no_stream_key_is_drawn_twice_in_a_run(run, tmp_path, monkeypatch, capsys):
+    drawn = _record_stream_keys(monkeypatch)
+    argv = _KEYED_RUNS[run].split()
+    assert run_cli(*argv, "--master-seed", 5, "--output", tmp_path / "out") == 0
+    capsys.readouterr()
+    assert drawn, "the run drew no stream through a recorded namespace"
+    assert [k for k, count in Counter(drawn).items() if count > 1] == []
+    # the documented layout: variant keys for the sampled subcommands, and
+    # the reference estimators on their own keys
+    if run == "trotter":
+        assert {(5, 1, 0), (5, 2, 0), (5, 3, 0), (5, 0)} <= set(drawn)
+    if run == "vqe-nearest":
+        assert (5, 0, 0, 0, 1, 0) in drawn
+    if run == "vqe-pai":
+        assert (5, 0, 0, 0, 0) in drawn

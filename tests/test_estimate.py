@@ -13,20 +13,21 @@ from pai.estimate import (
     _auto_chunk,
     _chunk_bounds,
     _simulate_variants,
-    approximate_two_notch_state,
-    continuous_estimate,
+    _variant_uniforms,
     continuous_expectation,
     continuous_shot_bank,
     exact_pai_expectation,
-    nearest_notch_estimate,
     nearest_notch_shot_bank,
+    nearest_observable_mean,
     pai_estimate,
+    pai_observable_mean,
     pai_shot_bank,
     per_variant_rows,
     rms_vs_shots,
     two_notch_fidelity_profile,
 )
-from pai.notch import NotchGrid, nearest_notch
+from pai.notch import NotchGrid, nearest_notch, round_params_to_grid
+from pai.quasiprob import decompose_circuit
 from pai.statevector import Observable, PauliString, Statevector, run_circuit
 
 X, Y, Z = PauliString("X"), PauliString("Y"), PauliString("Z")
@@ -73,13 +74,11 @@ def test_single_shot_bank_has_zero_std_error():
     assert bank.result().std_error == 0.0
 
 
-def test_records_and_rows_are_consistent():
+def test_per_variant_rows_are_consistent():
     grid = NotchGrid.uniform(4)
     bank = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 8, 3, 5)
-    recs = list(bank.records())
-    assert len(recs) == 24
-    assert all(abs(r.factor) == pytest.approx(bank.weight) for r in recs)
     rows = per_variant_rows(bank)
+    assert [row[0] for row in rows] == list(range(8))
     for v, sign, outcome_mean, factor in rows:
         assert outcome_mean == pytest.approx(bank.outcomes[v].mean())
         assert factor == pytest.approx(sign * bank.weight)
@@ -103,6 +102,13 @@ def test_bank_validation():
         )
     with pytest.raises(ValueError):
         pai_shot_bank(grid, _fixed_circuit(), Z, 3, 3, 5)  # qubit mismatch
+    obs = Observable(terms=((1.0, PauliString("ZII")),))
+    with pytest.raises(ValueError):
+        pai_observable_mean(grid, _fixed_circuit(), obs, 0, 3, 5)
+    with pytest.raises(ValueError):
+        pai_observable_mean(grid, _fixed_circuit(), obs, 3, 0, 5)
+    with pytest.raises(ValueError):
+        nearest_observable_mean(grid, _fixed_circuit(), obs, 0, 5)
 
 
 # ---------------------------------------------------------- determinism
@@ -114,12 +120,13 @@ def test_pai_bank_is_reproducible_and_key_separated():
     b = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 40, 2, 9)
     assert np.array_equal(a.outcomes, b.outcomes)
     assert np.array_equal(a.variant_signs, b.variant_signs)
-    c = pai_shot_bank(
-        grid, _fixed_circuit(), PauliString("ZII"), 40, 2, 9, key_prefix=(4,)
-    )
-    assert not np.array_equal(a.outcomes, c.outcomes)
     d = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 40, 2, 10)
     assert not np.array_equal(a.outcomes, d.outcomes)
+    # the key the vqe path threads through separates the variant streams
+    u, u_shots = _variant_uniforms(9, (), 0, 40, 5, 2)
+    u_keyed, shots_keyed = _variant_uniforms(9, (4,), 0, 40, 5, 2)
+    assert not np.array_equal(u, u_keyed)
+    assert not np.array_equal(u_shots, shots_keyed)
 
 
 def _n_chunks(n_variants: int, num_qubits: int) -> int:
@@ -152,7 +159,7 @@ def test_simulate_variants_matches_gate_by_gate_reference(rng):
 
 def test_first_variant_regenerates_in_isolation():
     # the documented stream contract: variant v depends only on
-    # (master_seed, *key_prefix, v), never on how many variants ran
+    # (master_seed, v), never on how many variants ran
     grid = NotchGrid.uniform(5)
     small = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 1, 4, 9)
     large = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 300, 4, 9)
@@ -197,7 +204,7 @@ def test_nearest_notch_estimate_targets_the_rounded_circuit():
     circuit = [(X, 1.1)]
     rounded_angle = grid.angle(nearest_notch(grid, 1.1))
     rounded_ev = continuous_expectation([(X, rounded_angle)], Z)
-    res = nearest_notch_estimate(grid, circuit, Z, 60_000, 11)
+    res = nearest_notch_shot_bank(grid, circuit, Z, 60_000, 11).result()
     sigma = math.sqrt((1 - rounded_ev**2) / 60_000)
     assert abs(res.mean - rounded_ev) < 5 * sigma
     # and the rounding bias is visible relative to the true value
@@ -210,7 +217,7 @@ def test_continuous_estimate_matches_exact_expectation():
     circuit = _fixed_circuit()
     obs = PauliString("ZII")
     exact = continuous_expectation(circuit, obs)
-    res = continuous_estimate(circuit, obs, 60_000, 11)
+    res = continuous_shot_bank(circuit, obs, 60_000, 11).result()
     sigma = math.sqrt((1 - exact**2) / 60_000)
     assert abs(res.mean - exact) < 5 * sigma
 
@@ -223,6 +230,40 @@ def test_reference_banks_use_separate_streams():
     # at 9 bits the rounded circuit is nearly identical, but the outcome
     # streams must still differ because the stream keys differ
     assert not np.array_equal(near.outcomes, cont.outcomes)
+
+
+# ------------------------------------------------- Pauli-sum estimators
+
+
+def test_single_term_observable_means_match_the_shot_banks():
+    # a one-term observable draws exactly the streams of the shot banks:
+    # variant v's settings then shots from (seed, v), and the nearest
+    # circuit's shots from (seed, 1, 0)
+    grid = NotchGrid.uniform(4)
+    circuit = _fixed_circuit()
+    pauli = PauliString("ZII")
+    obs = Observable(terms=((1.0, pauli),))
+    bank = pai_shot_bank(grid, circuit, pauli, 50, 3, 5)
+    got = pai_observable_mean(grid, circuit, obs, 50, 3, 5)
+    assert got == pytest.approx(bank.result().mean, rel=1e-12)
+    near = nearest_notch_shot_bank(grid, circuit, pauli, 400, 5)
+    assert nearest_observable_mean(grid, circuit, obs, 400, 5) == near.result().mean
+
+
+def test_observable_means_combine_their_terms(rng):
+    grid = NotchGrid.uniform(5)
+    circuit = oracles.random_circuit(rng, 2, 6)
+    obs = Observable(terms=((0.7, PauliString("ZI")), (-0.4, PauliString("XY"))))
+    exact = continuous_expectation(circuit, obs)
+    angles = round_params_to_grid(grid, [a for _, a in circuit])
+    rounded = [(g, a) for (g, _), a in zip(circuit, angles)]
+    want_near = continuous_expectation(rounded, obs)
+    n = 20_000
+    se = 1.1 / math.sqrt(n)
+    assert abs(nearest_observable_mean(grid, circuit, obs, n, 3) - want_near) < 5 * se
+    weight = decompose_circuit(grid, circuit).norm1_total
+    got = pai_observable_mean(grid, circuit, obs, n, 1, 3, key=(2,))
+    assert abs(got - exact) < 5 * weight * se
 
 
 # ------------------------------------------------------ exact enumeration
@@ -297,9 +338,6 @@ def test_two_notch_profile_shape_and_decay(rng):
     # off-notch angles leak fidelity; the full-depth mean must sit clearly
     # below the start
     assert points[-1].fidelity < 1.0 - 5 * max(points[-1].std_error, 1e-12)
-    fid, se = approximate_two_notch_state(grid, circuit, 120, 3)
-    assert fid == pytest.approx(points[-1].fidelity)
-    assert se == pytest.approx(points[-1].std_error)
 
 
 def test_two_notch_threads_do_not_change_results(rng):
@@ -330,8 +368,6 @@ def test_rms_points_report_the_documented_bounds():
     grid = NotchGrid.uniform(5)
     circuit = _fixed_circuit()
     obs = PauliString("ZII")
-    from pai.quasiprob import decompose_circuit
-
     weight = decompose_circuit(grid, circuit).norm1_total
     exact = continuous_expectation(circuit, obs)
     pts = rms_vs_shots(grid, circuit, obs, [1, 16, 64], 4, 7)

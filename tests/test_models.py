@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
+from pai.estimate import _auto_chunk, _chunk_bounds
 from pai.models import (
     EstimatorConfig,
     SpinRingModel,
@@ -21,12 +22,11 @@ from pai.models import (
     hva_circuit,
     neel_prep_circuit,
     notch_floor_energy,
-    round_params_to_grid,
     spin_ring,
     trotter_circuit,
     vqe_run,
 )
-from pai.notch import NotchGrid, locate
+from pai.notch import NotchGrid, locate, round_params_to_grid
 from pai.quasiprob import decompose_circuit
 from pai.statevector import (
     PauliString,
@@ -77,6 +77,13 @@ def test_ring_field_draw_is_deterministic():
     assert a.num_terms == 48
     c = spin_ring(12, 0.3, 8)
     assert a.omega != c.omega
+
+
+def test_observable_is_built_once_per_model():
+    model = spin_ring(4, 0.3, 11)
+    obs = model.observable()
+    assert obs is model.observable()
+    assert obs.terms == model.terms()
 
 
 def test_ring_validation():
@@ -369,12 +376,16 @@ def test_pai_energy_threads_and_determinism():
     model = spin_ring(3, 0.3, 11)
     grid = NotchGrid.uniform(5)
     circ = hva_circuit(model, 1, np.linspace(0.1, 1.2, 12))
-    cfg = EstimatorConfig(
-        mode="pai", grid=grid, n_variants=600, shots_per_variant=2, master_seed=9
-    )
-    one = estimate_energy(model, circ, cfg, threads=1)
-    three = estimate_energy(model, circ, cfg, threads=3)
-    assert one == three
+    # three chunks, so the threaded run really splits the variants
+    assert len(_chunk_bounds(4200, _auto_chunk(1 << 3))) == 3
+    for mode in ("pai", "nearest", "exact"):
+        cfg = EstimatorConfig(
+            mode=mode, grid=grid, n_variants=4200, shots_per_variant=2, master_seed=9
+        )
+        one = estimate_energy(model, circ, cfg, key=(1,), threads=1)
+        three = estimate_energy(model, circ, cfg, key=(1,), threads=3)
+        assert one == three
+        assert one == estimate_energy(model, circ, cfg, key=(1,), threads=1)
 
 
 # ------------------------------------------------------------------- VQE

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pai.estimate import _variant_uniforms
 from pai.notch import TWO_PI, NotchGrid, antipolar_notch, locate
 from pai.quasiprob import (
     DegenerateSettingsError,
@@ -19,10 +20,7 @@ from pai.quasiprob import (
     interpolation_residual,
     max_gates_for_bits,
     refined_overhead,
-    sample_gate,
-    sample_variant,
     settings_from_uniforms,
-    variant_angles,
     worst_case_overhead,
 )
 from pai.rng import stream
@@ -31,16 +29,6 @@ from pai.statevector import PauliString
 OVERHEAD_LIMIT = math.exp(math.pi**2 / 4)  # ~11.7918
 
 delta_st = st.floats(min_value=1e-4, max_value=np.pi / 2)
-
-
-class _QueueRng:
-    """Feeds predetermined uniforms to scalar samplers."""
-
-    def __init__(self, values):
-        self._vals = list(values)
-
-    def random(self):
-        return self._vals.pop(0)
 
 
 # ------------------------------------------------------------ coefficients
@@ -257,27 +245,27 @@ def test_max_depth_midgap_circuit_hits_the_overhead_limit():
 
 def test_sample_gate_on_notch_is_deterministic():
     grid = NotchGrid.uniform(7)
-    qp = decompose_gate(grid, PauliString("X"), 0.0)
-    r = stream(0, 5)
-    assert all(sample_gate(qp, r) == (1, 1) for _ in range(16))
+    dec = decompose_circuit(grid, [(PauliString("X"), 0.0)])
+    idx, signs, angles = settings_from_uniforms(dec, stream(0, 5).random((16, 1)))
+    assert np.all(idx == 1) and np.all(signs == 1) and np.all(angles == 0.0)
 
 
 def test_sample_gate_thresholds():
     grid = NotchGrid.uniform(4)
-    qp = decompose_gate(grid, PauliString("X"), 1.6 * grid.delta_max)
-    p1, p2, _ = qp.probs
+    dec = decompose_circuit(grid, [(PauliString("X"), 1.6 * grid.delta_max)])
+    p1, p2, _ = dec.per_gate[0].probs
     eps = 1e-9
     seq = [0.0, p1 - eps, p1 + eps, p1 + p2 - eps, p1 + p2 + eps, 1.0 - eps]
-    settings_drawn = [sample_gate(qp, _QueueRng([u]))[0] for u in seq]
-    assert settings_drawn == [1, 1, 2, 2, 3, 3]
+    idx, _, _ = settings_from_uniforms(dec, np.array(seq)[:, None])
+    assert idx[:, 0].tolist() == [1, 1, 2, 2, 3, 3]
 
 
 def test_sample_gate_frequencies_match_probabilities():
     grid = NotchGrid.uniform(5)
-    qp = decompose_gate(grid, PauliString("X"), 2.5 * grid.delta_max)
-    r = stream(1, 6)
+    dec = decompose_circuit(grid, [(PauliString("X"), 2.5 * grid.delta_max)])
+    qp = dec.per_gate[0]
     n = 200_000
-    draws = np.array([sample_gate(qp, r)[0] for _ in range(n)])
+    draws = settings_from_uniforms(dec, stream(1, 6).random((n, 1)))[0][:, 0]
     for setting, p in zip((1, 2, 3), qp.probs):
         freq = float(np.mean(draws == setting))
         sigma = math.sqrt(p * (1 - p) / n)
@@ -293,7 +281,7 @@ def test_settings_from_uniforms_replays_sample_gate():
     for v in range(7):
         want_sign = 1
         for j, qp in enumerate(dec.per_gate):
-            setting, sign = sample_gate(qp, _QueueRng([u[v, j]]))
+            setting, sign = oracles.sample_gate(qp.probs, qp.setting_signs, u[v, j])
             assert idx[v, j] == setting
             assert angles[v, j] == qp.setting_angles[setting - 1]
             want_sign *= sign
@@ -304,15 +292,15 @@ def test_sample_variant_draws_one_uniform_per_gate():
     grid = NotchGrid.uniform(4)
     circ = [(PauliString("X"), 0.9), (PauliString("Y"), 2.0), (PauliString("Z"), 4.4)]
     dec = decompose_circuit(grid, circ)
-    variant = sample_variant(dec, stream(5, 3))
-    u = stream(5, 3).random(3)
-    idx, signs, _ = settings_from_uniforms(dec, u[None, :])
-    np.testing.assert_array_equal(variant.indices, idx[0])
-    assert variant.sign == signs[0]
-    assert variant.weight == dec.norm1_total
-    realized = variant_angles(dec, variant)
+    # variant 3 of master seed 5 reads the first three uniforms of (5, 3)
+    u, _ = _variant_uniforms(5, (), 3, 4, dec.num_gates)
+    np.testing.assert_array_equal(u[0], stream(5, 3).random(3))
+    idx, signs, realized = settings_from_uniforms(dec, u)
+    want_sign = 1
     for j, qp in enumerate(dec.per_gate):
-        assert realized[j] == qp.setting_angles[variant.indices[j] - 1]
+        assert realized[0, j] == qp.setting_angles[idx[0, j] - 1]
+        want_sign *= qp.setting_signs[idx[0, j] - 1]
+    assert signs[0] == want_sign
 
 
 def test_variant_sign_distribution_matches_enumeration():
@@ -328,9 +316,9 @@ def test_variant_sign_distribution_matches_enumeration():
             s *= dec.per_gate[j].setting_signs[c]
         if s < 0:
             p_minus += p
-    r = stream(2, 8)
     n = 100_000
-    freq = np.mean([sample_variant(dec, r).sign < 0 for _ in range(n)])
+    _, signs, _ = settings_from_uniforms(dec, stream(2, 8).random((n, 3)))
+    freq = np.mean(signs < 0)
     sigma = math.sqrt(p_minus * (1 - p_minus) / n)
     assert abs(freq - p_minus) < 5 * sigma
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from pai.rng import derive_seed, stream
+from pai.rng import stream
 
 
 def test_same_key_reproduces_draws():
@@ -33,11 +33,3 @@ def test_scalar_draws_match_vector_draw():
     r = stream(7, 1)
     scalars = np.array([r.random() for _ in range(512)])
     assert np.array_equal(scalars, stream(7, 1).random(512))
-
-
-def test_derive_seed_deterministic_and_bounded():
-    s = derive_seed(9, 2, 3)
-    assert s == derive_seed(9, 2, 3)
-    assert 0 <= s < 2**63
-    assert s != derive_seed(9, 2, 4)
-    assert s != derive_seed(8, 2, 3)

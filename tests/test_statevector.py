@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pai.estimate import _outcomes
 from pai.rng import stream
 from pai.statevector import (
     MAX_QUBITS,
     Observable,
     PauliString,
     Statevector,
-    apply_rotation,
     batch_expectation,
     batch_pauli_expectation,
     expectation,
@@ -20,13 +20,18 @@ from pai.statevector import (
     pauli_expectation,
     rotate_batch,
     run_circuit,
-    sample_pauli_shot,
+    term_expectations,
 )
 
 letters_st = st.text(alphabet="IXYZ", min_size=1, max_size=3).filter(
     lambda s: s.strip("I")
 )
 angle_st = st.floats(min_value=-12.0, max_value=12.0)
+
+
+def _rotate(state, generator, angle):
+    """One rotation through ``run_circuit``, from ``state``."""
+    return run_circuit([(generator, angle)], state.num_qubits, initial=state)
 
 
 # ---------------------------------------------------------------- types
@@ -84,17 +89,18 @@ def test_observable_validation():
 
 def test_rejects_identity_generator_and_bad_angle():
     state = Statevector.zero(2)
+    with pytest.raises(ValueError, match="non-identity"):
+        run_circuit([(PauliString("II"), 0.3)], 2, initial=state)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            run_circuit([(PauliString("XI"), bad)], 2, initial=state)
     with pytest.raises(ValueError):
-        apply_rotation(state, PauliString("II"), 0.3)
-    with pytest.raises(ValueError):
-        apply_rotation(state, PauliString("XI"), float("nan"))
-    with pytest.raises(ValueError):
-        apply_rotation(state, PauliString("X"), 0.3)  # dimension mismatch
+        run_circuit([(PauliString("X"), 0.3)], 2, initial=state)  # dimension mismatch
 
 
 def test_x_rotation_by_pi_flips_the_qubit():
     # exp(-i pi/2 X)|0> = -i|1>
-    out = apply_rotation(Statevector.zero(1), PauliString("X"), np.pi)
+    out = _rotate(Statevector.zero(1), PauliString("X"), np.pi)
     np.testing.assert_allclose(out.amps, [0.0, -1.0j], atol=1e-15)
     assert pauli_expectation(out, PauliString("Z")) == pytest.approx(-1.0)
 
@@ -102,13 +108,13 @@ def test_x_rotation_by_pi_flips_the_qubit():
 def test_x_rotation_traces_cosine():
     z = PauliString("Z")
     for phi in np.linspace(0.0, 2 * np.pi, 17):
-        out = apply_rotation(Statevector.zero(1), PauliString("X"), float(phi))
+        out = _rotate(Statevector.zero(1), PauliString("X"), float(phi))
         assert pauli_expectation(out, z) == pytest.approx(np.cos(phi), abs=1e-12)
 
 
 def test_full_turn_is_a_global_phase():
-    state = apply_rotation(Statevector.zero(1), PauliString("Y"), 0.7)
-    turned = apply_rotation(state, PauliString("X"), 2 * np.pi)
+    state = _rotate(Statevector.zero(1), PauliString("Y"), 0.7)
+    turned = _rotate(state, PauliString("X"), 2 * np.pi)
     # unitary at 2*pi is exactly -identity; expectations cannot change
     np.testing.assert_allclose(turned.amps, -state.amps, atol=1e-15)
     for p in ("X", "Y", "Z"):
@@ -118,7 +124,7 @@ def test_full_turn_is_a_global_phase():
 
 
 def test_plus_state_has_zero_z_expectation():
-    plus = apply_rotation(Statevector.zero(1), PauliString("Y"), np.pi / 2)
+    plus = _rotate(Statevector.zero(1), PauliString("Y"), np.pi / 2)
     np.testing.assert_allclose(plus.amps, [2**-0.5, 2**-0.5], atol=1e-15)
     assert pauli_expectation(plus, PauliString("Z")) == pytest.approx(0.0, abs=1e-15)
 
@@ -131,7 +137,7 @@ def test_rotation_matches_dense_oracle(letters, angle, seed):
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
     state = Statevector(amps)
-    out = apply_rotation(state, PauliString(letters), angle)
+    out = _rotate(state, PauliString(letters), angle)
     want = oracles.rotation_matrix(letters, angle) @ amps
     np.testing.assert_allclose(out.amps, want, atol=1e-12)
 
@@ -141,8 +147,8 @@ def test_rotation_matches_dense_oracle(letters, angle, seed):
 def test_same_generator_rotations_compose_additively(letters, a, b):
     g = PauliString(letters)
     s0 = Statevector.zero(len(letters))
-    one = apply_rotation(apply_rotation(s0, g, a), g, b)
-    two = apply_rotation(s0, g, a + b)
+    one = _rotate(_rotate(s0, g, a), g, b)
+    two = _rotate(s0, g, a + b)
     np.testing.assert_allclose(one.amps, two.amps, atol=1e-12)
 
 
@@ -150,9 +156,9 @@ def test_same_generator_rotations_compose_additively(letters, a, b):
 @settings(max_examples=40)
 def test_channel_period_two_pi(letters, angle):
     g = PauliString(letters)
-    s0 = apply_rotation(Statevector.zero(len(letters)), PauliString("Y" * len(letters)), 0.4)
-    base = apply_rotation(s0, g, angle)
-    wrapped = apply_rotation(s0, g, angle + 2 * np.pi)
+    s0 = _rotate(Statevector.zero(len(letters)), PauliString("Y" * len(letters)), 0.4)
+    base = _rotate(s0, g, angle)
+    wrapped = _rotate(s0, g, angle + 2 * np.pi)
     # same channel: amplitudes match up to the global sign flip
     np.testing.assert_allclose(np.abs(wrapped.amps), np.abs(base.amps), atol=1e-12)
     for p in ("X", "Z"):
@@ -281,43 +287,62 @@ def test_batch_expectation_matches_per_row(rng):
     )
 
 
+def test_term_expectations_match_the_dense_oracle(rng):
+    amps = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    terms = (
+        (0.5, PauliString("ZIZ")),
+        (-1.5, PauliString("XYI")),
+        (2.0, PauliString("IIZ")),
+    )
+    evs = term_expectations(amps, terms)
+    assert evs.shape == (5, 3)
+    for t, (_, pauli) in enumerate(terms):
+        dense = oracles.dense_pauli(pauli.letters)
+        want = np.einsum("vi,ij,vj->v", amps.conj(), dense, amps).real
+        np.testing.assert_allclose(evs[:, t], want, atol=1e-12)
+    # batch_expectation sums the columns in term order, bit for bit
+    total = np.zeros(5)
+    for t, (coeff, _) in enumerate(terms):
+        total += coeff * evs[:, t]
+    assert np.array_equal(batch_expectation(amps, Observable(terms=terms)), total)
+
+
 # -------------------------------------------------------------- sampling
 
 
 def test_shot_on_eigenstate_is_deterministic():
     r = stream(0, 9)
     state = Statevector.zero(1)
-    assert all(sample_pauli_shot(state, PauliString("Z"), r) == 1 for _ in range(32))
-    flipped = apply_rotation(state, PauliString("X"), np.pi)
-    assert all(
-        sample_pauli_shot(flipped, PauliString("Z"), r) == -1 for _ in range(32)
-    )
+    ev = pauli_expectation(state, PauliString("Z"))
+    shots = _outcomes(r.random(32), ev)
+    assert shots.dtype == np.int8 and np.all(shots == 1)
+    flipped = _rotate(state, PauliString("X"), np.pi)
+    ev = pauli_expectation(flipped, PauliString("Z"))
+    assert np.all(_outcomes(r.random(32), ev) == -1)
 
 
 def test_shot_frequency_tracks_expectation():
-    state = apply_rotation(Statevector.zero(1), PauliString("X"), 0.9)
+    state = _rotate(Statevector.zero(1), PauliString("X"), 0.9)
     ev = pauli_expectation(state, PauliString("Z"))
-    r = stream(3, 4)
     n = 40_000
-    mean = np.mean([sample_pauli_shot(state, PauliString("Z"), r) for _ in range(n)])
+    mean = _outcomes(stream(3, 4).random(n), ev).mean()
     sigma = np.sqrt((1 - ev**2) / n)
     assert abs(mean - ev) < 5 * sigma
 
 
 def test_shot_error_scales_as_inverse_sqrt_shots():
     """RMS error of the shot mean follows the -1/2 power law."""
-    state = apply_rotation(Statevector.zero(1), PauliString("X"), 0.7)
+    state = _rotate(Statevector.zero(1), PauliString("X"), 0.7)
     ev = pauli_expectation(state, PauliString("Z"))
     p_plus = 0.5 * (1.0 + ev)
 
-    # the vectorized draws below walk the stream exactly like repeated
-    # sample_pauli_shot calls; prove it on a prefix before relying on it
+    # the vectorized draws below walk the stream exactly like one scalar
+    # draw per shot; prove it on a prefix before relying on it
     r_scalar = stream(11, 0, 0)
-    scalar = np.array(
-        [sample_pauli_shot(state, PauliString("Z"), r_scalar) for _ in range(500)]
-    )
+    scalar = [1 if r_scalar.random() < p_plus else -1 for _ in range(500)]
     u = stream(11, 0, 0).random(500)
-    np.testing.assert_array_equal(scalar, np.where(u < p_plus, 1, -1))
+    np.testing.assert_array_equal(scalar, _outcomes(u, ev))
 
     budgets = [100, 1_000, 10_000, 100_000, 1_000_000]
     repeats = 100
@@ -326,7 +351,7 @@ def test_shot_error_scales_as_inverse_sqrt_shots():
         errs = np.empty(repeats)
         for rep in range(repeats):
             u = stream(11, i, rep + 1).random(n)
-            errs[rep] = np.where(u < p_plus, 1.0, -1.0).mean() - ev
+            errs[rep] = _outcomes(u, ev).mean() - ev
         rms.append(np.sqrt(np.mean(errs**2)))
     slope = np.polyfit(np.log(budgets), np.log(rms), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.05)
@@ -337,10 +362,10 @@ def test_shot_error_scales_as_inverse_sqrt_shots():
 
 def test_fidelity_basics():
     zero = Statevector.zero(1)
-    one = apply_rotation(zero, PauliString("X"), np.pi)
+    one = _rotate(zero, PauliString("X"), np.pi)
     assert fidelity(zero, zero) == pytest.approx(1.0)
     assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-15)
-    rotated = apply_rotation(zero, PauliString("X"), 0.8)
+    rotated = _rotate(zero, PauliString("X"), 0.8)
     assert fidelity(zero, rotated) == pytest.approx(np.cos(0.4) ** 2, abs=1e-12)
     with pytest.raises(ValueError):
         fidelity(zero, Statevector.zero(2))
