@@ -23,11 +23,3 @@ def test_star_import_binds_every_package_name():
     exec("from pai import *", namespace)
     assert set(pai.__all__) <= set(namespace)
 
-
-def test_package_names_are_the_module_objects():
-    # the package re-exports, it never wraps or shadows
-    for m in MODULES:
-        module = importlib.import_module(f"pai.{m}")
-        for n in module.__all__:
-            if n in pai.__all__:
-                assert getattr(pai, n) is getattr(module, n)
