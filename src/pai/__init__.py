@@ -12,131 +12,23 @@ with Trotterized evolution and a variational ground-state loop, and a CLI
 for the standard experiments.
 """
 
-from .estimate import (
-    EnumerationLimitError,
-    EstimateResult,
-    FidelityPoint,
-    RmsPoint,
-    ShotBank,
-    continuous_expectation,
-    continuous_shot_bank,
-    exact_pai_expectation,
-    nearest_notch_shot_bank,
-    pai_estimate,
-    pai_shot_bank,
-    per_variant_rows,
-    rms_vs_shots,
-    two_notch_fidelity_profile,
-)
-from .models import (
-    EstimatorConfig,
-    SpinRingModel,
-    TrotterSpec,
-    VqeResult,
-    dense_hamiltonian,
-    energy,
-    estimate_energy,
-    gradient,
-    ground_energy,
-    hva_circuit,
-    neel_prep_circuit,
-    notch_floor_energy,
-    spin_ring,
-    trotter_circuit,
-    vqe_run,
-)
-from .notch import (
-    AnglePosition,
-    NotchGrid,
-    antipolar_notch,
-    locate,
-    nearest_notch,
-    round_params_to_grid,
-)
-from .quasiprob import (
-    CircuitDecomposition,
-    DegenerateSettingsError,
-    GateQuasiProb,
-    decompose_circuit,
-    decompose_gate,
-    gamma_general,
-    gamma_uniform,
-    interpolation_residual,
-    max_gates_for_bits,
-    refined_overhead,
-    settings_from_uniforms,
-    worst_case_overhead,
-)
-from .rng import stream
-from .statevector import (
-    MAX_QUBITS,
-    Observable,
-    PauliString,
-    Statevector,
-    expectation,
-    fidelity,
-    pauli_expectation,
-    run_circuit,
-)
+from . import estimate, models, notch, quasiprob, rng, statevector
+from .estimate import *  # noqa: F403
+from .models import *  # noqa: F403
+from .notch import *  # noqa: F403
+from .quasiprob import *  # noqa: F403
+from .rng import *  # noqa: F403
+from .statevector import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its module's __all__
 __all__ = [
     "__version__",
-    "MAX_QUBITS",
-    "PauliString",
-    "Observable",
-    "Statevector",
-    "run_circuit",
-    "pauli_expectation",
-    "expectation",
-    "fidelity",
-    "NotchGrid",
-    "AnglePosition",
-    "locate",
-    "nearest_notch",
-    "antipolar_notch",
-    "DegenerateSettingsError",
-    "gamma_uniform",
-    "gamma_general",
-    "interpolation_residual",
-    "GateQuasiProb",
-    "decompose_gate",
-    "CircuitDecomposition",
-    "decompose_circuit",
-    "settings_from_uniforms",
-    "worst_case_overhead",
-    "refined_overhead",
-    "max_gates_for_bits",
-    "EnumerationLimitError",
-    "EstimateResult",
-    "ShotBank",
-    "FidelityPoint",
-    "RmsPoint",
-    "pai_shot_bank",
-    "pai_estimate",
-    "nearest_notch_shot_bank",
-    "continuous_shot_bank",
-    "continuous_expectation",
-    "exact_pai_expectation",
-    "two_notch_fidelity_profile",
-    "rms_vs_shots",
-    "per_variant_rows",
-    "SpinRingModel",
-    "spin_ring",
-    "TrotterSpec",
-    "trotter_circuit",
-    "hva_circuit",
-    "neel_prep_circuit",
-    "energy",
-    "dense_hamiltonian",
-    "ground_energy",
-    "EstimatorConfig",
-    "estimate_energy",
-    "gradient",
-    "VqeResult",
-    "vqe_run",
-    "round_params_to_grid",
-    "notch_floor_energy",
-    "stream",
+    *statevector.__all__,
+    *notch.__all__,
+    *quasiprob.__all__,
+    *rng.__all__,
+    *estimate.__all__,
+    *models.__all__,
 ]

@@ -48,6 +48,7 @@ from .estimate import (
 )
 from .models import (
     EstimatorConfig,
+    SpinRingModel,
     TrotterSpec,
     ground_energy,
     neel_prep_circuit,
@@ -166,16 +167,6 @@ class RmsConfig:
     output: str = "rms"
 
 
-_CONFIG_TYPES = {
-    "decompose": DecomposeConfig,
-    "overhead": OverheadConfig,
-    "trotter": TrotterConfig,
-    "vqe": VqeConfig,
-    "fidelity-decay": FidelityConfig,
-    "rms": RmsConfig,
-}
-
-
 def _coerce(name: str, raw, annotation):
     """Coerce a JSON value or flag string into the annotated field type."""
     origin = typing.get_origin(annotation)
@@ -206,8 +197,7 @@ def _coerce(name: str, raw, annotation):
     raise ConfigError(f"field {name!r} has unsupported type {annotation!r}")
 
 
-def _build_config(command: str, config_path: str | None, overrides: dict):
-    cls = _CONFIG_TYPES[command]
+def _build_config(cls, config_path: str | None, overrides: dict):
     field_map = {f.name: f for f in dataclasses.fields(cls)}
     merged: dict = {}
     if config_path is not None:
@@ -255,30 +245,44 @@ def _grid_from(bits: int, grid_file: str | None = None) -> NotchGrid:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# shared inputs and outputs
 
 
-def _config_dict(cfg) -> dict:
-    return dataclasses.asdict(cfg)
+def _run_info(cfg) -> dict:
+    return {"version": __version__, "config": dataclasses.asdict(cfg)}
 
 
-def _write_csv(path: Path, cfg, header: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_outputs(cfg, header: list[str], rows, payload: dict, *lines: str) -> int:
+    """Write ``<output>.csv`` (the rows under a version and config comment
+    header) and ``<output>.json`` (``payload`` with version and config),
+    then print ``lines`` and the two paths."""
+    info = _run_info(cfg)
+    out_csv, out_json = (Path(cfg.output + ext) for ext in (".csv", ".json"))
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
+    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# version: {__version__}\n")
-        fh.write(f"# config: {json.dumps(_config_dict(cfg), sort_keys=True)}\n")
+        fh.write(f"# config: {json.dumps(info['config'], sort_keys=True)}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _write_json(path: Path, cfg, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    full = {"version": __version__, "config": _config_dict(cfg)}
-    full.update(payload)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(full, fh, indent=2, sort_keys=True)
+    with open(out_json, "w", encoding="utf-8", newline="") as fh:
+        json.dump({**info, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    for line in lines:
+        print(line)
+    print(f"wrote {out_csv} and {out_json}")
+    return 0
+
+
+def _ring(cfg) -> SpinRingModel:
+    return spin_ring(cfg.num_qubits, cfg.coupling, cfg.model_seed, cfg.omega)
+
+
+def _quench_circuit(cfg) -> list[tuple[PauliString, float]]:
+    model = _ring(cfg)
+    # quench from the alternating product state: |0..0> is stationary
+    prep = neel_prep_circuit(cfg.num_qubits)
+    return prep + trotter_circuit(model, TrotterSpec(cfg.total_time, cfg.n_layers))
 
 
 def _observable_string(letter: str, qubit: int, num_qubits: int) -> PauliString:
@@ -287,18 +291,6 @@ def _observable_string(letter: str, qubit: int, num_qubits: int) -> PauliString:
     return PauliString(
         "".join(letter if i == qubit else "I" for i in range(num_qubits))
     )
-
-
-def _bank_summary(bank, exact: float) -> dict:
-    res = bank.result()
-    return {
-        "mean": res.mean,
-        "std_error": res.std_error,
-        "n_shots": res.n_shots,
-        "n_variants": res.n_variants,
-        "overhead_bound": res.overhead_bound,
-        "bias_vs_continuous": res.mean - exact,
-    }
 
 
 def _resampled_batches(values: np.ndarray, batch_size: int, n_batches: int, rng) -> dict:
@@ -329,8 +321,7 @@ def _cmd_decompose(cfg: DecomposeConfig, threads: int) -> int:
     grid = _grid_from(cfg.bits, cfg.grid_file)
     qp = decompose_gate(grid, PauliString("X"), cfg.angle)
     payload = {
-        "version": __version__,
-        "config": _config_dict(cfg),
+        **_run_info(cfg),
         "angle": cfg.angle,
         "gammas": list(qp.gammas),
         "probs": list(qp.probs),
@@ -361,23 +352,16 @@ def _cmd_overhead(cfg: OverheadConfig, threads: int) -> int:
             "max_gates": cap,
             "overhead_at_max": worst_case_overhead(cap, delta),
         }
-    out_csv = Path(cfg.output + ".csv")
-    _write_csv(out_csv, cfg, ["bits", "n_gates", "delta", "overhead"], rows)
-    out_json = Path(cfg.output + ".json")
-    _write_json(
-        out_json,
+    return _write_outputs(
         cfg,
+        ["bits", "n_gates", "delta", "overhead"],
+        rows,
         {"per_bits": caps, "overhead_limit": float(math.exp(math.pi**2 / 4.0))},
     )
-    print(f"wrote {out_csv} and {out_json}")
-    return 0
 
 
 def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
-    model = spin_ring(cfg.num_qubits, cfg.coupling, cfg.model_seed, cfg.omega)
-    # quench from the alternating product state: |0..0> is stationary
-    prep = neel_prep_circuit(cfg.num_qubits)
-    circuit = prep + trotter_circuit(model, TrotterSpec(cfg.total_time, cfg.n_layers))
+    circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", cfg.observable_qubit, cfg.num_qubits)
     grid = _grid_from(cfg.bits)
     exact = continuous_expectation(circuit, observable)
@@ -401,48 +385,44 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
         ),
     }
 
-    rows = []
-    summary: dict = {"exact_continuous": exact, "seed": cfg.master_seed}
     dec = decompose_circuit(grid, circuit)
     lam_tilde, refined = refined_overhead(dec)
-    summary["n_gates"] = dec.num_gates
-    summary["n_prep_gates"] = len(prep)
-    summary["worst_case_overhead"] = worst_case_overhead(dec.num_gates, grid.delta_max)
-    summary["refined_overhead"] = refined
-    summary["lam_tilde"] = lam_tilde
+    summary = {
+        "exact_continuous": exact,
+        "seed": cfg.master_seed,
+        "n_gates": dec.num_gates,
+        "n_prep_gates": len(neel_prep_circuit(cfg.num_qubits)),
+        "worst_case_overhead": worst_case_overhead(dec.num_gates, grid.delta_max),
+        "refined_overhead": refined,
+        "lam_tilde": lam_tilde,
+    }
+    rows = []
+    lines = [f"continuous expectation {exact:+.6f}"]
     for m, (name, bank) in enumerate(banks.items()):
         for variant_id, sign, outcome_mean, factor in per_variant_rows(bank):
             rows.append((name, variant_id, sign, outcome_mean, factor))
-        method_summary = _bank_summary(bank, exact)
-        method_summary.update(
-            _resampled_batches(
+        res = bank.result()
+        s = summary[name] = {
+            **dataclasses.asdict(res),
+            "bias_vs_continuous": res.mean - exact,
+            **_resampled_batches(
                 bank.values(),
                 cfg.batch_size,
                 cfg.n_batches,
                 stream(cfg.master_seed, 3, m),
-            )
-        )
-        summary[name] = method_summary
-
-    out_csv = Path(cfg.output + ".csv")
-    _write_csv(
-        out_csv, cfg, ["method", "variant_id", "sign", "outcome_mean", "factor"], rows
-    )
-    out_json = Path(cfg.output + ".json")
-    _write_json(out_json, cfg, summary)
-    print(f"continuous expectation {exact:+.6f}")
-    for name in banks:
-        s = summary[name]
-        print(
+            ),
+        }
+        lines.append(
             f"{name:>10}: mean {s['mean']:+.6f} (se {s['std_error']:.6f}, "
             f"batch width {s['batch_width']:.6f})"
         )
-    print(f"wrote {out_csv} and {out_json}")
-    return 0
+    return _write_outputs(
+        cfg, ["method", "variant_id", "sign", "outcome_mean", "factor"], rows, summary, *lines
+    )
 
 
 def _cmd_vqe(cfg: VqeConfig, threads: int) -> int:
-    model = spin_ring(cfg.num_qubits, cfg.coupling, cfg.model_seed, cfg.omega)
+    model = _ring(cfg)
     grid = _grid_from(cfg.bits)
     est = EstimatorConfig(
         mode=cfg.mode,
@@ -463,13 +443,11 @@ def _cmd_vqe(cfg: VqeConfig, threads: int) -> int:
     e0 = ground_energy(model)
     floor = notch_floor_energy(model, cfg.n_layers, grid, result.best_params)
     rows = [(i, e, e - e0) for i, e in result.trace()]
-    out_csv = Path(cfg.output + ".csv")
-    _write_csv(out_csv, cfg, ["iteration", "energy", "delta_e"], rows)
-    out_json = Path(cfg.output + ".json")
     final = float(result.energies[-1])
-    _write_json(
-        out_json,
+    return _write_outputs(
         cfg,
+        ["iteration", "energy", "delta_e"],
+        rows,
         {
             "ground_energy": e0,
             "final_energy": final,
@@ -480,19 +458,14 @@ def _cmd_vqe(cfg: VqeConfig, threads: int) -> int:
             "floor_delta_e": floor - e0,
             "n_params": int(result.final_params.shape[0]),
         },
+        f"ground energy {e0:+.6f}",
+        f"{cfg.mode} final dE {final - e0:.6f}, best dE {result.best_energy - e0:.6f}",
+        f"rounding floor dE {floor - e0:.6f}",
     )
-    print(f"ground energy {e0:+.6f}")
-    print(f"{cfg.mode} final dE {final - e0:.6f}, best dE {result.best_energy - e0:.6f}")
-    print(f"rounding floor dE {floor - e0:.6f}")
-    print(f"wrote {out_csv} and {out_json}")
-    return 0
 
 
 def _cmd_fidelity(cfg: FidelityConfig, threads: int) -> int:
-    model = spin_ring(cfg.num_qubits, cfg.coupling, cfg.model_seed, cfg.omega)
-    circuit = neel_prep_circuit(cfg.num_qubits) + trotter_circuit(
-        model, TrotterSpec(cfg.total_time, cfg.n_layers)
-    )
+    circuit = _quench_circuit(cfg)
     grid = _grid_from(cfg.bits)
     if cfg.n_checkpoints < 2:
         raise ConfigError("need at least 2 checkpoints")
@@ -505,12 +478,10 @@ def _cmd_fidelity(cfg: FidelityConfig, threads: int) -> int:
     dec = decompose_circuit(grid, circuit)
     lam_tilde, refined = refined_overhead(dec)
     rows = [(p.n_gates, p.fidelity, p.std_error) for p in points]
-    out_csv = Path(cfg.output + ".csv")
-    _write_csv(out_csv, cfg, ["n_gates", "fidelity", "std_error"], rows)
-    out_json = Path(cfg.output + ".json")
-    _write_json(
-        out_json,
+    return _write_outputs(
         cfg,
+        ["n_gates", "fidelity", "std_error"],
+        rows,
         {
             "n_gates": len(circuit),
             "final_fidelity": points[-1].fidelity,
@@ -519,20 +490,13 @@ def _cmd_fidelity(cfg: FidelityConfig, threads: int) -> int:
             "lam_tilde": lam_tilde,
             "refined_overhead": refined,
         },
-    )
-    print(
         f"fidelity after {len(circuit)} gates: {points[-1].fidelity:.4f} "
-        f"(+- {points[-1].std_error:.4f})"
+        f"(+- {points[-1].std_error:.4f})",
     )
-    print(f"wrote {out_csv} and {out_json}")
-    return 0
 
 
 def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
-    model = spin_ring(cfg.num_qubits, cfg.coupling, cfg.model_seed, cfg.omega)
-    circuit = neel_prep_circuit(cfg.num_qubits) + trotter_circuit(
-        model, TrotterSpec(cfg.total_time, cfg.n_layers)
-    )
+    circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", 0, cfg.num_qubits)
     grid = _grid_from(cfg.bits)
     points = rms_vs_shots(
@@ -547,32 +511,29 @@ def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
     rows = [(p.n_shots, p.rms_error, p.shot_noise, p.worst_case) for p in points]
     logs = np.log10([p.n_shots for p in points])
     slope = float(np.polyfit(logs, np.log10([p.rms_error for p in points]), 1)[0])
-    out_csv = Path(cfg.output + ".csv")
-    _write_csv(
-        out_csv, cfg, ["n_shots", "rms_error", "shot_noise", "worst_case"], rows
-    )
-    out_json = Path(cfg.output + ".json")
-    _write_json(
-        out_json,
+    return _write_outputs(
         cfg,
+        ["n_shots", "rms_error", "shot_noise", "worst_case"],
+        rows,
         {
             "loglog_slope": slope,
             "repeats": cfg.repeats,
             "points": [dataclasses.asdict(p) for p in points],
         },
+        f"log-log slope of rms error vs shots: {slope:+.4f}",
     )
-    print(f"log-log slope of rms error vs shots: {slope:+.4f}")
-    print(f"wrote {out_csv} and {out_json}")
-    return 0
 
 
+# name -> (config type, handler, help)
 _COMMANDS = {
-    "decompose": (_cmd_decompose, "print interpolation coefficients for one angle"),
-    "overhead": (_cmd_overhead, "tabulate worst-case sampling overhead"),
-    "trotter": (_cmd_trotter, "compare estimators on a Trotterized spin ring"),
-    "vqe": (_cmd_vqe, "gradient-descent ground-state search"),
-    "fidelity-decay": (_cmd_fidelity, "two-notch scheme fidelity profile"),
-    "rms": (_cmd_rms, "rms estimator error versus shot budget"),
+    "decompose": (
+        DecomposeConfig, _cmd_decompose, "print interpolation coefficients for one angle"
+    ),
+    "overhead": (OverheadConfig, _cmd_overhead, "tabulate worst-case sampling overhead"),
+    "trotter": (TrotterConfig, _cmd_trotter, "compare estimators on a Trotterized spin ring"),
+    "vqe": (VqeConfig, _cmd_vqe, "gradient-descent ground-state search"),
+    "fidelity-decay": (FidelityConfig, _cmd_fidelity, "two-notch scheme fidelity profile"),
+    "rms": (RmsConfig, _cmd_rms, "rms estimator error versus shot budget"),
 }
 
 
@@ -583,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text) in _COMMANDS.items():
+    for name, (config_type, _, help_text) in _COMMANDS.items():
         sp = subs.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument(
@@ -591,7 +552,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"worker threads (default ${THREADS_ENV_VAR} or 1); "
             "never changes results",
         )
-        for f in dataclasses.fields(_CONFIG_TYPES[name]):
+        for f in dataclasses.fields(config_type):
             sp.add_argument(
                 f"--{f.name.replace('_', '-')}",
                 dest=f"field_{f.name}",
@@ -603,22 +564,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    config_type, handler, _ = _COMMANDS[args.command]
+    overrides = {
+        name[len("field_") :]: value
+        for name, value in vars(args).items()
+        if name.startswith("field_") and value is not None
+    }
     try:
-        overrides = {
-            name[len("field_") :]: value
-            for name, value in vars(args).items()
-            if name.startswith("field_") and value is not None
-        }
-        cfg = _build_config(args.command, args.config, overrides)
-        threads = _resolve_threads(args.threads)
+        cfg = _build_config(config_type, args.config, overrides)
+        return handler(cfg, _resolve_threads(args.threads))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        return _COMMANDS[args.command][0](cfg, threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    # the first two are ValueErrors, so this clause comes before the last
     except (
         DegenerateSettingsError,
         EnumerationLimitError,

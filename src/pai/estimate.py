@@ -247,12 +247,16 @@ def _outcomes(u: np.ndarray, ev) -> np.ndarray:
     return np.where(u < p_plus, 1, -1).astype(np.int8)
 
 
-def _circuit_qubits(circuit, observable) -> int:
+def _circuit_qubits(circuit, observable) -> tuple[list, int]:
+    """``(gates, n)``: the circuit read once into a list, so a one-shot
+    iterable serves every later pass, and the observable's qubit count,
+    which every generator must share."""
+    gates = list(circuit)
     n = observable.num_qubits
-    for generator, _ in circuit:
+    for generator, _ in gates:
         if generator.num_qubits != n:
             raise ValueError("circuit and observable qubit counts differ")
-    return n
+    return gates, n
 
 
 def pai_shot_bank(
@@ -275,8 +279,8 @@ def pai_shot_bank(
     observable = _require_pauli(observable)
     if n_variants < 1 or shots_per_variant < 1:
         raise ValueError("n_variants and shots_per_variant must be positive")
-    n = _circuit_qubits(circuit, observable)
-    dec = decompose_circuit(grid, list(circuit))
+    circuit, n = _circuit_qubits(circuit, observable)
+    dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
 
     def worker(lo: int, hi: int):
@@ -331,7 +335,6 @@ def _reference_bank(
 
 def _round_circuit(grid: NotchGrid, circuit) -> list[tuple[PauliString, float]]:
     """``circuit`` with every angle rounded to its nearest notch."""
-    circuit = list(circuit)
     angles = round_params_to_grid(grid, [angle for _, angle in circuit])
     return [(generator, angle) for (generator, _), angle in zip(circuit, angles)]
 
@@ -345,7 +348,7 @@ def nearest_notch_shot_bank(
 ) -> ShotBank:
     """Round every angle to its nearest notch, run once, sample shots."""
     observable = _require_pauli(observable)
-    n = _circuit_qubits(circuit, observable)
+    circuit, n = _circuit_qubits(circuit, observable)
     state = run_circuit(_round_circuit(grid, circuit), n)
     return _reference_bank(state, observable, n_shots, seed, NEAREST_STREAM_KEY)
 
@@ -358,8 +361,8 @@ def continuous_shot_bank(
 ) -> ShotBank:
     """Shot-sample the ideal continuous-angle circuit."""
     observable = _require_pauli(observable)
-    n = _circuit_qubits(circuit, observable)
-    state = run_circuit(list(circuit), n)
+    circuit, n = _circuit_qubits(circuit, observable)
+    state = run_circuit(circuit, n)
     return _reference_bank(state, observable, n_shots, seed, CONTINUOUS_STREAM_KEY)
 
 
@@ -385,13 +388,13 @@ def exact_pai_expectation(
     what makes the sampled estimator unbiased.
     """
     obs = _as_observable(observable)
-    dec = decompose_circuit(grid, list(circuit))
+    circuit, n = _circuit_qubits(circuit, obs)
+    dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
     if nu > _ENUMERATION_CAP:
         raise EnumerationLimitError(
             f"{nu} gates would need 3**{nu} variants; cap is {_ENUMERATION_CAP}"
         )
-    n = _circuit_qubits(circuit, obs)
     if nu == 0:
         return continuous_expectation([], obs)
     gamma_table = np.array([qp.gammas for qp in dec.per_gate])
@@ -431,8 +434,8 @@ def pai_observable_mean(
         raise ValueError("n_variants and shots_per_variant must be positive")
     terms = observable.terms
     coeffs = np.array([c for c, _ in terms])
-    n = _circuit_qubits(circuit, observable)
-    dec = decompose_circuit(grid, list(circuit))
+    circuit, n = _circuit_qubits(circuit, observable)
+    dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
     n_terms = len(terms)
 
@@ -464,7 +467,7 @@ def nearest_observable_mean(
     uniforms in term order from the stream ``(master_seed, *key, 1, 0)``."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    n = _circuit_qubits(circuit, observable)
+    circuit, n = _circuit_qubits(circuit, observable)
     state = run_circuit(_round_circuit(grid, circuit), n)
     evs = term_expectations(state.amps[None, :], observable.terms)[0]
     r = stream(master_seed, *key, *NEAREST_STREAM_KEY)
@@ -519,15 +522,15 @@ def two_notch_fidelity_profile(
     high = np.array([grid.angle((p.k + 1) % grid.size) for p in positions])
     thresholds = np.array([1.0 - p.lam for p in positions])
 
+    # run_circuit never writes to the amplitudes of ``initial``, so the
+    # checkpoint states need no copies
     ideal = {}
     state = Statevector.zero(n)
-    step = 0
+    lo = 0
     for cp in cps:
-        while step < cp:
-            gen, ang = circuit[step]
-            state = run_circuit([(gen, ang)], n, initial=state)
-            step += 1
-        ideal[cp] = state.amps.copy()
+        state = run_circuit(circuit[lo:cp], n, initial=state)
+        ideal[cp] = state.amps
+        lo = cp
 
     def worker(lo_v: int, hi_v: int):
         count = hi_v - lo_v
@@ -591,10 +594,10 @@ def rms_vs_shots(
     shot_grid = [int(s) for s in shot_grid]
     if any(s < 1 for s in shot_grid):
         raise ValueError("shot budgets must be positive")
-    n = _circuit_qubits(circuit, observable)
-    dec = decompose_circuit(grid, list(circuit))
+    circuit, n = _circuit_qubits(circuit, observable)
+    dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
-    exact = continuous_expectation(list(circuit), observable)
+    exact = continuous_expectation(circuit, observable)
     block = 8192  # fixed draw-block size keeps streams thread-independent
 
     def run_mean(budget_index: int, repeat: int) -> float:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .estimate import nearest_observable_mean, pai_observable_mean
 from .notch import NotchGrid, round_params_to_grid
@@ -39,6 +38,7 @@ __all__ = [
     "spin_ring",
     "TrotterSpec",
     "trotter_circuit",
+    "neel_prep_circuit",
     "hva_circuit",
     "energy",
     "dense_hamiltonian",
@@ -211,6 +211,10 @@ def ground_energy(model: SpinRingModel) -> float:
     n = model.num_qubits
     if n <= 8:
         return float(np.linalg.eigvalsh(dense_hamiltonian(model))[0])
+    # imported here: scipy more than doubles the package's import time,
+    # and only this branch uses it
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
     dim = 1 << n
     terms = model.terms()
     g = np.empty((1, dim), dtype=np.complex128)

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "TWO_PI",
-    "SNAP_TOL",
     "AnglePosition",
     "NotchGrid",
     "locate",

@@ -1,6 +1,8 @@
-"""Public API: every exported name resolves and none is listed twice."""
+"""Public API: every exported name resolves, none is listed twice, and the
+package exports exactly what its modules declare."""
 
 import importlib
+from collections import Counter
 
 import pytest
 
@@ -23,3 +25,10 @@ def test_star_import_binds_every_package_name():
     exec("from pai import *", namespace)
     assert set(pai.__all__) <= set(namespace)
 
+
+def test_package_exports_the_module_lists_in_order():
+    lists = [importlib.import_module(f"pai.{m}").__all__ for m in MODULES]
+    assert pai.__all__ == ["__version__", *(n for names in lists for n in names)]
+    # a star import would let a later module shadow an earlier one's name
+    owners = Counter(n for names in lists for n in names)
+    assert [n for n, count in owners.items() if count > 1] == []

@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -133,7 +135,7 @@ def test_numerical_failure_exits_3(monkeypatch, capsys):
     def boom(cfg, threads):
         raise DegenerateSettingsError("synthetic")
 
-    monkeypatch.setitem(cli._COMMANDS, "overhead", (boom, "stub"))
+    monkeypatch.setitem(cli._COMMANDS, "overhead", (cli.OverheadConfig, boom, "stub"))
     assert run_cli("overhead") == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -143,6 +145,17 @@ def test_version_flag(capsys):
         run_cli("--version")
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_cli_import_loads_no_scipy():
+    # only the Lanczos branch of ground_energy needs scipy; the other
+    # subcommands should not pay for importing it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    probe = "import sys, pai.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ----------------------------------------------------------------- overhead

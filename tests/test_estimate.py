@@ -423,3 +423,32 @@ def test_estimates_agree_with_oracle_on_a_fixed_case(rng):
     assert continuous_expectation(circuit, obs) == pytest.approx(want, abs=1e-12)
     res = pai_estimate(NotchGrid.uniform(6), circuit, obs, 3000, 2, 1)
     assert abs(res.mean - want) <= 5 * res.std_error
+
+
+_GRID = NotchGrid.uniform(4)
+_ZII = PauliString("ZII")
+_SUM = Observable(terms=((0.5, _ZII), (-0.3, PauliString("IXY"))))
+_CIRCUIT_ESTIMATORS = {
+    "pai_shot_bank": lambda c: pai_shot_bank(_GRID, c, _ZII, 40, 3, 7).values().tolist(),
+    "pai_estimate": lambda c: pai_estimate(_GRID, c, _ZII, 40, 3, 7),
+    "nearest_notch_shot_bank": lambda c: nearest_notch_shot_bank(
+        _GRID, c, _ZII, 64, 7
+    ).values().tolist(),
+    "continuous_shot_bank": lambda c: continuous_shot_bank(c, _ZII, 64, 7).values().tolist(),
+    "continuous_expectation": lambda c: continuous_expectation(c, _ZII),
+    "exact_pai_expectation": lambda c: exact_pai_expectation(_GRID, c, _ZII),
+    "pai_observable_mean": lambda c: pai_observable_mean(_GRID, c, _SUM, 40, 2, 7),
+    "nearest_observable_mean": lambda c: nearest_observable_mean(_GRID, c, _SUM, 64, 7),
+    "two_notch_fidelity_profile": lambda c: two_notch_fidelity_profile(
+        _GRID, c, [0, 3, 5], 20, 7
+    ),
+    "rms_vs_shots": lambda c: rms_vs_shots(_GRID, c, _ZII, [4, 16], 3, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CIRCUIT_ESTIMATORS))
+def test_one_shot_iterator_circuit_matches_the_list(name):
+    # the qubit check reads the circuit before the estimator does, so a
+    # circuit that can be iterated only once must be read exactly once
+    run = _CIRCUIT_ESTIMATORS[name]
+    assert run(iter(_fixed_circuit())) == run(_fixed_circuit())
