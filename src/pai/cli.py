@@ -385,7 +385,7 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
         ),
     }
 
-    dec = decompose_circuit(grid, circuit)
+    dec = banks["pai"].decomposition
     lam_tilde, refined = refined_overhead(dec)
     summary = {
         "exact_continuous": exact,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .statevector import (
     Statevector,
     batch_expectation,
     batch_pauli_expectation,
-    rotate_batch,
+    run_batch,
     run_circuit,
     term_expectations,
 )
@@ -92,11 +92,16 @@ class EstimateResult:
 class ShotBank:
     """Outcomes grouped by variant: ``outcomes[v, i]`` is shot ``i`` of
     variant ``v``; the estimate of shot ``(v, i)`` is
-    ``outcomes[v, i] * variant_signs[v] * weight``."""
+    ``outcomes[v, i] * variant_signs[v] * weight``.  ``decomposition`` is
+    the circuit decomposition a PAI bank sampled from (``None`` for the
+    reference banks)."""
 
     outcomes: np.ndarray
     variant_signs: np.ndarray
     weight: float
+    decomposition: CircuitDecomposition | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def n_variants(self) -> int:
@@ -184,17 +189,16 @@ def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> lis
 
 
 def _chunk_buffers(n_rows: int, num_qubits: int):
-    """``(state, spare, work)`` for one chunk of ``n_rows`` variants.
+    """``(state, spare)`` for one chunk of ``n_rows`` variants.
 
     Each is a C-contiguous ``(dim, V)`` buffer, so the kernel's inner loops
-    run over the variants; ``rotate_batch`` reads the state's transpose and
-    writes the spare's, and the two swap after every gate.  The state
-    starts as ``|0...0>`` in every column.
+    run over the variants; :func:`run_batch` swaps the state and the spare
+    as its blocks need.  The state starts as ``|0...0>`` in every column.
     """
     shape = (1 << num_qubits, n_rows)
     state = np.zeros(shape, dtype=np.complex128)
     state[0] = 1.0
-    return state, np.empty_like(state), np.empty_like(state)
+    return state, np.empty_like(state)
 
 
 def _as_rows(state: np.ndarray, buffer: np.ndarray) -> np.ndarray:
@@ -210,10 +214,8 @@ def _simulate_variants(
 ) -> np.ndarray:
     """Run one realized circuit per row of ``angles`` from the all-zeros
     state; returns the C-ordered ``(V, dim)`` amplitude batch."""
-    state, spare, work = _chunk_buffers(angles.shape[0], num_qubits)
-    for j, generator in enumerate(generators):
-        rotate_batch(state.T, generator, angles[:, j], out=spare.T, work=work.T)
-        state, spare = spare, state
+    state, spare = _chunk_buffers(angles.shape[0], num_qubits)
+    state, spare = run_batch(state, generators, angles, spare)
     return _as_rows(state, spare)
 
 
@@ -290,11 +292,13 @@ def pai_shot_bank(
         return signs.astype(np.int8), _outcomes(u_shots, ev[:, None])
 
     parts = _map_variants(worker, n_variants, n, threads)
-    return ShotBank(
+    bank = ShotBank(
         outcomes=np.concatenate([p[1] for p in parts], axis=0),
         variant_signs=np.concatenate([p[0] for p in parts]),
         weight=dec.norm1_total,
     )
+    bank.decomposition = dec
+    return bank
 
 
 def pai_estimate(
@@ -536,18 +540,15 @@ def two_notch_fidelity_profile(
         count = hi_v - lo_v
         u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
         angles = np.where(u < thresholds, low, high)
-        state, spare, work = _chunk_buffers(count, n)
+        state, spare = _chunk_buffers(count, n)
         fid = np.empty((count, len(cps)))
         step = 0
         for m, cp in enumerate(cps):
-            while step < cp:
-                rotate_batch(
-                    state.T, generators[step], angles[:, step], out=spare.T, work=work.T
-                )
-                state, spare = spare, state
-                step += 1
-            # work is free between gates; it holds the checkpoint rows
-            fid[:, m] = np.abs(_as_rows(state, work) @ np.conj(ideal[cp])) ** 2
+            # one run per segment, so no block crosses a checkpoint
+            state, spare = run_batch(state, generators[step:cp], angles[:, step:cp], spare)
+            step = cp
+            # spare is free between segments; it holds the checkpoint rows
+            fid[:, m] = np.abs(_as_rows(state, spare) @ np.conj(ideal[cp])) ** 2
         return fid
 
     fids = np.concatenate(_map_variants(worker, n_variants, n, threads), axis=0)

@@ -24,9 +24,25 @@ qubits of the same kind share one longer axis, which keeps the view to a
 few dimensions.
 
 Batch kernels take ``(V, dim)`` arrays: row ``v`` is the state of variant
-``v``.  Any strides work; the variant engine in :mod:`pai.estimate` passes
-the transpose of a C-contiguous ``(dim, V)`` buffer, so every inner loop
-runs over ``V`` contiguous variants.
+``v``.  Any strides work; the transpose of a C-contiguous ``(dim, V)``
+buffer runs fastest, because every inner loop then runs over ``V``
+contiguous variants.
+
+Circuits run as fused blocks (:func:`run_batch`), in the manner of qsim's
+gate fusion (Isakov et al., arXiv 2111.02396) with qulacs-style small-gate
+kernels (Suzuki et al., arXiv 2011.13524).  The plan depends on the
+generator letters alone: each maximal run of consecutive gates on one
+support of at most two qubits, capped at four gates, is one block; on the
+spin ring that is each Neel X, each on-site Z and each bond's XX, YY, ZZ
+triple.  A block's unitary is the ordered product of ``cos I - 1j sin P``,
+expanded into ``2**m`` cached Pauli products (each a phased bit flip of
+the support) times ``V``-long products of the gates' cosines and sines.
+Grouped by flip, it is ``sum_f D_f * psi[c ^ f]``: one multiply per flip
+through a view of the ``(dim, V)`` chunk whose support axes are reversed
+where ``f`` flips them, so only the structurally nonzero entries are
+touched (8 of 16 for a bond triple), and a diagonal block is a single
+in-place multiply.  Gates on wider supports run alone through
+:func:`rotate_batch`.
 """
 
 from __future__ import annotations
@@ -44,6 +60,7 @@ __all__ = [
     "Observable",
     "Statevector",
     "rotate_batch",
+    "run_batch",
     "run_circuit",
     "pauli_expectation",
     "batch_pauli_expectation",
@@ -113,6 +130,19 @@ class Observable:
         return float(sum(abs(c) for c, _ in self.terms))
 
 
+# cached phase tables hold at most 2**12 entries (64 KiB), so the 256-entry
+# cache pins at most 16 MiB; larger tables are rebuilt on every call
+_CACHED_PHASE_BITS = 12
+
+
+def _pauli_view(letters: str) -> tuple[tuple[int, ...], tuple[slice, ...], np.ndarray]:
+    """:func:`_view_factors`, from its cache only when the phase table is
+    small."""
+    if sum(c in "YZ" for c in letters) > _CACHED_PHASE_BITS:
+        return _view_factors.__wrapped__(letters)
+    return _view_factors(letters)
+
+
 @lru_cache(maxsize=256)
 def _view_factors(
     letters: str,
@@ -125,8 +155,8 @@ def _view_factors(
     Reversing each of ``k`` adjacent bit axes reverses their merged axis,
     so ``index`` reverses the X/Y runs.  ``phase`` is the read-only +-1 /
     +-i table, full length on the Y/Z runs and 1 elsewhere (at most
-    ``2**weight`` entries).  Keyed on the letters, so equal strings built
-    apart share one entry; the cache holds at most 256 strings.
+    ``2**weight`` entries).  Keyed on the letters, so equal strings
+    built apart share one entry.
     """
     n = len(letters)
     if n > MAX_QUBITS:
@@ -142,7 +172,7 @@ def _view_factors(
     # src = c ^ flip; on a Y axis the source bit is 1 - c's bit
     yz = [c for c in axes if c in "YZ"]
     y_bits = int("".join("1" if c == "Y" else "0" for c in yz) or "0", 2)
-    pops = np.bitwise_count(np.arange(1 << len(yz)) ^ y_bits)
+    pops = np.bitwise_count(np.arange(1 << len(yz), dtype=np.uint32) ^ y_bits)
     phase = np.where(pops & 1, -1.0, 1.0) * (1j ** letters.count("Y"))
     phase = phase.reshape([1] + [1 << k if yz else 1 for _, yz, k in runs])
     phase.flags.writeable = False
@@ -162,7 +192,7 @@ def _apply_pauli(
     """
     if out is None:
         out = np.empty(amps.shape, dtype=np.complex128)
-    sizes, index, phase = _view_factors(pauli.letters)
+    sizes, index, phase = _pauli_view(pauli.letters)
     shape = (amps.shape[0], *sizes)
     np.multiply(amps.reshape(shape)[index], phase, out=out.reshape(shape))
     return out
@@ -171,7 +201,7 @@ def _apply_pauli(
 def _pauli_phase_vector(pauli: PauliString) -> np.ndarray:
     """All ``2**n`` phases of ``G`` as one contiguous complex vector; for a
     diagonal ``G`` its real part is the diagonal."""
-    sizes, _, phase = _view_factors(pauli.letters)
+    sizes, _, phase = _pauli_view(pauli.letters)
     vec = np.empty(sizes, dtype=np.complex128)
     vec[...] = phase[0]
     return vec.reshape(-1)
@@ -246,25 +276,238 @@ def rotate_batch(
     return out
 
 
+_PAULI_2X2 = {
+    "I": np.eye(2, dtype=np.complex128),
+    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+# a block of m gates expands into 2**m coefficient products per variant
+_MAX_BLOCK_GATES = 4
+# plans of longer circuits are rebuilt on every call, so the 64-entry plan
+# cache holds at most 64 * 2,048 blocks (a few MiB); a kernel's tables
+# take at most 4 KiB, so the 256-entry kernel cache stays near 1 MiB
+_CACHED_PLAN_GATES = 2048
+
+
+@lru_cache(maxsize=256)
+def _block_kernel(num_qubits: int, support: tuple[int, ...], local: tuple[str, ...]):
+    """``(shape, flips, mix, table_shape, diagonal)`` of one fused block.
+
+    ``support`` holds the block's one or two qubits in ascending order and
+    ``local`` each gate's letters on them, lowest qubit first.  A chunk
+    reshaped to ``shape + (V,)`` has one length-2 axis per support qubit,
+    highest first.  Local basis index ``r`` carries the lowest qubit in its
+    least significant bit.  The product of ``cos I - 1j sin P`` over the
+    block's gates expands into subsets ``S`` of the gates: a Pauli product
+    ``P_S`` (later gates on the left) times ``(-1)**|S|`` and the product
+    of ``1j sin`` over the gates in ``S`` and ``cos`` over the rest.
+    ``P_S`` maps local basis state ``r ^ f_S`` to ``r``.  For the ``i``-th
+    flip ``f`` that some ``P_S`` makes (the identity, from the empty
+    subset, is the first), ``flips[i]`` is the index that reverses the
+    flipped axes, and row ``i * 2**w + r`` of ``mix`` holds
+    ``(-1)**|S| * P_S[r, r ^ f]`` in column ``S``, zero where
+    ``f_S != f``.  Gate ``i`` of ``m`` is bit
+    ``m - 1 - i`` of the column index.  ``mix`` times the ``(2**m, V)``
+    products, reshaped to ``table_shape + (V,)``, is one table per flip
+    that broadcasts against the reshaped chunk.  ``diagonal`` says the
+    identity is the only flip.
+    """
+    w = len(support)
+    k = 1 << w
+    mats = []
+    for letters in local:
+        mat = np.ones((1, 1), dtype=np.complex128)
+        for c in letters:  # lowest qubit first, so it ends up rightmost
+            mat = np.kron(_PAULI_2X2[c], mat)
+        mats.append(mat)
+    m = len(mats)
+    rows = np.arange(k)
+    by_flip: dict[int, np.ndarray] = {}
+    for col in range(1 << m):
+        prod = np.eye(k, dtype=np.complex128)
+        chosen = [i for i in range(m) if col >> (m - 1 - i) & 1]
+        for i in chosen:
+            prod = mats[i] @ prod
+        flip = int(np.flatnonzero(prod[0])[0])  # row 0 reads column 0 ^ f
+        entries = by_flip.setdefault(flip, np.zeros((k, 1 << m), dtype=np.complex128))
+        entries[:, col] = (-1) ** len(chosen) * prod[rows, rows ^ flip]
+    order = sorted(by_flip)
+    mix = np.concatenate([by_flip[f] for f in order])
+    mix.flags.writeable = False
+    shape: tuple[int, ...] = ()
+    above = num_qubits
+    for q in reversed(support):
+        shape += (1 << (above - 1 - q), 2)
+        above = q
+    shape += (1 << above,)
+    bit_axes = [2 * i + 1 for i in range(w)]  # highest support qubit first
+    flips = []
+    for f in order:
+        index = [slice(None)] * (2 * w)
+        for i, axis in enumerate(bit_axes):
+            if f >> (w - 1 - i) & 1:
+                index[axis] = slice(None, None, -1)
+        flips.append(tuple(index))
+    return shape, tuple(flips), mix, (len(order), *(2, 1) * w), order == [0]
+
+
+def _plan(letters: tuple[str, ...]) -> tuple:
+    """:func:`_block_plan`, from its cache only for circuits of at most
+    2,048 gates."""
+    if len(letters) > _CACHED_PLAN_GATES:
+        return _block_plan.__wrapped__(letters)
+    return _block_plan(letters)
+
+
+@lru_cache(maxsize=64)
+def _block_plan(letters: tuple[str, ...]) -> tuple:
+    """``(blocks, gates, rows)`` of a gate sequence.
+
+    ``blocks`` holds ``(lo, hi, kernel)`` per block, where gates ``lo`` to
+    ``hi - 1`` share one support of at most two qubits and ``kernel`` is
+    their :func:`_block_kernel`, or ``(lo, lo + 1, PauliString)`` for a
+    gate on a wider support.  ``gates`` and ``rows`` are the most gates and
+    table rows of a fused block, which size the scratch of
+    :func:`run_batch`.
+    """
+    n = len(letters[0])
+    blocks = []
+    max_gates = max_rows = 1
+    lo = 0
+    while lo < len(letters):
+        if len(letters[lo]) != n:
+            raise ValueError("circuit generator qubit count mismatch")
+        support = tuple(q for q, c in enumerate(letters[lo]) if c != "I")
+        if not support:
+            raise ValueError("rotation generator must be a non-identity Pauli string")
+        if len(support) > 2:
+            blocks.append((lo, lo + 1, PauliString(letters[lo])))
+            lo += 1
+            continue
+        hi = lo + 1
+        while (
+            hi < len(letters)
+            and hi - lo < _MAX_BLOCK_GATES
+            and len(letters[hi]) == n
+            and all((c != "I") == (q in support) for q, c in enumerate(letters[hi]))
+        ):
+            hi += 1
+        local = tuple("".join(g[q] for q in support) for g in letters[lo:hi])
+        kernel = _block_kernel(n, support, local)
+        blocks.append((lo, hi, kernel))
+        max_gates = max(max_gates, hi - lo)
+        max_rows = max(max_rows, kernel[2].shape[0])
+        lo = hi
+    return tuple(blocks), max_gates, max_rows
+
+
+# einsum subscripts that multiply a block's m (cos, 1j sin) pairs into its
+# 2**m products, e.g. "av,bv->abv"
+_PRODUCT = {
+    m: ",".join(f"{c}v" for c in "abcd"[:m]) + f"->{'abcd'[:m]}v"
+    for m in range(2, _MAX_BLOCK_GATES + 1)
+}
+
+
+def run_batch(
+    state: np.ndarray, generators, angles: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply gate ``j``, ``exp(-1j*angles[v, j]/2 * generators[j])``, to
+    column ``v`` of the C-contiguous ``(dim, V)`` chunk ``state``, gate by
+    gate in fused blocks (see the module docstring).
+
+    ``spare`` is a C-contiguous ``(dim, V)`` buffer that must not overlap
+    ``state``.  The blocks overwrite both in turn; returns ``(result,
+    free)``, the buffer that holds the final state and the other one.  A
+    third ``(dim, V)`` buffer is allocated only for a gate on more than two
+    qubits or a block with more than two bit-flip patterns.
+    """
+    if not len(generators):
+        return state, spare
+    blocks, max_gates, max_rows = _plan(tuple(g.letters for g in generators))
+    dim, n_rows = state.shape
+    if len(generators[0].letters) != dim.bit_length() - 1:
+        raise ValueError("circuit generators do not match the state dimension")
+    if not (state.flags.c_contiguous and spare.flags.c_contiguous):
+        raise ValueError("run_batch needs C-contiguous (dim, V) buffers")
+    angles = np.asarray(angles, dtype=np.float64)
+    n_gates = angles.shape[1]
+    # scratch of a few (., V) rows, allocated once: the cosines and 1j*sines
+    # of a window of gates (a window starts at a block and covers whole
+    # blocks, at least one and up to about 2**12 angles), a block's
+    # products and its tables
+    window = max(max_gates, min(n_gates, (1 << 12) // n_rows))
+    half = np.empty((window, n_rows))
+    cs = np.zeros((window, 2, n_rows), dtype=np.complex128)
+    prods = np.empty((1 << max_gates, n_rows), dtype=np.complex128)
+    table_buf = np.empty((max_rows, n_rows), dtype=np.complex128)
+    work = None
+    win_lo = win_hi = 0
+    for lo, hi, kernel in blocks:
+        if isinstance(kernel, PauliString):
+            if work is None:
+                work = np.empty_like(state)
+            rotate_batch(state.T, kernel, angles[:, lo], out=spare.T, work=work.T)
+            state, spare = spare, state
+            continue
+        if hi > win_hi:
+            win_lo, win_hi = lo, min(lo + window, n_gates)
+            h = half[: win_hi - win_lo]
+            np.multiply(angles[:, win_lo:win_hi].T, 0.5, out=h)
+            np.cos(h, out=cs[: win_hi - win_lo, 0].real)
+            np.sin(h, out=cs[: win_hi - win_lo, 1].imag)
+        shape, flips, mix, table_shape, diagonal = kernel
+        m = hi - lo
+        coeff = cs[lo - win_lo]
+        if m > 1:
+            coeff = prods[: 1 << m]
+            pairs = cs[lo - win_lo : hi - win_lo]
+            np.einsum(_PRODUCT[m], *pairs, out=coeff.reshape(*(2,) * m, n_rows))
+        tables = np.matmul(mix, coeff, out=table_buf[: mix.shape[0]])
+        tables = tables.reshape(*table_shape, n_rows)
+        shape = (*shape, n_rows)
+        src = state.reshape(shape)
+        if diagonal:  # one multiply in place
+            np.multiply(src, tables[0], out=src)
+            continue
+        out = spare.reshape(shape)
+        np.multiply(src, tables[0], out=out)  # the identity flip comes first
+        for f in range(1, len(flips) - 1):
+            if work is None:
+                work = np.empty_like(state)
+            tmp = work.reshape(shape)
+            np.multiply(src[flips[f]], tables[f], out=tmp)
+            out += tmp
+        # the block no longer reads src, so the last flip scales it in
+        # place: src * t[x ^ f], read at x ^ f, is t[x] * src[x ^ f]
+        np.multiply(src, tables[-1][flips[-1][1:]], out=src)
+        out += src[flips[-1]]
+        state, spare = spare, state
+    return state, spare
+
+
 def run_circuit(
     circuit: list[tuple[PauliString, float]],
     num_qubits: int,
     initial: Statevector | None = None,
 ) -> Statevector:
     """Apply a sequence of ``(generator, channel_angle)`` rotations to
-    ``initial`` (default: the all-zeros state)."""
+    ``initial`` (default: the all-zeros state), which is not modified."""
     state = Statevector.zero(num_qubits) if initial is None else initial
-    amps = state.amps[None, :]
-    for generator, angle in circuit:
-        if generator.num_qubits != num_qubits:
-            raise ValueError("circuit generator qubit count mismatch")
-        if generator.weight == 0:
-            raise ValueError("rotation generator must be a non-identity Pauli string")
-        angle = float(angle)
-        if not math.isfinite(angle):
-            raise ValueError("channel angle must be finite")
-        amps = rotate_batch(amps, generator, np.array([angle]))
-    return Statevector(amps[0])
+    circuit = list(circuit)
+    if not circuit:
+        return state
+    generators = [g for g, _ in circuit]
+    if any(g.num_qubits != num_qubits for g in generators):
+        raise ValueError("circuit generator qubit count mismatch")
+    angles = np.array([[float(a) for _, a in circuit]])
+    if not np.isfinite(angles).all():
+        raise ValueError("channel angle must be finite")
+    amps = state.amps.reshape(-1, 1).copy()
+    amps, _ = run_batch(amps, generators, angles, np.empty_like(amps))
+    return Statevector(amps[:, 0])
 
 
 def batch_pauli_expectation(amps: np.ndarray, pauli: PauliString) -> np.ndarray:

@@ -271,6 +271,19 @@ def test_trotter_outputs(tmp_path, capsys):
     assert all(row[2] in ("-1", "1") for row in pai_rows)
 
 
+def test_trotter_decomposes_each_gate_once(tmp_path, monkeypatch, capsys):
+    from pai import quasiprob
+
+    calls = []
+    original = quasiprob.decompose_gate
+    monkeypatch.setattr(
+        quasiprob, "decompose_gate", lambda *args: calls.append(1) or original(*args)
+    )
+    out = _run_trotter(tmp_path, "tr")
+    capsys.readouterr()
+    assert len(calls) == json.loads(out.with_suffix(".json").read_text())["n_gates"] == 13
+
+
 def test_trotter_threads_do_not_change_bytes(tmp_path, capsys):
     out = _run_trotter(tmp_path, "tr", ("--threads", "1"))
     one_csv = out.with_suffix(".csv").read_bytes()

@@ -154,7 +154,7 @@ def test_simulate_variants_matches_gate_by_gate_reference(rng):
     for j, (generator, _) in enumerate(circuit):
         want = oracles.gather_rotate_batch(want, generator.letters, angles[:, j])
     assert got.flags.c_contiguous
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_first_variant_regenerates_in_isolation():
@@ -338,6 +338,37 @@ def test_two_notch_profile_shape_and_decay(rng):
     # off-notch angles leak fidelity; the full-depth mean must sit clearly
     # below the start
     assert points[-1].fidelity < 1.0 - 5 * max(points[-1].std_error, 1e-12)
+
+
+def test_two_notch_profile_matches_gate_by_gate_reference():
+    # checkpoints 5 and 8 fall inside bond triples of the 3-qubit ring, so
+    # the fused segments split those blocks
+    from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
+    from pai.notch import locate
+
+    grid = NotchGrid.uniform(4)
+    circuit = neel_prep_circuit(3) + trotter_circuit(spin_ring(3, 0.3, 2), TrotterSpec(0.8, 1))
+    cps = [0, 5, 8, len(circuit)]
+    points = two_notch_fidelity_profile(grid, circuit, cps, 37, 4)
+    u, _ = _variant_uniforms(4, (), 0, 37, len(circuit))
+    pos = [locate(grid, angle) for _, angle in circuit]
+    angles = np.where(
+        u < [1.0 - p.lam for p in pos],
+        [grid.angle(p.k) for p in pos],
+        [grid.angle((p.k + 1) % grid.size) for p in pos],
+    )
+    state = np.zeros((37, 8), dtype=np.complex128)
+    state[:, 0] = 1.0
+    for j in range(len(circuit) + 1):
+        if j in cps:
+            ideal = oracles.circuit_matrix(circuit[:j], 3)[:, 0]
+            fid = np.abs(state @ ideal.conj()) ** 2
+            point = points[cps.index(j)]
+            assert point.n_gates == j
+            assert abs(point.fidelity - fid.mean()) < 1e-12
+            assert abs(point.std_error - fid.std(ddof=1) / math.sqrt(37)) < 1e-12
+        if j < len(circuit):
+            state = oracles.gather_rotate_batch(state, circuit[j][0].letters, angles[:, j])
 
 
 def test_two_notch_threads_do_not_change_results(rng):

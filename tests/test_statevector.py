@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pai import statevector
 from pai.estimate import _outcomes
 from pai.rng import stream
 from pai.statevector import (
@@ -19,6 +20,7 @@ from pai.statevector import (
     fidelity,
     pauli_expectation,
     rotate_batch,
+    run_batch,
     run_circuit,
     term_expectations,
 )
@@ -239,6 +241,122 @@ def test_rotate_batch_is_bit_identical_to_gather_reference(
         got = rotate_batch(amps, PauliString(letters), angles)
         assert np.array_equal(bits(amps), bits(before))
     assert np.array_equal(bits(got), bits(want))
+
+
+# ---------------------------------------------------------- fused blocks
+
+
+@st.composite
+def fusable_circuits(draw):
+    """``(n, letters, checkpoints)``: a random gate sequence on ``n`` qubits
+    rich in runs of one support (adjacent and non-adjacent pairs, single
+    qubits, non-commuting letters such as X then Y) and in wider gates,
+    and sorted cut points, some inside runs."""
+    n = draw(st.integers(1, 6))
+    pauli = st.sampled_from("XYZ")
+    letters = []
+    for _ in range(draw(st.integers(0, 14))):
+        kinds = ["one"] + (["pair"] if n >= 2 else []) + (["wide"] if n >= 3 else [])
+        if letters and draw(st.booleans()):  # continue the previous support
+            support = [q for q, c in enumerate(letters[-1]) if c != "I"]
+        else:
+            kind = draw(st.sampled_from(kinds))
+            if kind == "one":
+                support = [draw(st.integers(0, n - 1))]
+            elif kind == "pair":
+                a = draw(st.integers(0, n - 2))
+                support = [a, draw(st.integers(a + 1, n - 1))]
+            else:
+                support = sorted(draw(st.sets(st.integers(0, n - 1), min_size=3)))
+        for _ in range(draw(st.integers(1, 3 if len(support) <= 2 else 1))):
+            row = ["I"] * n
+            for q in support:
+                row[q] = draw(pauli)
+            letters.append("".join(row))
+    cuts = sorted(draw(st.sets(st.integers(0, len(letters)), max_size=3)))
+    return n, letters, cuts
+
+
+@given(
+    circuit=fusable_circuits(),
+    n_rows=st.sampled_from([1, 2, 7, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200)
+def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, seed):
+    # run_batch segment by segment, as the fidelity profile does, against
+    # the gather oracle gate by gate; each checkpoint state agrees
+    n, letters, cuts = circuit
+    r = np.random.default_rng(seed)
+    angles = r.uniform(-4 * np.pi, 4 * np.pi, (n_rows, len(letters)))
+    generators = [PauliString(g) for g in letters]
+    state = np.zeros((1 << n, n_rows), dtype=np.complex128)
+    state[0] = 1.0
+    spare = np.empty_like(state)
+    want = state.T.copy()
+    lo = 0
+    for cp in [*cuts, len(letters)]:
+        state, spare = run_batch(state, generators[lo:cp], angles[:, lo:cp], spare)
+        for j in range(lo, cp):
+            want = oracles.gather_rotate_batch(want, letters[j], angles[:, j])
+        np.testing.assert_allclose(state.T, want, rtol=0, atol=1e-12)
+        lo = cp
+
+
+def test_run_batch_rejects_strided_buffers():
+    state = np.zeros((4, 6), dtype=np.complex128)[:, ::2]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        run_batch(state, [PauliString("XZ")], np.zeros((3, 1)), np.empty((4, 3), complex))
+
+
+def test_spin_ring_blocks_are_sites_and_bond_triples():
+    from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
+
+    def blocks(n, layers):
+        circuit = neel_prep_circuit(n) + trotter_circuit(
+            spin_ring(n, 0.3, 11), TrotterSpec(1.0, layers)
+        )
+        plan, _, _ = statevector._block_plan(tuple(g.letters for g, _ in circuit))
+        return len(circuit), len(plan), plan
+
+    # the trotter, fidelity and rms workloads' circuits
+    assert blocks(8, 12)[:2] == (388, 196)
+    assert blocks(12, 37)[:2] == (1782, 894)
+    assert blocks(4, 2)[:2] == (34, 18)
+    _, _, plan = blocks(4, 1)
+    # two Neel X, four on-site Z, four bond triples
+    assert [hi - lo for lo, hi, _ in plan] == [1] * 6 + [3] * 4
+    # a bond triple touches 8 of its 16 entries: two flips of 4 rows each
+    _, flips, mix, _, diagonal = plan[-1][2]
+    assert mix.shape == (8, 8) and len(flips) == 2 and not diagonal
+    _, flips, _, _, diagonal = plan[2][2]  # an on-site Z
+    assert len(flips) == 1 and diagonal
+
+
+def test_large_phase_tables_are_not_cached():
+    statevector._view_factors.cache_clear()
+    statevector._pauli_view("ZZ")
+    sizes, index, phase = statevector._pauli_view("Z" * 24)
+    assert phase.size == 1 << 24
+    del phase
+    assert statevector._view_factors.cache_info().currsize == 1
+
+
+def test_long_plans_are_not_cached():
+    statevector._block_plan.cache_clear()
+    short = ("XI", "ZZ") * 1024
+    assert statevector._plan(short) is statevector._plan(short)
+    long = short + ("IY",)
+    assert len(statevector._plan(long)[0]) == 2049
+    assert statevector._block_plan.cache_info().currsize == 1
+
+
+def test_run_circuit_leaves_its_initial_state_unchanged(rng):
+    initial = run_circuit(oracles.random_circuit(rng, 3, 6), 3)
+    before = initial.amps.copy()
+    out = run_circuit([(PauliString("ZIZ"), 0.4), (PauliString("IXI"), 1.1)], 3, initial)
+    assert np.array_equal(initial.amps, before)
+    assert not np.shares_memory(out.amps, initial.amps)
 
 
 # ----------------------------------------------------------- expectation
