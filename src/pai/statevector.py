@@ -47,7 +47,6 @@ in-place multiply.  Gates on wider supports run alone through
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
