@@ -92,16 +92,11 @@ class EstimateResult:
 class ShotBank:
     """Outcomes grouped by variant: ``outcomes[v, i]`` is shot ``i`` of
     variant ``v``; the estimate of shot ``(v, i)`` is
-    ``outcomes[v, i] * variant_signs[v] * weight``.  ``decomposition`` is
-    the circuit decomposition a PAI bank sampled from (``None`` for the
-    reference banks)."""
+    ``outcomes[v, i] * variant_signs[v] * weight``."""
 
     outcomes: np.ndarray
     variant_signs: np.ndarray
     weight: float
-    decomposition: CircuitDecomposition | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def n_variants(self) -> int:
@@ -131,6 +126,14 @@ class ShotBank:
             n_variants=self.n_variants,
             overhead_bound=self.weight**2,
         )
+
+
+@dataclass
+class _PaiBank(ShotBank):
+    """The bank of :func:`pai_shot_bank` with the circuit decomposition it
+    sampled from, so a caller that reports overheads decomposes once."""
+
+    decomposition: CircuitDecomposition = field(repr=False, compare=False)
 
 
 def per_variant_rows(bank: ShotBank) -> list[tuple[int, int, float, float]]:
@@ -292,13 +295,12 @@ def pai_shot_bank(
         return signs.astype(np.int8), _outcomes(u_shots, ev[:, None])
 
     parts = _map_variants(worker, n_variants, n, threads)
-    bank = ShotBank(
+    return _PaiBank(
         outcomes=np.concatenate([p[1] for p in parts], axis=0),
         variant_signs=np.concatenate([p[0] for p in parts]),
         weight=dec.norm1_total,
+        decomposition=dec,
     )
-    bank.decomposition = dec
-    return bank
 
 
 def pai_estimate(

@@ -213,15 +213,14 @@ wide_letters_st = st.integers(1, 6).flatmap(
 @given(
     letters=wide_letters_st,
     n_rows=st.sampled_from([1, 2, 7, 64]),
-    transposed=st.booleans(),
+    layout=st.sampled_from(["rows", "transposed", "work=amps"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150)
-def test_rotate_batch_is_bit_identical_to_gather_reference(
-    letters, n_rows, transposed, seed
-):
+def test_rotate_batch_is_bit_identical_to_gather_reference(letters, n_rows, layout, seed):
     # same per-element arithmetic as the index-gather kernel, so equal bits,
-    # for C-ordered (V, dim) rows and for the transpose of a (dim, V) buffer
+    # for C-ordered (V, dim) rows, for the transpose of a (dim, V) buffer
+    # and for that transpose scaled in place as the work buffer
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
@@ -230,12 +229,14 @@ def test_rotate_batch_is_bit_identical_to_gather_reference(
     amps = r.standard_normal((n_rows, dim)) + 1j * r.standard_normal((n_rows, dim))
     angles = r.uniform(-4 * np.pi, 4 * np.pi, n_rows)
     want = oracles.gather_rotate_batch(amps, letters, angles)
-    if transposed:
-        buf = np.ascontiguousarray(amps.T)
-        out, work = np.empty_like(buf), np.empty_like(buf)
-        got = rotate_batch(buf.T, PauliString(letters), angles, out=out.T, work=work.T)
+    if layout != "rows":
+        buf = amps.T.copy()
+        out = np.empty_like(buf)
+        work = buf.T if layout == "work=amps" else np.empty_like(buf).T
+        got = rotate_batch(buf.T, PauliString(letters), angles, out=out.T, work=work)
         assert np.shares_memory(got, out)
-        assert np.array_equal(bits(buf.T), bits(amps))
+        if layout == "transposed":
+            assert np.array_equal(bits(buf.T), bits(amps))
     else:
         before = amps.copy()
         got = rotate_batch(amps, PauliString(letters), angles)
@@ -309,6 +310,54 @@ def test_run_batch_rejects_strided_buffers():
         run_batch(state, [PauliString("XZ")], np.zeros((3, 1)), np.empty((4, 3), complex))
 
 
+@pytest.mark.parametrize("angles_shape", [(3, 1), (3, 3), (2, 2), (3,), (0, 2)])
+def test_run_batch_rejects_angles_that_do_not_cover_every_gate(angles_shape):
+    # a short angle array would leave blocks reading unset cos/sin rows
+    rows = angles_shape[0]
+    state = np.zeros((4, 3 if rows else 0), dtype=np.complex128)
+    state[0] = 1.0
+    generators = [PauliString("XX"), PauliString("YY")]
+    with pytest.raises(ValueError, match="angles must be"):
+        run_batch(state, generators, np.zeros(angles_shape), np.empty_like(state))
+
+
+def test_single_gates_run_through_rotate_batch(monkeypatch):
+    # a gate outside any fused block is the single-gate kernel's call, in
+    # place for a diagonal generator and onto the spare buffer otherwise
+    calls = []
+    kernel = statevector.rotate_batch
+
+    def spy(amps, generator, angles, **kw):
+        calls.append((generator.letters, any(x is amps for x in kw.values())))
+        return kernel(amps, generator, angles, **kw)
+
+    monkeypatch.setattr(statevector, "rotate_batch", spy)
+    letters = ["XI", "IZ", "XX", "YY", "ZZ", "ZI"]
+    state = np.zeros((4, 2), dtype=np.complex128)
+    state[0] = 1.0
+    run_batch(state, [PauliString(g) for g in letters], np.ones((2, 6)), np.empty_like(state))
+    assert calls == [("XI", True), ("IZ", True), ("ZI", True)]
+
+
+@given(letters=wide_letters_st, n_rows=st.sampled_from([1, 2, 7, 64]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60)
+def test_rotate_batch_in_place_agrees_for_diagonal_generators(letters, n_rows, seed):
+    # out=amps multiplies each row by one table; it agrees to rounding and
+    # refuses a generator that flips bits
+    r = np.random.default_rng(seed)
+    dim = 1 << len(letters)
+    amps = r.standard_normal((n_rows, dim)) + 1j * r.standard_normal((n_rows, dim))
+    angles = r.uniform(-4 * np.pi, 4 * np.pi, n_rows)
+    want = oracles.gather_rotate_batch(amps, letters, angles)
+    rows = amps.T.copy().T
+    if "X" in letters or "Y" in letters:
+        with pytest.raises(ValueError, match="diagonal"):
+            rotate_batch(rows, PauliString(letters), angles, out=rows)
+    else:
+        assert rotate_batch(rows, PauliString(letters), angles, out=rows) is rows
+        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
+
+
 def test_spin_ring_blocks_are_sites_and_bond_triples():
     from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
 
@@ -329,8 +378,7 @@ def test_spin_ring_blocks_are_sites_and_bond_triples():
     # a bond triple touches 8 of its 16 entries: two flips of 4 rows each
     _, flips, mix, _, diagonal = plan[-1][2]
     assert mix.shape == (8, 8) and len(flips) == 2 and not diagonal
-    _, flips, _, _, diagonal = plan[2][2]  # an on-site Z
-    assert len(flips) == 1 and diagonal
+    assert plan[2][2] is None  # an on-site Z runs alone through rotate_batch
 
 
 def test_large_phase_tables_are_not_cached():
