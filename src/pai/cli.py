@@ -364,6 +364,8 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
     circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", cfg.observable_qubit, cfg.num_qubits)
     grid = _grid_from(cfg.bits)
+    # before any bank is drawn, so an overhead that overflows exits 2 at once
+    worst = worst_case_overhead(len(circuit), grid.delta_max)
     exact = continuous_expectation(circuit, observable)
     n_shots = cfg.n_variants * cfg.shots_per_variant
 
@@ -392,7 +394,7 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
         "seed": cfg.master_seed,
         "n_gates": dec.num_gates,
         "n_prep_gates": len(neel_prep_circuit(cfg.num_qubits)),
-        "worst_case_overhead": worst_case_overhead(dec.num_gates, grid.delta_max),
+        "worst_case_overhead": worst,
         "refined_overhead": refined,
         "lam_tilde": lam_tilde,
     }
@@ -472,11 +474,10 @@ def _cmd_fidelity(cfg: FidelityConfig, threads: int) -> int:
     checkpoints = sorted(
         set(int(round(c)) for c in np.linspace(0, len(circuit), cfg.n_checkpoints))
     )
+    lam_tilde, refined = refined_overhead(decompose_circuit(grid, circuit))
     points = two_notch_fidelity_profile(
         grid, circuit, checkpoints, cfg.n_variants, cfg.master_seed, threads=threads
     )
-    dec = decompose_circuit(grid, circuit)
-    lam_tilde, refined = refined_overhead(dec)
     rows = [(p.n_gates, p.fidelity, p.std_error) for p in points]
     return _write_outputs(
         cfg,

@@ -15,6 +15,13 @@ its shot uniforms from the stream ``(master_seed, *key, v)``
 (:func:`_pai_variants`) and measured (:func:`_outcomes`).  :mod:`pai.rng`
 tables the keys of every subcommand.
 
+The simulation takes each variant's setting indices, not its angles: gate
+``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
+(:class:`_SettingCircuit`), which :func:`pai.statevector.run_batch` turns
+into per-block table look-ups.  The leading gates that take setting 0 in
+every variant, such as the Neel X at pi, run once on one row, and their
+state starts every chunk.
+
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
 results are bit-identical for any ``threads`` value.
@@ -42,6 +49,7 @@ from .statevector import (
     Statevector,
     batch_expectation,
     batch_pauli_expectation,
+    rotate_batch,
     run_batch,
     run_circuit,
     term_expectations,
@@ -191,16 +199,15 @@ def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> lis
     return _map_chunks(worker, bounds, threads)
 
 
-def _chunk_buffers(n_rows: int, num_qubits: int):
+def _chunk_buffers(n_rows: int, initial: np.ndarray):
     """``(state, spare)`` for one chunk of ``n_rows`` variants.
 
     Each is a C-contiguous ``(dim, V)`` buffer, so the kernel's inner loops
     run over the variants; :func:`run_batch` swaps the state and the spare
-    as its blocks need.  The state starts as ``|0...0>`` in every column.
+    as its blocks need.  The state starts as ``initial`` in every column.
     """
-    shape = (1 << num_qubits, n_rows)
-    state = np.zeros(shape, dtype=np.complex128)
-    state[0] = 1.0
+    state = np.empty((initial.shape[0], n_rows), dtype=np.complex128)
+    state[...] = initial[:, None]
     return state, np.empty_like(state)
 
 
@@ -212,13 +219,54 @@ def _as_rows(state: np.ndarray, buffer: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _simulate_variants(
-    generators, angles: np.ndarray, num_qubits: int
-) -> np.ndarray:
-    """Run one realized circuit per row of ``angles`` from the all-zeros
-    state; returns the C-ordered ``(V, dim)`` amplitude batch."""
-    state, spare = _chunk_buffers(angles.shape[0], num_qubits)
-    state, spare = run_batch(state, generators, angles, spare)
+@dataclass(frozen=True)
+class _SettingCircuit:
+    """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
+    variant that draws setting ``s``.  Its first ``start`` gates take
+    setting 0 in every variant, so they run once: ``initial`` is the state
+    they make from ``|0...0>``."""
+
+    generators: tuple
+    table: np.ndarray
+    start: int
+    initial: np.ndarray
+
+
+def _setting_circuit(
+    generators, table: np.ndarray, fixed, num_qubits: int, stop: int | None = None
+) -> _SettingCircuit:
+    """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
+    setting angles ``table``.  Its fixed prefix is the leading gates before
+    gate ``stop`` (default: all) that ``fixed`` marks as taking setting 0
+    in every variant, such as the Neel X at pi; it runs once, on one row,
+    through :func:`rotate_batch`."""
+    stop = len(generators) if stop is None else stop
+    amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
+    amps[0, 0] = 1.0
+    start = 0
+    while start < stop and fixed[start]:
+        amps = rotate_batch(amps, generators[start], table[start, :1])
+        start += 1
+    return _SettingCircuit(tuple(generators), table, start, amps[0])
+
+
+def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
+    """The :class:`_SettingCircuit` of a decomposition; a gate whose first
+    setting has probability 1 (a gate on a notch) is fixed."""
+    fixed = dec.thresholds_low >= 1.0
+    return _setting_circuit(dec.generators, dec.setting_angle_table, fixed, num_qubits)
+
+
+def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarray:
+    """Run one realized circuit per row of ``angles``, the ``(V, nu)``
+    setting indices: variant ``v`` runs gate ``j`` at angle
+    ``circuit.table[j, angles[v, j]]``.  Returns the C-ordered ``(V, dim)``
+    amplitude batch."""
+    start = circuit.start
+    state, spare = _chunk_buffers(angles.shape[0], circuit.initial)
+    state, spare = run_batch(
+        state, circuit.generators[start:], angles[:, start:], circuit.table[start:], spare
+    )
     return _as_rows(state, spare)
 
 
@@ -238,11 +286,12 @@ def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=No
     return u, u_shots
 
 
-def _pai_variants(dec: CircuitDecomposition, u: np.ndarray, num_qubits: int):
+def _pai_variants(dec: CircuitDecomposition, circuit: _SettingCircuit, u: np.ndarray):
     """``(signs, amps)`` of the variants that the ``(V, nu)`` setting
-    uniforms ``u`` select; ``amps`` is the C-ordered ``(V, dim)`` batch."""
-    _, signs, angles = settings_from_uniforms(dec, u)
-    return signs, _simulate_variants(dec.generators, angles, num_qubits)
+    uniforms ``u`` select from ``dec``, whose :func:`_pai_circuit` is
+    ``circuit``; ``amps`` is the C-ordered ``(V, dim)`` batch."""
+    settings, signs = settings_from_uniforms(dec, u)
+    return signs, _simulate_variants(circuit, settings)
 
 
 def _outcomes(u: np.ndarray, ev) -> np.ndarray:
@@ -287,10 +336,11 @@ def pai_shot_bank(
     circuit, n = _circuit_qubits(circuit, observable)
     dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
+    variants = _pai_circuit(dec, n)
 
     def worker(lo: int, hi: int):
         u, u_shots = _variant_uniforms(master_seed, (), lo, hi, nu, shots_per_variant)
-        signs, amps = _pai_variants(dec, u, n)
+        signs, amps = _pai_variants(dec, variants, u)
         ev = batch_pauli_expectation(amps, observable)
         return signs.astype(np.int8), _outcomes(u_shots, ev[:, None])
 
@@ -405,15 +455,16 @@ def exact_pai_expectation(
         return continuous_expectation([], obs)
     gamma_table = np.array([qp.gammas for qp in dec.per_gate])
     all_idx = np.stack(
-        np.meshgrid(*[np.arange(3)] * nu, indexing="ij"), axis=-1
+        np.meshgrid(*[np.arange(3, dtype=np.int8)] * nu, indexing="ij"), axis=-1
     ).reshape(-1, nu)
     cols = np.arange(nu)
+    # every variant is enumerated, so no gate is fixed
+    variants = _setting_circuit(dec.generators, dec.setting_angle_table, [False] * nu, n)
     total = 0.0
     for lo, hi in _chunk_bounds(all_idx.shape[0], 4096):
         idx = all_idx[lo:hi]
         weights = gamma_table[cols, idx].prod(axis=1)
-        angles = dec.setting_angle_table[cols, idx]
-        amps = _simulate_variants(dec.generators, angles, n)
+        amps = _simulate_variants(variants, idx)
         total += float(weights @ batch_expectation(amps, obs))
     return total
 
@@ -444,12 +495,13 @@ def pai_observable_mean(
     dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
     n_terms = len(terms)
+    variants = _pai_circuit(dec, n)
 
     def worker(lo: int, hi: int):
         u, u_shots = _variant_uniforms(
             master_seed, key, lo, hi, nu, n_terms * shots_per_variant
         )
-        signs, amps = _pai_variants(dec, u, n)
+        signs, amps = _pai_variants(dec, variants, u)
         evs = term_expectations(amps, terms)
         u_shots = u_shots.reshape(hi - lo, n_terms, shots_per_variant)
         outcome_means = _outcomes(u_shots, evs[:, :, None]).mean(axis=2)
@@ -524,9 +576,14 @@ def two_notch_fidelity_profile(
             raise ValueError("circuit generators act on differing qubit counts")
 
     positions = [locate(grid, angle) for _, angle in circuit]
-    low = np.array([grid.angle(p.k) for p in positions])
-    high = np.array([grid.angle((p.k + 1) % grid.size) for p in positions])
+    low = [grid.angle(p.k) for p in positions]
+    high = [grid.angle((p.k + 1) % grid.size) for p in positions]
+    # setting 0 is the lower notch, taken below the threshold 1 - lam
+    table = np.array([low, high], dtype=np.float64).T
     thresholds = np.array([1.0 - p.lam for p in positions])
+    # a gate on a notch always takes its lower one; that prefix runs once,
+    # up to the first checkpoint
+    variants = _setting_circuit(generators, table, thresholds >= 1.0, n, stop=cps[0])
 
     # run_circuit never writes to the amplitudes of ``initial``, so the
     # checkpoint states need no copies
@@ -541,13 +598,15 @@ def two_notch_fidelity_profile(
     def worker(lo_v: int, hi_v: int):
         count = hi_v - lo_v
         u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
-        angles = np.where(u < thresholds, low, high)
-        state, spare = _chunk_buffers(count, n)
+        settings = (u >= thresholds).astype(np.int8)
+        state, spare = _chunk_buffers(count, variants.initial)
         fid = np.empty((count, len(cps)))
-        step = 0
+        step = variants.start
         for m, cp in enumerate(cps):
             # one run per segment, so no block crosses a checkpoint
-            state, spare = run_batch(state, generators[step:cp], angles[:, step:cp], spare)
+            state, spare = run_batch(
+                state, generators[step:cp], settings[:, step:cp], table[step:cp], spare
+            )
             step = cp
             # spare is free between segments; it holds the checkpoint rows
             fid[:, m] = np.abs(_as_rows(state, spare) @ np.conj(ideal[cp])) ** 2
@@ -601,6 +660,7 @@ def rms_vs_shots(
     dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
     exact = continuous_expectation(circuit, observable)
+    variants = _pai_circuit(dec, n)
     block = 8192  # fixed draw-block size keeps streams thread-independent
 
     def run_mean(budget_index: int, repeat: int) -> float:
@@ -610,7 +670,7 @@ def rms_vs_shots(
         for lo, hi in _chunk_bounds(n_shots, block):
             u = r.random((hi - lo, nu))
             u_shots = r.random(hi - lo)
-            signs, amps = _pai_variants(dec, u, n)
+            signs, amps = _pai_variants(dec, variants, u)
             outcomes = _outcomes(u_shots, batch_pauli_expectation(amps, observable))
             acc += float(outcomes @ signs)
         return dec.norm1_total * acc / n_shots

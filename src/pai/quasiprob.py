@@ -54,6 +54,15 @@ class DegenerateSettingsError(ValueError):
     target channel (numerically singular constraint system)."""
 
 
+def _exp(log_value: float, what: str) -> float:
+    """``exp(log_value)``; a ``ValueError`` naming ``what`` where that
+    overflows a float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{what} exp({log_value:.6g}) overflows a float") from None
+
+
 def gamma_uniform(theta: float, delta: float) -> tuple[float, float, float]:
     """Interpolation coefficients for offset ``theta`` in a gap ``delta``.
 
@@ -208,7 +217,8 @@ def decompose_circuit(
     """Decompose every gate of ``circuit`` over ``grid``.
 
     The total weight ``||g||_1`` is the product of per-gate one-norms,
-    accumulated in log space so long circuits cannot lose precision.
+    accumulated in log space so long circuits cannot lose precision; a
+    weight that overflows a float raises ``ValueError``.
     """
     generators = []
     per_gate = []
@@ -221,33 +231,31 @@ def decompose_circuit(
     return CircuitDecomposition(
         generators=tuple(generators),
         per_gate=tuple(per_gate),
-        norm1_total=math.exp(log_norm),
+        norm1_total=_exp(log_norm, "circuit weight"),
     )
 
 
 def settings_from_uniforms(
     dec: CircuitDecomposition, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized inverse-CDF over a ``(V, num_gates)`` uniform block.
 
-    Returns ``(indices, signs, angles)`` where ``indices`` is ``(V, nu)``
-    with values in {1, 2, 3}, ``signs`` is the per-variant sign product and
-    ``angles`` the realized setting angles.  Gate ``j`` of a row takes
-    setting 1 for a uniform below ``p1``, 2 below ``p1 + p2`` and 3
-    otherwise.
+    Returns ``(indices, signs)``: ``indices`` is ``(V, nu)`` int8 with
+    values in {0, 1, 2}, which index each gate's ``setting_angles``, and
+    ``signs`` is each variant's sign product, -1 for an odd count of
+    negative settings.  Gate ``j`` of a row takes setting 0 for a uniform
+    below ``p1``, 1 below ``p1 + p2`` and 2 otherwise.
     """
-    idx0 = (u >= dec.thresholds_low).astype(np.int8)
-    idx0 += u >= dec.thresholds_high
-    nu = dec.num_gates
-    cols = np.arange(nu)
-    signs = dec.setting_sign_table[cols, idx0].prod(axis=1)
-    angles = dec.setting_angle_table[cols, idx0]
-    return idx0 + np.int8(1), signs.astype(np.int64), angles
+    idx = (u >= dec.thresholds_low).astype(np.int8)
+    idx += u >= dec.thresholds_high
+    negative = dec.setting_sign_table[np.arange(dec.num_gates), idx] < 0
+    return idx, 1 - 2 * (np.count_nonzero(negative, axis=1) & 1)
 
 
 def worst_case_overhead(nu: int, delta_max: float) -> float:
     """Sampling-variance inflation ``||g||_1**2`` for ``nu`` gates all at
-    the worst offset (mid-gap) of a grid with largest gap ``delta_max``."""
+    the worst offset (mid-gap) of a grid with largest gap ``delta_max``;
+    ``ValueError`` where it overflows a float."""
     nu = int(nu)
     if nu < 0:
         raise ValueError("gate count must be non-negative")
@@ -256,7 +264,7 @@ def worst_case_overhead(nu: int, delta_max: float) -> float:
         raise ValueError("delta_max must be in (0, pi/2]")
     # mid-gap one-norm is 1 + 2 * sec(d/2) * sin(d/4)**2, the max over offsets
     excess = 2.0 * math.sin(0.25 * delta_max) ** 2 / math.cos(0.5 * delta_max)
-    return math.exp(2.0 * nu * math.log1p(excess))
+    return _exp(2.0 * nu * math.log1p(excess), f"worst-case overhead of {nu} gates")
 
 
 def refined_overhead(dec: CircuitDecomposition) -> tuple[float, float]:
@@ -273,7 +281,7 @@ def refined_overhead(dec: CircuitDecomposition) -> tuple[float, float]:
     lams = np.array([qp.lam for qp in dec.per_gate])
     dmax = max(qp.delta_k for qp in dec.per_gate)
     lam_tilde = float(4.0 * np.mean(lams * (1.0 - lams)))
-    bound = math.exp(0.25 * nu * lam_tilde * dmax * dmax)
+    bound = _exp(0.25 * nu * lam_tilde * dmax * dmax, f"refined overhead of {nu} gates")
     return lam_tilde, bound
 
 

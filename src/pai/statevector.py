@@ -30,22 +30,24 @@ contiguous variants.
 
 Circuits run as fused blocks (:func:`run_batch`), in the manner of qsim's
 gate fusion (Isakov et al., arXiv 2111.02396) with qulacs-style small-gate
-kernels (Suzuki et al., arXiv 2011.13524).  The plan depends on the
-generator letters alone: each maximal run of consecutive gates on one
-support of at most two qubits, capped at four gates, is one block; on the
-spin ring that is each Neel X, each on-site Z and each bond's XX, YY, ZZ
-triple.  A block's unitary is the ordered product of ``cos I - 1j sin P``,
-expanded into ``2**m`` cached Pauli products (each a phased bit flip of
-the support) times ``V``-long products of the gates' cosines and sines.
-Grouped by flip, it is ``sum_f D_f * psi[c ^ f]``: one multiply per flip
-through a view of the ``(dim, V)`` chunk whose support axes are reversed
-where ``f`` flips them, so only the structurally nonzero entries are
-touched (8 of 16 for a bond triple), and a diagonal block is a single
-in-place multiply.  A block of one gate (each Neel X and on-site Z), or a
-gate on a wider support, runs through :func:`rotate_batch`, the
-single-gate kernel: in place for a diagonal generator, else onto the
-spare buffer with its input scaled in place, so no third buffer is
-needed.
+kernels (Suzuki et al., arXiv 2011.13524).  Each gate takes one of ``S``
+settings per variant: a ``(V, nu)`` array of setting indices picks each
+variant's angles from a ``(nu, S)`` table (``S`` is 3 for PAI, 2 for the
+two-notch scheme and 1 for a single circuit).  The plan depends on the
+generator letters alone: each run of consecutive gates on one support of
+at most two qubits is one block, and a single-qubit Z moves forward, past
+gates off its qubit, into the block of the next gate on its qubit.  A
+block holds at most six gates, ``3**6 = 729`` setting combinations; on the
+spin ring it is a bond's XX, YY, ZZ triple with the on-site Z gates that
+precede it.  A block's table holds the structurally nonzero entries of its
+unitary for every combination, built once per block letters and setting
+angles and cached; per chunk each variant's combination code picks its
+column in one ``take``.  Grouped by flip, the block is ``sum_f D_f *
+psi[c ^ f]``: one multiply per flip through a view of the ``(dim, V)``
+chunk whose support axes are reversed where ``f`` flips them, so only the
+structurally nonzero entries are touched (8 of 16 for a bond triple), and
+a diagonal block is a single in-place multiply.  A gate on more than two
+qubits runs alone through :func:`rotate_batch`, the single-gate kernel.
 """
 
 from __future__ import annotations
@@ -249,76 +251,27 @@ def _check_compatible(pauli: PauliString, dim: int) -> None:
         )
 
 
-def _same_view(a: np.ndarray | None, b: np.ndarray) -> bool:
-    """Whether ``a`` reads the same memory as ``b`` with the same shape
-    and strides."""
-    return a is b or (
-        a is not None
-        and a.shape == b.shape
-        and a.strides == b.strides
-        and a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
-    )
-
-
 def rotate_batch(
     amps: np.ndarray,
     generator: PauliString,
     angles: np.ndarray,
     *,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Apply ``exp(-1j*angles[v]/2 * G)`` to each row of a ``(V, dim)`` batch.
 
-    ``amps`` may have any strides; it runs fastest as the transpose of a
-    C-contiguous ``(dim, V)`` buffer, whose inner loops run over the ``V``
-    contiguous variants.  The result goes to ``out`` and ``work`` holds
-    ``-1j sin * G psi``; both are ``(V, dim)`` arrays that must not overlap
-    ``amps`` or each other, and ``amps`` is left unmodified.  When not
-    given, ``out`` is allocated in the layout of ``amps`` and ``work``
-    C-ordered.  Returns ``out``.
-
-    Two calls overwrite ``amps`` instead, to save a buffer; ``amps`` is
-    then passed again, as the same array or a view with its shape and
-    strides.  With ``work=amps``, row ``psi`` becomes ``psi[x] *
-    phase[x ^ f] * -1j sin``, which is ``-1j sin * G psi`` read through the
-    flipped view, so the bits are those of the default call.  With
-    ``out=amps`` (and no ``work``) for a diagonal ``G``, one with no X or
-    Y, each row is multiplied in place by ``cos - 1j sin * phase``, a
-    ``(V, 2**w)`` table for ``G`` of weight ``w``; that agrees with the
-    default call to rounding.
+    ``amps`` may have any strides and is left unmodified; the transpose
+    of a C-contiguous ``(dim, V)`` buffer runs fastest.  The result goes
+    to ``out``, a ``(V, dim)`` array that must not overlap ``amps``,
+    allocated in the layout of ``amps`` when not given.  Returns ``out``.
     """
     _check_compatible(generator, amps.shape[1])
     half = 0.5 * np.asarray(angles, dtype=np.float64)
-    cos = np.cos(half)[:, None]
-    sin = (-1j * np.sin(half))[:, None]
-    if _same_view(work, amps):
-        if out is None:
-            out = np.empty_like(amps)
-        sizes, index, phase = _pauli_view(generator.letters)
-        view = amps.reshape((amps.shape[0], *sizes))
-        np.multiply(amps, cos, out=out)
-        if phase.size > 1:  # a string of X alone has phase 1
-            view *= phase[index]
-        amps *= sin
-        flipped = out.reshape(view.shape)
-        flipped += view[index]
-        return out
-    if _same_view(out, amps):
-        if "X" in generator.letters or "Y" in generator.letters:
-            raise ValueError("only a diagonal generator rotates in place")
-        sizes, _, phase = _pauli_view(generator.letters)
-        # the table's variants are contiguous, as in a transposed chunk
-        table = cos.T + phase.reshape(-1, 1) * sin.T
-        table = table.T.reshape(-1, *phase.shape[1:])
-        view = amps.reshape((amps.shape[0], *sizes))
-        np.multiply(view, table, out=view)
-        return amps
     if out is None:
         out = np.empty_like(amps)
-    work = _apply_pauli(amps, generator, out=work)
-    np.multiply(amps, cos, out=out)
-    work *= sin
+    work = _apply_pauli(amps, generator, out=np.empty_like(amps))
+    np.multiply(amps, np.cos(half)[:, None], out=out)
+    work *= (-1j * np.sin(half))[:, None]
     out += work
     return out
 
@@ -330,74 +283,94 @@ _PAULI_2X2 = {
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
 
-# a block of m gates expands into 2**m coefficient products per variant
-_MAX_BLOCK_GATES = 4
-# plans of longer circuits are rebuilt on every call, so the 64-entry plan
-# cache holds at most 64 * 2,048 blocks (a few MiB); a kernel's tables
-# take at most 4 KiB, so the 256-entry kernel cache stays near 1 MiB
+# a block's table has one column per setting combination, at most 3**6 =
+# 729 for six gates at three settings, so a table takes at most 16 rows *
+# 729 * 16 B = 182 KiB and the 128-entry table cache at most 23 MiB.  Plans
+# of longer circuits are rebuilt on every call, so the 64-entry plan cache
+# holds at most 64 * 2,048 blocks (a few MiB)
+_MAX_BLOCK_GATES = 6
+_MAX_SETTINGS = 3
 _CACHED_PLAN_GATES = 2048
 
 
 @lru_cache(maxsize=256)
-def _block_kernel(num_qubits: int, support: tuple[int, ...], local: tuple[str, ...]):
-    """``(shape, flips, mix, table_shape, diagonal)`` of one fused block.
+def _block_kernel(num_qubits: int, support: tuple[int, ...], flips: tuple[int, ...]):
+    """``(shape, index, table_shape, diagonal)`` of a block on ``support``
+    (one or two qubits, ascending) whose unitary makes the bit ``flips``.
 
-    ``support`` holds the block's one or two qubits in ascending order and
-    ``local`` each gate's letters on them, lowest qubit first.  A chunk
-    reshaped to ``shape + (V,)`` has one length-2 axis per support qubit,
-    highest first.  Local basis index ``r`` carries the lowest qubit in its
-    least significant bit.  The product of ``cos I - 1j sin P`` over the
-    block's gates expands into subsets ``S`` of the gates: a Pauli product
-    ``P_S`` (later gates on the left) times ``(-1)**|S|`` and the product
-    of ``1j sin`` over the gates in ``S`` and ``cos`` over the rest.
-    ``P_S`` maps local basis state ``r ^ f_S`` to ``r``.  For the ``i``-th
-    flip ``f`` that some ``P_S`` makes (the identity, from the empty
-    subset, is the first), ``flips[i]`` is the index that reverses the
-    flipped axes, and row ``i * 2**w + r`` of ``mix`` holds
-    ``(-1)**|S| * P_S[r, r ^ f]`` in column ``S``, zero where
-    ``f_S != f``.  Gate ``i`` of ``m`` is bit
-    ``m - 1 - i`` of the column index.  ``mix`` times the ``(2**m, V)``
-    products, reshaped to ``table_shape + (V,)``, is one table per flip
-    that broadcasts against the reshaped chunk.  ``diagonal`` says the
+    A chunk reshaped to ``shape + (V,)`` has one length-2 axis per support
+    qubit, highest first.  ``index[i]`` reverses the axes that ``flips[i]``
+    flips, so the view reads ``psi[c ^ f]`` at ``c``.  A block's looked-up
+    ``(rows, V)`` table reshaped to ``table_shape + (V,)`` is one table per
+    flip that broadcasts against the reshaped chunk.  ``diagonal`` says the
     identity is the only flip.
     """
     w = len(support)
-    k = 1 << w
-    mats = []
-    for letters in local:
-        mat = np.ones((1, 1), dtype=np.complex128)
-        for c in letters:  # lowest qubit first, so it ends up rightmost
-            mat = np.kron(_PAULI_2X2[c], mat)
-        mats.append(mat)
-    m = len(mats)
-    rows = np.arange(k)
-    by_flip: dict[int, np.ndarray] = {}
-    for col in range(1 << m):
-        prod = np.eye(k, dtype=np.complex128)
-        chosen = [i for i in range(m) if col >> (m - 1 - i) & 1]
-        for i in chosen:
-            prod = mats[i] @ prod
-        flip = int(np.flatnonzero(prod[0])[0])  # row 0 reads column 0 ^ f
-        entries = by_flip.setdefault(flip, np.zeros((k, 1 << m), dtype=np.complex128))
-        entries[:, col] = (-1) ** len(chosen) * prod[rows, rows ^ flip]
-    order = sorted(by_flip)
-    mix = np.concatenate([by_flip[f] for f in order])
-    mix.flags.writeable = False
     shape: tuple[int, ...] = ()
     above = num_qubits
     for q in reversed(support):
         shape += (1 << (above - 1 - q), 2)
         above = q
     shape += (1 << above,)
-    bit_axes = [2 * i + 1 for i in range(w)]  # highest support qubit first
-    flips = []
-    for f in order:
-        index = [slice(None)] * (2 * w)
-        for i, axis in enumerate(bit_axes):
+    index = []
+    for f in flips:
+        axes = [slice(None)] * (2 * w)
+        for i in range(w):  # axis 2 * i + 1 holds support qubit w - 1 - i
             if f >> (w - 1 - i) & 1:
-                index[axis] = slice(None, None, -1)
-        flips.append(tuple(index))
-    return shape, tuple(flips), mix, (len(order), *(2, 1) * w), order == [0]
+                axes[2 * i + 1] = slice(None, None, -1)
+        index.append(tuple(axes))
+    return shape, tuple(index), (len(flips), *(2, 1) * w), flips == (0,)
+
+
+@lru_cache(maxsize=256)
+def _block_paulis(local: tuple[str, ...]):
+    """``(flips, paulis, rows, cols)`` of a block's gates ``local``, each
+    gate's letters lowest support qubit first, which is the least
+    significant bit of a local index ``r``.  ``flips`` holds the bit flips
+    that products of the gates make, ascending, so the identity comes
+    first; ``paulis`` stacks the gates' ``(2**w, 2**w)`` matrices; ``(rows,
+    cols)`` are the entries ``(r, r ^ f)``, flip by flip, that
+    :func:`_block_table` keeps."""
+    flips = {0}
+    mats = []
+    for letters in local:
+        f = sum(1 << i for i, c in enumerate(letters) if c in "XY")
+        flips |= {x ^ f for x in flips}
+        mat = np.ones((1, 1), dtype=np.complex128)
+        for c in letters:  # the lowest qubit ends up the rightmost factor
+            mat = np.kron(_PAULI_2X2[c], mat)
+        mats.append(mat)
+    flips = tuple(sorted(flips))
+    r = np.arange(mats[0].shape[0])
+    cols = np.concatenate([r ^ f for f in flips])
+    return flips, np.array(mats), np.tile(r, len(flips)), cols
+
+
+@lru_cache(maxsize=128)
+def _block_table(
+    local: tuple[str, ...], angles: tuple[tuple[float, ...], ...]
+) -> np.ndarray:
+    """Structurally nonzero entries of a block's unitary for every setting
+    combination, as a read-only ``(rows, S**m)`` array.
+
+    Gate ``i`` of the block's ``m`` has letters ``local[i]`` on the support
+    and runs at angle ``angles[i][s]`` at setting ``s``.  Column ``sum_i
+    s_i * S**i`` holds the combination ``(s_0, s_1, ...)``; row ``i * 2**w
+    + r`` holds ``U[r, r ^ f]`` for the ``i``-th flip ``f`` of
+    :func:`_block_paulis`.  Keyed on letters and angles, so blocks and
+    calls that repeat them share one entry.
+    """
+    _, paulis, rows, cols = _block_paulis(local)
+    k = paulis.shape[1]
+    half = 0.5 * np.array(angles)[:, :, None, None]
+    gates = np.cos(half) * np.eye(k) - 1j * np.sin(half) * paulis[:, None]
+    unitary = gates[0]
+    for i in range(1, len(local)):
+        # gate i's setting becomes the leading, most significant axis
+        unitary = np.matmul(gates[i].reshape(-1, *(1,) * i, k, k), unitary)
+    out = np.ascontiguousarray(unitary.reshape(-1, k, k)[:, rows, cols].T)
+    out.flags.writeable = False
+    return out
 
 
 def _plan(letters: tuple[str, ...]) -> tuple:
@@ -410,118 +383,125 @@ def _plan(letters: tuple[str, ...]) -> tuple:
 
 @lru_cache(maxsize=64)
 def _block_plan(letters: tuple[str, ...]) -> tuple:
-    """``(blocks, gates, rows)`` of a gate sequence.
+    """``(blocks, rows)`` of a gate sequence.
 
-    ``blocks`` holds ``(lo, hi, kernel)`` per block, where gates ``lo`` to
-    ``hi - 1``, at least two, share one support of at most two qubits and
-    ``kernel`` is their :func:`_block_kernel`, or ``(lo, lo + 1, None)``
-    for a gate that runs alone through :func:`rotate_batch`.  ``gates`` and
-    ``rows`` are the most gates and table rows of a fused block, which
-    size the scratch of :func:`run_batch`.
+    ``blocks`` holds ``(gates, local, kernel)`` per block in run order:
+    the block applies gates ``gates`` in that order, ``local`` holds their
+    letters on the support and ``kernel`` is the :func:`_block_kernel`.
+    Consecutive gates on one support of at most two qubits share a block,
+    up to six.
+    A single-qubit Z waits, past gates off its qubit, and joins the block
+    of the next gate on its qubit, right before that gate; Zs still waiting
+    at the end, or before a wider gate, run as blocks of their own, one
+    qubit each.  A gate on more than two qubits is a block of its own with
+    ``kernel`` ``None``, for :func:`rotate_batch`.  ``rows`` is the most
+    table rows of a block, which sizes the scratch of :func:`run_batch`.
     """
     n = len(letters[0])
-    blocks = []
-    max_gates = max_rows = 1
-    lo = 0
-    while lo < len(letters):
-        if len(letters[lo]) != n:
+    runs: list[tuple[list[int], tuple[int, ...]]] = []
+    waiting: dict[int, list[int]] = {}  # qubit -> its Zs not yet placed
+    current: list[int] = []
+    support: tuple[int, ...] = ()
+
+    def place(zs):
+        for q in sorted({letters[z].index("Z") for z in zs}):
+            mine = [z for z in zs if letters[z][q] == "Z"]
+            for lo in range(0, len(mine), _MAX_BLOCK_GATES):
+                runs.append((mine[lo : lo + _MAX_BLOCK_GATES], (q,)))
+
+    for j, g in enumerate(letters):
+        if len(g) != n:
             raise ValueError("circuit generator qubit count mismatch")
-        support = tuple(q for q, c in enumerate(letters[lo]) if c != "I")
-        if not support:
+        on = tuple(q for q, c in enumerate(g) if c != "I")
+        if not on:
             raise ValueError("rotation generator must be a non-identity Pauli string")
-        hi = lo + 1
-        while (
-            len(support) <= 2
-            and hi < len(letters)
-            and hi - lo < _MAX_BLOCK_GATES
-            and len(letters[hi]) == n
-            and all((c != "I") == (q in support) for q, c in enumerate(letters[hi]))
-        ):
-            hi += 1
-        kernel = None
-        if hi - lo > 1:
-            local = tuple("".join(g[q] for q in support) for g in letters[lo:hi])
-            kernel = _block_kernel(n, support, local)
-            max_gates = max(max_gates, hi - lo)
-            max_rows = max(max_rows, kernel[2].shape[0])
-        blocks.append((lo, hi, kernel))
-        lo = hi
-    return tuple(blocks), max_gates, max_rows
-
-
-# einsum subscripts that multiply a block's m (cos, 1j sin) pairs into its
-# 2**m products, e.g. "av,bv->abv"
-_PRODUCT = {
-    m: ",".join(f"{c}v" for c in "abcd"[:m]) + f"->{'abcd'[:m]}v"
-    for m in range(2, _MAX_BLOCK_GATES + 1)
-}
+        if len(on) == 1 and g[on[0]] == "Z":
+            waiting.setdefault(on[0], []).append(j)
+            continue
+        zs = sorted(z for q in on for z in waiting.pop(q, ()))
+        if on != support or len(current) + len(zs) >= _MAX_BLOCK_GATES or len(on) > 2:
+            if current:
+                runs.append((current, support))
+            current, support = [], on
+            if len(zs) >= _MAX_BLOCK_GATES or len(on) > 2:
+                place(zs)
+                zs = []
+        current += [*zs, j]
+    if current:
+        runs.append((current, support))
+    place(sorted(z for zs in waiting.values() for z in zs))
+    blocks = []
+    rows = 1
+    for gates, on in runs:
+        if len(on) > 2:
+            blocks.append((tuple(gates), None, None))
+            continue
+        local = tuple("".join(letters[j][q] for q in on) for j in gates)
+        flips = _block_paulis(local)[0]
+        blocks.append((tuple(gates), local, _block_kernel(n, on, flips)))
+        rows = max(rows, len(flips) << len(on))
+    return tuple(blocks), rows
 
 
 def run_batch(
-    state: np.ndarray, generators, angles: np.ndarray, spare: np.ndarray
+    state: np.ndarray,
+    generators,
+    settings: np.ndarray,
+    table: np.ndarray,
+    spare: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply gate ``j``, ``exp(-1j*angles[v, j]/2 * generators[j])``, to
-    column ``v`` of the C-contiguous ``(dim, V)`` chunk ``state``, gate by
-    gate in fused blocks (see the module docstring).
+    """Apply gate ``j`` at angle ``table[j, settings[v, j]]``,
+    ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
+    C-contiguous ``(dim, V)`` chunk ``state``, in fused blocks (see the
+    module docstring).
 
-    ``angles`` is ``(V, len(generators))`` with ``V >= 1``.  ``spare`` is
-    a C-contiguous ``(dim, V)`` buffer that must not overlap ``state``.
-    The blocks overwrite both in turn; returns ``(result, free)``, the
-    buffer that holds the final state and the other one.  A third
-    ``(dim, V)`` buffer is allocated only for a block with more than two
-    bit-flip patterns.
+    ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
+    1`` and entries in ``[0, S)``; ``table`` holds the ``S`` setting angles
+    of each gate, one to three.  ``spare`` is a C-contiguous ``(dim, V)`` buffer that
+    must not overlap ``state``.  The blocks overwrite both in turn; returns
+    ``(result, free)``, the buffer that holds the final state and the other
+    one.  A third ``(dim, V)`` buffer is allocated only for a block with
+    more than two bit-flip patterns.
     """
     dim, n_rows = state.shape
-    angles = np.asarray(angles, dtype=np.float64)
-    if n_rows < 1 or angles.shape != (n_rows, len(generators)):
+    nu = len(generators)
+    settings = np.asarray(settings)
+    table = np.asarray(table, dtype=np.float64)
+    if n_rows < 1 or settings.shape != (n_rows, nu) or settings.dtype.kind not in "iu":
         raise ValueError(
-            f"angles must be (V, gates) = ({n_rows}, {len(generators)}) with V >= 1, "
-            f"got {angles.shape}"
+            f"settings must be (V, gates) = ({n_rows}, {nu}) integers with V >= 1, "
+            f"got {settings.dtype} {settings.shape}"
         )
+    if table.ndim != 2 or table.shape[0] != nu or not 1 <= table.shape[1] <= _MAX_SETTINGS:
+        raise ValueError(f"table must be (gates, S) = ({nu}, 1 to 3), got {table.shape}")
+    n_settings = table.shape[1]
+    # an index outside [0, S) would read another combination's column
+    if nu and (settings.min() < 0 or settings.max() >= n_settings):
+        raise ValueError(f"settings must lie in [0, {n_settings})")
     if spare.shape != state.shape:
         raise ValueError("state and spare buffers differ in shape")
     if not (state.flags.c_contiguous and spare.flags.c_contiguous):
         raise ValueError("run_batch needs C-contiguous (dim, V) buffers")
-    if not len(generators):
+    if not nu:
         return state, spare
     if len(generators[0].letters) != dim.bit_length() - 1:
         raise ValueError("circuit generators do not match the state dimension")
-    blocks, max_gates, max_rows = _plan(tuple(g.letters for g in generators))
-    # scratch of a few (., V) rows, allocated once: the half angles and
-    # (cos, 1j sin) pairs of a window of gates, a block's products and its
-    # tables.  A window starts at a fused block and covers whole blocks, at
-    # least one and up to about 2**12 angles; against one cos/sin per
-    # block it takes 11-14% off a spin-ring run at V = 1 to 3 and makes
-    # no difference at V = 3,000
-    n_gates = len(generators)
-    window = max(max_gates, min(n_gates, (1 << 12) // n_rows))
-    half = np.empty((window, n_rows))
-    cs = np.zeros((window, 2, n_rows), dtype=np.complex128)
-    win_lo = win_hi = 0
-    prods = np.empty((1 << max_gates, n_rows), dtype=np.complex128)
-    table_buf = np.empty((max_rows, n_rows), dtype=np.complex128)
+    blocks, rows = _plan(tuple(g.letters for g in generators))
+    digits = np.ascontiguousarray(settings.T)  # one contiguous row per gate
+    angles = table.tolist()
+    powers = n_settings ** np.arange(_MAX_BLOCK_GATES)
+    table_buf = np.empty((rows, n_rows), dtype=np.complex128)
     work = None
-    for lo, hi, kernel in blocks:
-        if kernel is None:  # one gate
-            rows, generator = state.T, generators[lo]
-            if "X" in generator.letters or "Y" in generator.letters:
-                rotate_batch(rows, generator, angles[:, lo], out=spare.T, work=rows)
-                state, spare = spare, state
-            else:
-                rotate_batch(rows, generator, angles[:, lo], out=rows)
+    for gates, local, kernel in blocks:
+        if kernel is None:  # a gate on more than two qubits
+            j = gates[0]
+            rotate_batch(state.T, generators[j], table[j, settings[:, j]], out=spare.T)
+            state, spare = spare, state
             continue
-        shape, flips, mix, table_shape, diagonal = kernel
-        m = hi - lo
-        if hi > win_hi:
-            win_lo, win_hi = lo, min(lo + window, n_gates)
-            h = half[: win_hi - win_lo]
-            np.multiply(angles[:, win_lo:win_hi].T, 0.5, out=h)
-            np.cos(h, out=cs[: win_hi - win_lo, 0].real)
-            np.sin(h, out=cs[: win_hi - win_lo, 1].imag)
-        coeff = prods[: 1 << m]
-        pairs = cs[lo - win_lo : hi - win_lo]
-        np.einsum(_PRODUCT[m], *pairs, out=coeff.reshape(*(2,) * m, n_rows))
-        tables = np.matmul(mix, coeff, out=table_buf[: mix.shape[0]])
+        shape, flips, table_shape, diagonal = kernel
+        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
+        code = powers[: len(gates)] @ digits[gates, :]  # one combination per variant
+        tables = np.take(entries, code, axis=1, out=table_buf[: entries.shape[0]])
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
         src = state.reshape(shape)
@@ -558,11 +538,12 @@ def run_circuit(
     generators = [g for g, _ in circuit]
     if any(g.num_qubits != num_qubits for g in generators):
         raise ValueError("circuit generator qubit count mismatch")
-    angles = np.array([[float(a) for _, a in circuit]])
-    if not np.isfinite(angles).all():
+    table = np.array([[float(a)] for _, a in circuit])  # one setting per gate
+    if not np.isfinite(table).all():
         raise ValueError("channel angle must be finite")
     amps = state.amps.reshape(-1, 1).copy()
-    amps, _ = run_batch(amps, generators, angles, np.empty_like(amps))
+    settings = np.zeros((1, len(circuit)), dtype=np.int8)
+    amps, _ = run_batch(amps, generators, settings, table, np.empty_like(amps))
     return Statevector(amps[:, 0])
 
 

@@ -121,10 +121,10 @@ def gather_rotate_batch(amps: np.ndarray, letters: str, angles) -> np.ndarray:
 
 def sample_gate(probs, signs, u: float) -> tuple[int, int]:
     """Scalar inverse-CDF draw of one gate's setting from one uniform:
-    ``(setting, sign)`` with setting 1 below ``p1``, 2 below ``p1 + p2``
-    and 3 otherwise."""
+    ``(setting, sign)`` with setting 0 below ``p1``, 1 below ``p1 + p2``
+    and 2 otherwise."""
     if u < probs[0]:
-        return 1, signs[0]
+        return 0, signs[0]
     if u < probs[0] + probs[1]:
-        return 2, signs[1]
-    return 3, signs[2]
+        return 1, signs[1]
+    return 2, signs[2]

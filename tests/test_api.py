@@ -2,7 +2,9 @@
 package exports exactly what its modules declare."""
 
 import importlib
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +34,10 @@ def test_package_exports_the_module_lists_in_order():
     # a star import would let a later module shadow an earlier one's name
     owners = Counter(n for names in lists for n in names)
     assert [n for n, count in owners.items() if count > 1] == []
+
+
+def test_pyproject_version_is_the_package_version():
+    # a regex, not tomllib, which Python 3.10 lacks
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    project = text.split("[project]", 1)[1]
+    assert re.search(r'^version = "([^"]+)"', project, re.M)[1] == pai.__version__

@@ -348,6 +348,22 @@ def test_trotter_bad_observable_qubit_exits_2(tmp_path, capsys):
     )
 
 
+def test_trotter_weight_overflow_exits_2_before_any_bank(tmp_path, monkeypatch, capsys):
+    # 6,402 gates at B = 2: the worst-case overhead exp(4437) overflows a
+    # float, which is reported as one line before any bank is drawn
+    def no_bank(*args, **kwargs):
+        raise AssertionError("a bank was drawn")
+
+    monkeypatch.setattr(cli, "pai_shot_bank", no_bank)
+    out = tmp_path / "big"
+    argv = ["--num-qubits", "4", "--bits", "2", "--n-layers", "400"]
+    argv += ["--n-variants", "10", "--shots-per-variant", "1", "--output", out]
+    assert run_cli("trotter", *argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "overflows a float" in err
+    assert not out.with_suffix(".json").exists()
+
+
 # ---------------------------------------------------------------------- vqe
 
 _VQE_TINY = ["--num-qubits", "3", "--bits", "4", "--n-layers", "1"]

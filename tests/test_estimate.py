@@ -12,6 +12,7 @@ from pai.estimate import (
     EnumerationLimitError,
     _auto_chunk,
     _chunk_bounds,
+    _setting_circuit,
     _simulate_variants,
     _variant_uniforms,
     continuous_expectation,
@@ -146,13 +147,22 @@ def test_thread_count_never_changes_results():
 
 
 def test_simulate_variants_matches_gate_by_gate_reference(rng):
+    # the first two gates take setting 0 in every variant, so they run once
+    # as the fixed prefix; gate 3 is marked too, but the prefix stops at
+    # gate 2, so it runs per variant with the rest
     circuit = oracles.random_circuit(rng, 4, 12)
-    angles = rng.uniform(-2 * np.pi, 2 * np.pi, size=(37, len(circuit)))
-    got = _simulate_variants([g for g, _ in circuit], angles, 4)
+    table = rng.uniform(-2 * np.pi, 2 * np.pi, size=(len(circuit), 3))
+    settings = rng.integers(0, 3, size=(37, len(circuit))).astype(np.int8)
+    settings[:, :2] = 0
+    fixed = [True, True, False, True] + [False] * 8
+    variants = _setting_circuit([g for g, _ in circuit], table, fixed, 4)
+    assert variants.start == 2
+    got = _simulate_variants(variants, settings)
     want = np.zeros((37, 16), dtype=np.complex128)
     want[:, 0] = 1.0
     for j, (generator, _) in enumerate(circuit):
-        want = oracles.gather_rotate_batch(want, generator.letters, angles[:, j])
+        angles = table[j, settings[:, j]]
+        want = oracles.gather_rotate_batch(want, generator.letters, angles)
     assert got.flags.c_contiguous
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

@@ -246,8 +246,9 @@ def test_max_depth_midgap_circuit_hits_the_overhead_limit():
 def test_sample_gate_on_notch_is_deterministic():
     grid = NotchGrid.uniform(7)
     dec = decompose_circuit(grid, [(PauliString("X"), 0.0)])
-    idx, signs, angles = settings_from_uniforms(dec, stream(0, 5).random((16, 1)))
-    assert np.all(idx == 1) and np.all(signs == 1) and np.all(angles == 0.0)
+    idx, signs = settings_from_uniforms(dec, stream(0, 5).random((16, 1)))
+    assert np.all(idx == 0) and np.all(signs == 1)
+    assert dec.setting_angle_table[0, 0] == 0.0
 
 
 def test_sample_gate_thresholds():
@@ -256,8 +257,8 @@ def test_sample_gate_thresholds():
     p1, p2, _ = dec.per_gate[0].probs
     eps = 1e-9
     seq = [0.0, p1 - eps, p1 + eps, p1 + p2 - eps, p1 + p2 + eps, 1.0 - eps]
-    idx, _, _ = settings_from_uniforms(dec, np.array(seq)[:, None])
-    assert idx[:, 0].tolist() == [1, 1, 2, 2, 3, 3]
+    idx, _ = settings_from_uniforms(dec, np.array(seq)[:, None])
+    assert idx[:, 0].tolist() == [0, 0, 1, 1, 2, 2]
 
 
 def test_sample_gate_frequencies_match_probabilities():
@@ -266,7 +267,7 @@ def test_sample_gate_frequencies_match_probabilities():
     qp = dec.per_gate[0]
     n = 200_000
     draws = settings_from_uniforms(dec, stream(1, 6).random((n, 1)))[0][:, 0]
-    for setting, p in zip((1, 2, 3), qp.probs):
+    for setting, p in zip((0, 1, 2), qp.probs):
         freq = float(np.mean(draws == setting))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) < 5 * sigma
@@ -277,13 +278,14 @@ def test_settings_from_uniforms_replays_sample_gate():
     circ = [(PauliString("X"), 0.9), (PauliString("Y"), 2.0), (PauliString("Z"), 4.4)]
     dec = decompose_circuit(grid, circ)
     u = stream(9, 0).random((7, 3))
-    idx, signs, angles = settings_from_uniforms(dec, u)
+    idx, signs = settings_from_uniforms(dec, u)
+    assert idx.dtype == np.int8 and signs.dtype == np.int64
     for v in range(7):
         want_sign = 1
         for j, qp in enumerate(dec.per_gate):
             setting, sign = oracles.sample_gate(qp.probs, qp.setting_signs, u[v, j])
             assert idx[v, j] == setting
-            assert angles[v, j] == qp.setting_angles[setting - 1]
+            assert dec.setting_angle_table[j, setting] == qp.setting_angles[setting]
             want_sign *= sign
         assert signs[v] == want_sign
 
@@ -295,11 +297,10 @@ def test_sample_variant_draws_one_uniform_per_gate():
     # variant 3 of master seed 5 reads the first three uniforms of (5, 3)
     u, _ = _variant_uniforms(5, (), 3, 4, dec.num_gates)
     np.testing.assert_array_equal(u[0], stream(5, 3).random(3))
-    idx, signs, realized = settings_from_uniforms(dec, u)
+    idx, signs = settings_from_uniforms(dec, u)
     want_sign = 1
     for j, qp in enumerate(dec.per_gate):
-        assert realized[0, j] == qp.setting_angles[idx[0, j] - 1]
-        want_sign *= qp.setting_signs[idx[0, j] - 1]
+        want_sign *= qp.setting_signs[idx[0, j]]
     assert signs[0] == want_sign
 
 
@@ -317,7 +318,7 @@ def test_variant_sign_distribution_matches_enumeration():
         if s < 0:
             p_minus += p
     n = 100_000
-    _, signs, _ = settings_from_uniforms(dec, stream(2, 8).random((n, 3)))
+    _, signs = settings_from_uniforms(dec, stream(2, 8).random((n, 3)))
     freq = np.mean(signs < 0)
     sigma = math.sqrt(p_minus * (1 - p_minus) / n)
     assert abs(freq - p_minus) < 5 * sigma
@@ -334,6 +335,8 @@ def test_worst_case_overhead_edge_values():
         worst_case_overhead(10, 0.0)
     with pytest.raises(ValueError):
         worst_case_overhead(10, 2.0)
+    with pytest.raises(ValueError, match="overflows a float"):  # exp(4437)
+        worst_case_overhead(6402, np.pi / 2)
 
 
 def test_worst_case_overhead_at_design_depth():

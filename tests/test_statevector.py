@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -213,14 +213,13 @@ wide_letters_st = st.integers(1, 6).flatmap(
 @given(
     letters=wide_letters_st,
     n_rows=st.sampled_from([1, 2, 7, 64]),
-    layout=st.sampled_from(["rows", "transposed", "work=amps"]),
+    layout=st.sampled_from(["rows", "transposed"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150)
 def test_rotate_batch_is_bit_identical_to_gather_reference(letters, n_rows, layout, seed):
     # same per-element arithmetic as the index-gather kernel, so equal bits,
-    # for C-ordered (V, dim) rows, for the transpose of a (dim, V) buffer
-    # and for that transpose scaled in place as the work buffer
+    # for C-ordered (V, dim) rows and for the transpose of a (dim, V) buffer
     def bits(a):
         return np.ascontiguousarray(a).view(np.uint64)
 
@@ -229,16 +228,14 @@ def test_rotate_batch_is_bit_identical_to_gather_reference(letters, n_rows, layo
     amps = r.standard_normal((n_rows, dim)) + 1j * r.standard_normal((n_rows, dim))
     angles = r.uniform(-4 * np.pi, 4 * np.pi, n_rows)
     want = oracles.gather_rotate_batch(amps, letters, angles)
-    if layout != "rows":
+    before = amps.copy()
+    if layout == "transposed":
         buf = amps.T.copy()
         out = np.empty_like(buf)
-        work = buf.T if layout == "work=amps" else np.empty_like(buf).T
-        got = rotate_batch(buf.T, PauliString(letters), angles, out=out.T, work=work)
+        got = rotate_batch(buf.T, PauliString(letters), angles, out=out.T)
         assert np.shares_memory(got, out)
-        if layout == "transposed":
-            assert np.array_equal(bits(buf.T), bits(amps))
+        assert np.array_equal(bits(buf.T), bits(before))
     else:
-        before = amps.copy()
         got = rotate_batch(amps, PauliString(letters), angles)
         assert np.array_equal(bits(amps), bits(before))
     assert np.array_equal(bits(got), bits(want))
@@ -251,18 +248,20 @@ def test_rotate_batch_is_bit_identical_to_gather_reference(letters, n_rows, layo
 def fusable_circuits(draw):
     """``(n, letters, checkpoints)``: a random gate sequence on ``n`` qubits
     rich in runs of one support (adjacent and non-adjacent pairs, single
-    qubits, non-commuting letters such as X then Y) and in wider gates,
-    and sorted cut points, some inside runs."""
+    qubits, non-commuting letters such as X then Y), in single-qubit Z
+    gates that the plan moves into later blocks, and in wider gates, and
+    sorted cut points, some inside runs."""
     n = draw(st.integers(1, 6))
     pauli = st.sampled_from("XYZ")
     letters = []
     for _ in range(draw(st.integers(0, 14))):
-        kinds = ["one"] + (["pair"] if n >= 2 else []) + (["wide"] if n >= 3 else [])
+        kinds = ["z", "one"] + (["pair"] if n >= 2 else []) + (["wide"] if n >= 3 else [])
         if letters and draw(st.booleans()):  # continue the previous support
             support = [q for q, c in enumerate(letters[-1]) if c != "I"]
+            kind = "same"
         else:
             kind = draw(st.sampled_from(kinds))
-            if kind == "one":
+            if kind in ("z", "one"):
                 support = [draw(st.integers(0, n - 1))]
             elif kind == "pair":
                 a = draw(st.integers(0, n - 2))
@@ -272,24 +271,47 @@ def fusable_circuits(draw):
         for _ in range(draw(st.integers(1, 3 if len(support) <= 2 else 1))):
             row = ["I"] * n
             for q in support:
-                row[q] = draw(pauli)
+                row[q] = "Z" if kind == "z" else draw(pauli)
             letters.append("".join(row))
     cuts = sorted(draw(st.sets(st.integers(0, len(letters)), max_size=3)))
     return n, letters, cuts
 
 
+# a Z right before a bond on its own qubit; a Z that waits past a bond off
+# its qubit; trailing Zs; a cut between a Z and its bond; seven Zs on one
+# qubit, more than a block holds
+_Z_CASES = [
+    (2, ["IZ", "XX", "YY"], []),
+    (3, ["ZII", "IXX", "IYY", "XXI"], []),
+    (2, ["XX", "ZI", "IZ", "ZI"], []),
+    (3, ["IZI", "ZII", "XXI", "IIZ"], [2]),
+    (2, ["ZI"] * 7 + ["YY"], [3]),
+]
+
+
+def _with_z_cases(test):
+    for case in _Z_CASES:
+        for n_settings in (1, 3):
+            test = example(circuit=case, n_rows=7, n_settings=n_settings, seed=5)(test)
+    return test
+
+
+@_with_z_cases
 @given(
     circuit=fusable_circuits(),
     n_rows=st.sampled_from([1, 2, 7, 64]),
+    n_settings=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200)
-def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, seed):
+def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, n_settings, seed):
     # run_batch segment by segment, as the fidelity profile does, against
-    # the gather oracle gate by gate; each checkpoint state agrees
+    # the gather oracle gate by gate at the angles the setting indices pick;
+    # each checkpoint state agrees
     n, letters, cuts = circuit
     r = np.random.default_rng(seed)
-    angles = r.uniform(-4 * np.pi, 4 * np.pi, (n_rows, len(letters)))
+    table = r.uniform(-4 * np.pi, 4 * np.pi, (len(letters), n_settings))
+    idx = r.integers(0, n_settings, (n_rows, len(letters))).astype(np.int8)
     generators = [PauliString(g) for g in letters]
     state = np.zeros((1 << n, n_rows), dtype=np.complex128)
     state[0] = 1.0
@@ -297,65 +319,72 @@ def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, seed):
     want = state.T.copy()
     lo = 0
     for cp in [*cuts, len(letters)]:
-        state, spare = run_batch(state, generators[lo:cp], angles[:, lo:cp], spare)
+        state, spare = run_batch(
+            state, generators[lo:cp], idx[:, lo:cp], table[lo:cp], spare
+        )
         for j in range(lo, cp):
-            want = oracles.gather_rotate_batch(want, letters[j], angles[:, j])
+            want = oracles.gather_rotate_batch(want, letters[j], table[j, idx[:, j]])
         np.testing.assert_allclose(state.T, want, rtol=0, atol=1e-12)
         lo = cp
 
 
 def test_run_batch_rejects_strided_buffers():
     state = np.zeros((4, 6), dtype=np.complex128)[:, ::2]
+    table = np.zeros((1, 1))
     with pytest.raises(ValueError, match="C-contiguous"):
-        run_batch(state, [PauliString("XZ")], np.zeros((3, 1)), np.empty((4, 3), complex))
+        run_batch(state, [PauliString("XZ")], np.zeros((3, 1), np.int8), table, np.empty((4, 3), complex))
 
 
 @pytest.mark.parametrize("angles_shape", [(3, 1), (3, 3), (2, 2), (3,), (0, 2)])
 def test_run_batch_rejects_angles_that_do_not_cover_every_gate(angles_shape):
-    # a short angle array would leave blocks reading unset cos/sin rows
+    # a short settings array would leave blocks without their settings, and
+    # an index outside [0, S) would read another combination's column
     rows = angles_shape[0]
     state = np.zeros((4, 3 if rows else 0), dtype=np.complex128)
     state[0] = 1.0
     generators = [PauliString("XX"), PauliString("YY")]
-    with pytest.raises(ValueError, match="angles must be"):
-        run_batch(state, generators, np.zeros(angles_shape), np.empty_like(state))
-
-
-def test_single_gates_run_through_rotate_batch(monkeypatch):
-    # a gate outside any fused block is the single-gate kernel's call, in
-    # place for a diagonal generator and onto the spare buffer otherwise
-    calls = []
-    kernel = statevector.rotate_batch
-
-    def spy(amps, generator, angles, **kw):
-        calls.append((generator.letters, any(x is amps for x in kw.values())))
-        return kernel(amps, generator, angles, **kw)
-
-    monkeypatch.setattr(statevector, "rotate_batch", spy)
-    letters = ["XI", "IZ", "XX", "YY", "ZZ", "ZI"]
-    state = np.zeros((4, 2), dtype=np.complex128)
-    state[0] = 1.0
-    run_batch(state, [PauliString(g) for g in letters], np.ones((2, 6)), np.empty_like(state))
-    assert calls == [("XI", True), ("IZ", True), ("ZI", True)]
+    table = np.zeros((2, 3))
+    with pytest.raises(ValueError, match="settings must be"):
+        run_batch(state, generators, np.zeros(angles_shape, np.int8), table, np.empty_like(state))
+    state = np.zeros((4, 3), dtype=np.complex128)
+    for bad in (-1, 3):
+        settings = np.zeros((3, 2), dtype=np.int8)
+        settings[1, 1] = bad
+        with pytest.raises(ValueError, match=r"settings must lie in \[0, 3\)"):
+            run_batch(state, generators, settings, table, np.empty_like(state))
+    with pytest.raises(ValueError, match="settings must be"):  # not integers
+        run_batch(state, generators, np.zeros((3, 2)), table, np.empty_like(state))
+    settings = np.zeros((3, 2), dtype=np.int8)
+    with pytest.raises(ValueError, match="table must be"):  # four settings
+        run_batch(state, generators, settings, np.zeros((2, 4)), np.empty_like(state))
 
 
 @given(letters=wide_letters_st, n_rows=st.sampled_from([1, 2, 7, 64]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
-def test_rotate_batch_in_place_agrees_for_diagonal_generators(letters, n_rows, seed):
-    # out=amps multiplies each row by one table; it agrees to rounding and
-    # refuses a generator that flips bits
+def test_diagonal_blocks_multiply_the_state_in_place(letters, n_rows, seed):
+    # a run of diagonal gates on at most two qubits is one diagonal block:
+    # run_batch multiplies the state buffer in place, leaves the spare
+    # untouched and agrees with the gather oracle to rounding
+    n = len(letters)
+    diagonal = [
+        "".join("Z" if c != "I" else "I" for c in letters),
+        "Z" + "I" * (n - 1),
+        "I" * (n - 1) + "Z",
+    ]
+    if sum(c != "I" for c in diagonal[0]) > 2:
+        diagonal[0] = diagonal[1]
     r = np.random.default_rng(seed)
-    dim = 1 << len(letters)
-    amps = r.standard_normal((n_rows, dim)) + 1j * r.standard_normal((n_rows, dim))
-    angles = r.uniform(-4 * np.pi, 4 * np.pi, n_rows)
-    want = oracles.gather_rotate_batch(amps, letters, angles)
-    rows = amps.T.copy().T
-    if "X" in letters or "Y" in letters:
-        with pytest.raises(ValueError, match="diagonal"):
-            rotate_batch(rows, PauliString(letters), angles, out=rows)
-    else:
-        assert rotate_batch(rows, PauliString(letters), angles, out=rows) is rows
-        np.testing.assert_allclose(rows, want, rtol=0, atol=1e-12)
+    table = r.uniform(-4 * np.pi, 4 * np.pi, (3, 2))
+    idx = r.integers(0, 2, (n_rows, 3)).astype(np.int8)
+    state = r.standard_normal((1 << n, n_rows)) + 1j * r.standard_normal((1 << n, n_rows))
+    want = state.T.copy()
+    for j, g in enumerate(diagonal):
+        want = oracles.gather_rotate_batch(want, g, table[j, idx[:, j]])
+    spare = np.zeros_like(state)
+    generators = [PauliString(g) for g in diagonal]
+    got, free = run_batch(state, generators, idx, table, spare)
+    assert got is state and free is spare and not spare.any()
+    np.testing.assert_allclose(got.T, want, rtol=0, atol=1e-12)
 
 
 def test_spin_ring_blocks_are_sites_and_bond_triples():
@@ -365,20 +394,27 @@ def test_spin_ring_blocks_are_sites_and_bond_triples():
         circuit = neel_prep_circuit(n) + trotter_circuit(
             spin_ring(n, 0.3, 11), TrotterSpec(1.0, layers)
         )
-        plan, _, _ = statevector._block_plan(tuple(g.letters for g, _ in circuit))
+        plan, _ = statevector._block_plan(tuple(g.letters for g, _ in circuit))
         return len(circuit), len(plan), plan
 
-    # the trotter, fidelity and rms workloads' circuits
-    assert blocks(8, 12)[:2] == (388, 196)
-    assert blocks(12, 37)[:2] == (1782, 894)
-    assert blocks(4, 2)[:2] == (34, 18)
+    # the trotter, fidelity and rms workloads' circuits: each on-site Z
+    # joins the next bond on its qubit, so a layer of n sites runs as n
+    # blocks; the Neel X gates run as blocks of one
+    assert blocks(8, 12)[:2] == (388, 100)
+    assert blocks(12, 37)[:2] == (1782, 450)
+    assert blocks(4, 2)[:2] == (34, 10)
     _, _, plan = blocks(4, 1)
-    # two Neel X, four on-site Z, four bond triples
-    assert [hi - lo for lo, hi, _ in plan] == [1] * 6 + [3] * 4
-    # a bond triple touches 8 of its 16 entries: two flips of 4 rows each
-    _, flips, mix, _, diagonal = plan[-1][2]
-    assert mix.shape == (8, 8) and len(flips) == 2 and not diagonal
-    assert plan[2][2] is None  # an on-site Z runs alone through rotate_batch
+    # two Neel X, then the bonds (0, 1), (1, 2), (2, 3) and (3, 0), the
+    # first with the Z of qubits 0 and 1 before it
+    assert [len(gates) for gates, _, _ in plan] == [1, 1, 5, 4, 4, 3]
+    assert plan[2][0] == (2, 3, 6, 7, 8)
+    assert plan[2][1] == ("ZI", "IZ", "XX", "YY", "ZZ")
+    # a bond block touches 8 of its 16 entries: two flips of 4 rows each
+    _, flips, table_shape, diagonal = plan[2][2]
+    assert table_shape[0] == 2 and len(flips) == 2 and not diagonal
+    # the 27 combinations of a bond triple at three settings per gate
+    entries = statevector._block_table(plan[-1][1], ((0.1, 0.2, 0.3),) * 3)
+    assert entries.shape == (8, 27)
 
 
 def test_large_phase_tables_are_not_cached():
