@@ -192,7 +192,7 @@ class CircuitDecomposition:
     thresholds_low: np.ndarray = field(init=False, repr=False)
     thresholds_high: np.ndarray = field(init=False, repr=False)
     setting_angle_table: np.ndarray = field(init=False, repr=False)
-    setting_sign_table: np.ndarray = field(init=False, repr=False)
+    negative_settings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         probs = np.array([qp.probs for qp in self.per_gate], dtype=np.float64)
@@ -202,9 +202,11 @@ class CircuitDecomposition:
         self.setting_angle_table = np.array(
             [qp.setting_angles for qp in self.per_gate], dtype=np.float64
         ).reshape(len(self.per_gate), 3)
-        self.setting_sign_table = np.array(
-            [qp.setting_signs for qp in self.per_gate], dtype=np.int8
-        ).reshape(len(self.per_gate), 3)
+        # bit s of gate j's entry is set where its setting s is negative
+        self.negative_settings = np.array(
+            [sum(1 << s for s in range(3) if qp.setting_signs[s] < 0) for qp in self.per_gate],
+            dtype=np.int8,
+        )
 
     @property
     def num_gates(self) -> int:
@@ -248,8 +250,8 @@ def settings_from_uniforms(
     """
     idx = (u >= dec.thresholds_low).astype(np.int8)
     idx += u >= dec.thresholds_high
-    negative = dec.setting_sign_table[np.arange(dec.num_gates), idx] < 0
-    return idx, 1 - 2 * (np.count_nonzero(negative, axis=1) & 1)
+    negative = (dec.negative_settings >> idx) & 1
+    return idx, 1 - 2 * np.bitwise_xor.reduce(negative, axis=1).astype(np.int64)
 
 
 def worst_case_overhead(nu: int, delta_max: float) -> float:
