@@ -501,7 +501,7 @@ def run_batch(
         shape, flips, table_shape, diagonal = kernel
         entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
         code = powers[: len(gates)] @ digits[gates, :]  # one combination per variant
-        tables = np.take(entries, code, axis=1, out=table_buf[: entries.shape[0]])
+        tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]])
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
         src = state.reshape(shape)
