@@ -285,9 +285,10 @@ _PAULI_2X2 = {
 
 # a block's table has one column per setting combination, at most 3**6 =
 # 729 for six gates at three settings, so a table takes at most 16 rows *
-# 729 * 16 B = 182 KiB and the 128-entry table cache at most 23 MiB.  Plans
-# of longer circuits are rebuilt on every call, so the 64-entry plan cache
-# holds at most 64 * 2,048 blocks (a few MiB)
+# 729 * 16 B = 182 KiB and the 128-entry table cache at most 23 MiB; kernel
+# and Pauli-stack entries take under 2 KiB.  Plans of longer circuits are
+# rebuilt on every call, so the 64-entry plan cache holds at most 64 *
+# 2,048 blocks (a few MiB)
 _MAX_BLOCK_GATES = 6
 _MAX_SETTINGS = 3
 _CACHED_PLAN_GATES = 2048

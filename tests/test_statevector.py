@@ -362,9 +362,9 @@ def test_run_batch_rejects_angles_that_do_not_cover_every_gate(angles_shape):
 @given(letters=wide_letters_st, n_rows=st.sampled_from([1, 2, 7, 64]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60)
 def test_diagonal_blocks_multiply_the_state_in_place(letters, n_rows, seed):
-    # a run of diagonal gates on at most two qubits is one diagonal block:
-    # run_batch multiplies the state buffer in place, leaves the spare
-    # untouched and agrees with the gather oracle to rounding
+    # diagonal gates on at most two qubits run as diagonal blocks, which
+    # multiply the state buffer in place: the spare stays untouched and
+    # the result agrees with the gather oracle to rounding
     n = len(letters)
     diagonal = [
         "".join("Z" if c != "I" else "I" for c in letters),
