@@ -1,19 +1,21 @@
 """Estimation protocols built on the quasiprobability decomposition.
 
-The central object is a *shot bank*: outcomes of projective +-1
-measurements grouped by sampled circuit variant, together with the signed
-weight that turns raw outcomes into unbiased estimates.  Reference
-estimators (nearest-notch rounding and the continuous-angle circuit) fill
-the same structure with a single trivial variant so downstream analysis
-treats all three identically.
+The central object is a *shot bank*: per-shot measurement values grouped
+by sampled circuit variant, together with the signed weight that turns
+them into unbiased estimates.  The observable is a Pauli string or a
+Pauli sum; a shot measures every term once and records ``sum_t c_t o_t``,
+a single +-1 outcome for a string.  Reference estimators (nearest-notch
+rounding and the continuous-angle circuit) fill the same structure with a
+single trivial variant so downstream analysis treats all three
+identically.
 
 Every sampled estimator runs one variant loop, the quasiprobability
 sampling of Endo, Benjamin and Li (PRX 8, 031027, 2018), chunk by chunk
 (:func:`_map_variants`): variant ``v`` draws one uniform per gate and then
 its shot uniforms from the stream ``(master_seed, *key, v)``
-(:func:`_variant_uniforms`), the settings they select are simulated
-(:func:`_pai_variants`) and measured (:func:`_outcomes`).  :mod:`pai.rng`
-tables the keys of every subcommand.
+(:func:`_variant_uniforms`), and :func:`_pai_outcomes` simulates the
+settings they select and measures every term.  :mod:`pai.rng` tables the
+keys of every subcommand.
 
 The simulation takes each variant's setting indices, not its angles: gate
 ``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
@@ -48,7 +50,6 @@ from .statevector import (
     PauliString,
     Statevector,
     batch_expectation,
-    batch_pauli_expectation,
     rotate_batch,
     run_batch,
     run_circuit,
@@ -62,13 +63,10 @@ __all__ = [
     "FidelityPoint",
     "RmsPoint",
     "pai_shot_bank",
-    "pai_estimate",
     "nearest_notch_shot_bank",
     "continuous_shot_bank",
     "continuous_expectation",
     "exact_pai_expectation",
-    "pai_observable_mean",
-    "nearest_observable_mean",
     "two_notch_fidelity_profile",
     "rms_vs_shots",
     "per_variant_rows",
@@ -98,8 +96,9 @@ class EstimateResult:
 
 @dataclass
 class ShotBank:
-    """Outcomes grouped by variant: ``outcomes[v, i]`` is shot ``i`` of
-    variant ``v``; the estimate of shot ``(v, i)`` is
+    """Shot values grouped by variant: ``outcomes[v, i]`` is shot ``i`` of
+    variant ``v``, ``sum_t c_t o_t`` over the observable's terms (a +-1
+    outcome for a single Pauli string); the estimate of shot ``(v, i)`` is
     ``outcomes[v, i] * variant_signs[v] * weight``."""
 
     outcomes: np.ndarray
@@ -161,10 +160,8 @@ def per_variant_rows(bank: ShotBank) -> list[tuple[int, int, float, float]]:
 
 def _require_pauli(observable) -> PauliString:
     if not isinstance(observable, PauliString):
-        raise ValueError(
-            "shot-sampled estimators measure a single Pauli string; "
-            "combine terms at a higher level"
-        )
+        # the shot-noise line sqrt((1 - o**2) / N) holds for a +-1 observable
+        raise ValueError("rms_vs_shots measures a single Pauli string")
     return observable
 
 
@@ -286,19 +283,39 @@ def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=No
     return u, u_shots
 
 
-def _pai_variants(dec: CircuitDecomposition, circuit: _SettingCircuit, u: np.ndarray):
-    """``(signs, amps)`` of the variants that the ``(V, nu)`` setting
-    uniforms ``u`` select from ``dec``, whose :func:`_pai_circuit` is
-    ``circuit``; ``amps`` is the C-ordered ``(V, dim)`` batch."""
-    settings, signs = settings_from_uniforms(dec, u)
-    return signs, _simulate_variants(circuit, settings)
-
-
 def _outcomes(u: np.ndarray, ev) -> np.ndarray:
     """+-1 outcomes as int8: +1 where ``u`` is below the Born probability
     ``(1 + ev) / 2``, clipped to [0, 1].  ``ev`` broadcasts against ``u``."""
     p_plus = np.clip(0.5 * (1.0 + ev), 0.0, 1.0)
-    return np.where(u < p_plus, 1, -1).astype(np.int8)
+    return 2 * (u < p_plus).view(np.int8) - 1
+
+
+def _pai_outcomes(
+    dec: CircuitDecomposition, circuit: _SettingCircuit, u: np.ndarray, u_shots, terms
+):
+    """``(signs, outcomes)`` of the variants that the ``(V, nu)`` setting
+    uniforms ``u`` select from ``dec``, whose :func:`_pai_circuit` is
+    ``circuit``: ``outcomes`` holds the +-1 outcomes that the ``(V, T,
+    shots)`` shot uniforms ``u_shots`` draw for each of the ``T`` terms."""
+    settings, signs = settings_from_uniforms(dec, u)
+    amps = _simulate_variants(circuit, settings)
+    # row blocks keep term_expectations' float temporaries at 512 KiB:
+    # chunk-sized ones stay resident once freed (8 MiB of trotter's peak RSS)
+    rows = max(1, (1 << 16) // amps.shape[1])
+    evs = np.concatenate(
+        [term_expectations(amps[lo:hi], terms) for lo, hi in _chunk_bounds(len(amps), rows)]
+    )
+    return signs, _outcomes(u_shots, evs[:, :, None])
+
+
+def _term_sum(outcomes: np.ndarray, terms) -> np.ndarray:
+    """``sum_t c_t * outcomes[:, t]`` over the ``(c_t, pauli)`` terms, added
+    in term order, so a shot's value never depends on its chunk."""
+    coeffs = [float(coeff) for coeff, _ in terms]
+    total = coeffs[0] * outcomes[:, 0]
+    for t in range(1, len(coeffs)):
+        total += coeffs[t] * outcomes[:, t]
+    return total
 
 
 def _circuit_qubits(circuit, observable) -> tuple[list, int]:
@@ -316,33 +333,39 @@ def _circuit_qubits(circuit, observable) -> tuple[list, int]:
 def pai_shot_bank(
     grid: NotchGrid,
     circuit: Sequence[tuple[PauliString, float]],
-    observable: PauliString,
+    observable: PauliString | Observable,
     n_variants: int,
     shots_per_variant: int,
     master_seed: int,
     *,
+    key: tuple[int, ...] = (),
     threads: int = 1,
 ) -> ShotBank:
     """Sample ``n_variants`` circuit variants and measure each one
-    ``shots_per_variant`` times.
+    ``shots_per_variant`` times; a shot measures every term of
+    ``observable`` once.
 
-    Variant ``v`` uses the stream ``(master_seed, v)`` so any variant can
-    be regenerated in isolation and the full bank is identical for any
-    thread count.
+    Variant ``v`` draws its setting uniforms and then the terms' shot
+    uniforms, in term order, from the stream ``(master_seed, *key, v)``,
+    so any variant can be regenerated in isolation and the full bank is
+    identical for any thread count.
     """
-    observable = _require_pauli(observable)
     if n_variants < 1 or shots_per_variant < 1:
         raise ValueError("n_variants and shots_per_variant must be positive")
+    terms = _as_observable(observable).terms
+    n_terms = len(terms)
     circuit, n = _circuit_qubits(circuit, observable)
     dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
     variants = _pai_circuit(dec, n)
 
     def worker(lo: int, hi: int):
-        u, u_shots = _variant_uniforms(master_seed, (), lo, hi, nu, shots_per_variant)
-        signs, amps = _pai_variants(dec, variants, u)
-        ev = batch_pauli_expectation(amps, observable)
-        return signs.astype(np.int8), _outcomes(u_shots, ev[:, None])
+        u, u_shots = _variant_uniforms(
+            master_seed, key, lo, hi, nu, n_terms * shots_per_variant
+        )
+        u_shots = u_shots.reshape(hi - lo, n_terms, shots_per_variant)
+        signs, outcomes = _pai_outcomes(dec, variants, u, u_shots, terms)
+        return signs.astype(np.int8), _term_sum(outcomes, terms)
 
     parts = _map_variants(worker, n_variants, n, threads)
     return _PaiBank(
@@ -353,37 +376,20 @@ def pai_shot_bank(
     )
 
 
-def pai_estimate(
-    grid: NotchGrid,
-    circuit: Sequence[tuple[PauliString, float]],
-    observable: PauliString,
-    n_variants: int,
-    shots_per_variant: int,
-    master_seed: int,
-    *,
-    threads: int = 1,
-) -> EstimateResult:
-    """Unbiased estimate of the continuous-angle expectation from sampled
-    variants; see :func:`pai_shot_bank` for the sampling contract."""
-    return pai_shot_bank(
-        grid, circuit, observable, n_variants, shots_per_variant, master_seed,
-        threads=threads,
-    ).result()
-
-
 def _reference_bank(
-    state: Statevector,
-    observable: PauliString,
-    n_shots: int,
-    master_seed: int,
-    key: tuple[int, ...],
+    circuit: list, observable, n_shots: int, seed: int, key: tuple[int, ...]
 ) -> ShotBank:
+    """One-variant bank of ``circuit`` run once: every term draws its
+    ``n_shots`` shot uniforms, in term order, from the stream
+    ``(seed, *key)``."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    ev = float(batch_pauli_expectation(state.amps[None, :], observable)[0])
-    outcomes = _outcomes(stream(master_seed, *key).random(n_shots), ev)
+    terms = _as_observable(observable).terms
+    state = run_circuit(circuit, observable.num_qubits)
+    evs = term_expectations(state.amps[None, :], terms)
+    u = stream(seed, *key).random((1, len(terms), n_shots))
     return ShotBank(
-        outcomes=outcomes[None, :],
+        outcomes=_term_sum(_outcomes(u, evs[:, :, None]), terms),
         variant_signs=np.ones(1, dtype=np.int8),
         weight=1.0,
     )
@@ -398,28 +404,30 @@ def _round_circuit(grid: NotchGrid, circuit) -> list[tuple[PauliString, float]]:
 def nearest_notch_shot_bank(
     grid: NotchGrid,
     circuit: Sequence[tuple[PauliString, float]],
-    observable: PauliString,
+    observable: PauliString | Observable,
     n_shots: int,
     seed: int,
+    *,
+    key: tuple[int, ...] = (),
 ) -> ShotBank:
-    """Round every angle to its nearest notch, run once, sample shots."""
-    observable = _require_pauli(observable)
-    circuit, n = _circuit_qubits(circuit, observable)
-    state = run_circuit(_round_circuit(grid, circuit), n)
-    return _reference_bank(state, observable, n_shots, seed, NEAREST_STREAM_KEY)
+    """Round every angle to its nearest notch, run once and measure every
+    term ``n_shots`` times, from the stream ``(seed, *key, 1, 0)``."""
+    circuit, _ = _circuit_qubits(circuit, observable)
+    return _reference_bank(
+        _round_circuit(grid, circuit), observable, n_shots, seed, (*key, *NEAREST_STREAM_KEY)
+    )
 
 
 def continuous_shot_bank(
     circuit: Sequence[tuple[PauliString, float]],
-    observable: PauliString,
+    observable: PauliString | Observable,
     n_shots: int,
     seed: int,
 ) -> ShotBank:
-    """Shot-sample the ideal continuous-angle circuit."""
-    observable = _require_pauli(observable)
-    circuit, n = _circuit_qubits(circuit, observable)
-    state = run_circuit(circuit, n)
-    return _reference_bank(state, observable, n_shots, seed, CONTINUOUS_STREAM_KEY)
+    """Shot-sample the ideal continuous-angle circuit, every term
+    ``n_shots`` times, from the stream ``(seed, 2, 0)``."""
+    circuit, _ = _circuit_qubits(circuit, observable)
+    return _reference_bank(circuit, observable, n_shots, seed, CONTINUOUS_STREAM_KEY)
 
 
 def continuous_expectation(
@@ -461,78 +469,12 @@ def exact_pai_expectation(
     # every variant is enumerated, so no gate is fixed
     variants = _setting_circuit(dec.generators, dec.setting_angle_table, [False] * nu, n)
     total = 0.0
-    for lo, hi in _chunk_bounds(all_idx.shape[0], 4096):
+    for lo, hi in _chunk_bounds(all_idx.shape[0], _auto_chunk(1 << n)):
         idx = all_idx[lo:hi]
         weights = gamma_table[cols, idx].prod(axis=1)
         amps = _simulate_variants(variants, idx)
         total += float(weights @ batch_expectation(amps, obs))
     return total
-
-
-def pai_observable_mean(
-    grid: NotchGrid,
-    circuit: Sequence[tuple[PauliString, float]],
-    observable: Observable,
-    n_variants: int,
-    shots_per_variant: int,
-    master_seed: int,
-    *,
-    key: tuple[int, ...] = (),
-    threads: int = 1,
-) -> float:
-    """Sampled PAI estimate of a Pauli-sum observable.
-
-    The variants are shared across terms; every term measures each variant
-    ``shots_per_variant`` times with shot uniforms of its own.  Variant
-    ``v`` draws its setting uniforms and then the terms' shot uniforms, in
-    term order, from the stream ``(master_seed, *key, v)``.
-    """
-    if n_variants < 1 or shots_per_variant < 1:
-        raise ValueError("n_variants and shots_per_variant must be positive")
-    terms = observable.terms
-    coeffs = np.array([c for c, _ in terms])
-    circuit, n = _circuit_qubits(circuit, observable)
-    dec = decompose_circuit(grid, circuit)
-    nu = dec.num_gates
-    n_terms = len(terms)
-    variants = _pai_circuit(dec, n)
-
-    def worker(lo: int, hi: int):
-        u, u_shots = _variant_uniforms(
-            master_seed, key, lo, hi, nu, n_terms * shots_per_variant
-        )
-        signs, amps = _pai_variants(dec, variants, u)
-        evs = term_expectations(amps, terms)
-        u_shots = u_shots.reshape(hi - lo, n_terms, shots_per_variant)
-        outcome_means = _outcomes(u_shots, evs[:, :, None]).mean(axis=2)
-        return signs.astype(np.float64) @ (outcome_means @ coeffs)
-
-    parts = _map_variants(worker, n_variants, n, threads)
-    return dec.norm1_total * float(sum(parts)) / n_variants
-
-
-def nearest_observable_mean(
-    grid: NotchGrid,
-    circuit: Sequence[tuple[PauliString, float]],
-    observable: Observable,
-    n_shots: int,
-    master_seed: int,
-    *,
-    key: tuple[int, ...] = (),
-) -> float:
-    """Biased baseline for a Pauli-sum observable: the nearest-notch
-    circuit, ``n_shots`` shots per term.  The terms draw their shot
-    uniforms in term order from the stream ``(master_seed, *key, 1, 0)``."""
-    if n_shots < 1:
-        raise ValueError("n_shots must be positive")
-    circuit, n = _circuit_qubits(circuit, observable)
-    state = run_circuit(_round_circuit(grid, circuit), n)
-    evs = term_expectations(state.amps[None, :], observable.terms)[0]
-    r = stream(master_seed, *key, *NEAREST_STREAM_KEY)
-    total = 0.0
-    for (coeff, _), ev in zip(observable.terms, evs):
-        total += coeff * _outcomes(r.random(n_shots), ev).mean()
-    return float(total)
 
 
 @dataclass(frozen=True)
@@ -661,6 +603,7 @@ def rms_vs_shots(
     nu = dec.num_gates
     exact = continuous_expectation(circuit, observable)
     variants = _pai_circuit(dec, n)
+    terms = ((1.0, observable),)
     block = 8192  # fixed draw-block size keeps streams thread-independent
 
     def run_mean(budget_index: int, repeat: int) -> float:
@@ -669,10 +612,9 @@ def rms_vs_shots(
         acc = 0.0
         for lo, hi in _chunk_bounds(n_shots, block):
             u = r.random((hi - lo, nu))
-            u_shots = r.random(hi - lo)
-            signs, amps = _pai_variants(dec, variants, u)
-            outcomes = _outcomes(u_shots, batch_pauli_expectation(amps, observable))
-            acc += float(outcomes @ signs)
+            u_shots = r.random((hi - lo, 1, 1))
+            signs, outcomes = _pai_outcomes(dec, variants, u, u_shots, terms)
+            acc += float(outcomes[:, 0, 0] @ signs)
         return dec.norm1_total * acc / n_shots
 
     jobs = [(i, r) for i in range(len(shot_grid)) for r in range(repeats)]

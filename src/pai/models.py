@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .estimate import nearest_observable_mean, pai_observable_mean
+from .estimate import nearest_notch_shot_bank, pai_shot_bank
 from .notch import NotchGrid, round_params_to_grid
 from .rng import stream
 from .statevector import (
@@ -274,7 +274,7 @@ def estimate_energy(
     if config.mode == "exact":
         return energy(model, run_circuit(list(circuit), model.num_qubits))
     if config.mode == "nearest":
-        return nearest_observable_mean(
+        bank = nearest_notch_shot_bank(
             config.grid,
             circuit,
             model.observable(),
@@ -282,16 +282,18 @@ def estimate_energy(
             config.master_seed,
             key=key,
         )
-    return pai_observable_mean(
-        config.grid,
-        circuit,
-        model.observable(),
-        config.n_variants,
-        config.shots_per_variant,
-        config.master_seed,
-        key=key,
-        threads=threads,
-    )
+    else:
+        bank = pai_shot_bank(
+            config.grid,
+            circuit,
+            model.observable(),
+            config.n_variants,
+            config.shots_per_variant,
+            config.master_seed,
+            key=key,
+            threads=threads,
+        )
+    return bank.result().mean
 
 
 def gradient(

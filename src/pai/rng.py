@@ -17,7 +17,9 @@ Keys after ``master_seed``, per subcommand (``v`` a sampled variant):
   mode, at iteration ``i``, parameter ``j`` and shift ``s``; the initial
   parameters come from ``(init_seed, 0, 0)``.
 
-Models draw their fields from ``(model_seed,)``.  No key repeats within a
+A bank of a Pauli sum draws every term's shot uniforms from the one
+stream of its variant, in term order.  Models draw their fields from
+``(model_seed,)``.  No key repeats within a
 run, but at one master seed rms's ``(1, 0)``, ``(2, 0)`` and ``(3, m)`` are
 trotter's nearest-notch, continuous and resampling keys.
 """

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import pai.estimate
 from pai.estimate import (
     EnumerationLimitError,
     _auto_chunk,
@@ -19,9 +20,6 @@ from pai.estimate import (
     continuous_shot_bank,
     exact_pai_expectation,
     nearest_notch_shot_bank,
-    nearest_observable_mean,
-    pai_estimate,
-    pai_observable_mean,
     pai_shot_bank,
     per_variant_rows,
     rms_vs_shots,
@@ -32,6 +30,7 @@ from pai.quasiprob import decompose_circuit
 from pai.statevector import Observable, PauliString, Statevector, run_circuit
 
 X, Y, Z = PauliString("X"), PauliString("Y"), PauliString("Z")
+_SUM = Observable(terms=((0.5, PauliString("ZII")), (-0.3, PauliString("IXY"))))
 
 
 def _fixed_circuit():
@@ -92,24 +91,16 @@ def test_bank_validation():
     with pytest.raises(ValueError):
         pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 3, 0, 5)
     with pytest.raises(ValueError):
-        # multi-term observables cannot be shot-sampled directly
-        pai_shot_bank(
-            grid,
-            _fixed_circuit(),
-            Observable(terms=((1.0, PauliString("ZII")),)),
-            3,
-            3,
-            5,
-        )
-    with pytest.raises(ValueError):
         pai_shot_bank(grid, _fixed_circuit(), Z, 3, 3, 5)  # qubit mismatch
-    obs = Observable(terms=((1.0, PauliString("ZII")),))
+    obs = Observable(terms=((1.0, PauliString("ZII")), (0.5, PauliString("IXI"))))
     with pytest.raises(ValueError):
-        pai_observable_mean(grid, _fixed_circuit(), obs, 0, 3, 5)
+        pai_shot_bank(grid, _fixed_circuit(), obs, 0, 3, 5)
     with pytest.raises(ValueError):
-        pai_observable_mean(grid, _fixed_circuit(), obs, 3, 0, 5)
+        pai_shot_bank(grid, _fixed_circuit(), obs, 3, 0, 5)
     with pytest.raises(ValueError):
-        nearest_observable_mean(grid, _fixed_circuit(), obs, 0, 5)
+        nearest_notch_shot_bank(grid, _fixed_circuit(), obs, 0, 5)
+    with pytest.raises(ValueError):
+        continuous_shot_bank(_fixed_circuit(), obs, 0, 5)
 
 
 # ---------------------------------------------------------- determinism
@@ -171,10 +162,16 @@ def test_first_variant_regenerates_in_isolation():
     # the documented stream contract: variant v depends only on
     # (master_seed, v), never on how many variants ran
     grid = NotchGrid.uniform(5)
-    small = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 1, 4, 9)
-    large = pai_shot_bank(grid, _fixed_circuit(), PauliString("ZII"), 300, 4, 9)
-    np.testing.assert_array_equal(small.outcomes[0], large.outcomes[0])
-    assert small.variant_signs[0] == large.variant_signs[0]
+    # ten terms at one shot: a shot's term sum must not depend on the chunk
+    letters = ["ZII", "IZI", "IIZ", "XII", "IXI", "IIX", "ZZI", "IZZ", "XXI", "YYI"]
+    wide = Observable(
+        terms=tuple((0.1 + 0.37 * k, PauliString(p)) for k, p in enumerate(letters))
+    )
+    for obs, shots in ((PauliString("ZII"), 4), (wide, 1)):
+        small = pai_shot_bank(grid, _fixed_circuit(), obs, 1, shots, 9)
+        large = pai_shot_bank(grid, _fixed_circuit(), obs, 300, shots, 9)
+        np.testing.assert_array_equal(small.outcomes[0], large.outcomes[0])
+        assert small.variant_signs[0] == large.variant_signs[0]
 
 
 # --------------------------------------------------------- unbiasedness
@@ -188,7 +185,7 @@ def test_pai_estimate_is_unbiased_across_seeds():
     hits = 0
     runs = 100
     for seed in range(runs):
-        res = pai_estimate(grid, circuit, obs, 400, 2, seed)
+        res = pai_shot_bank(grid, circuit, obs, 400, 2, seed).result()
         if abs(res.mean - exact) <= 5 * res.std_error:
             hits += 1
     assert hits >= 99
@@ -245,19 +242,22 @@ def test_reference_banks_use_separate_streams():
 # ------------------------------------------------- Pauli-sum estimators
 
 
-def test_single_term_observable_means_match_the_shot_banks():
-    # a one-term observable draws exactly the streams of the shot banks:
-    # variant v's settings then shots from (seed, v), and the nearest
-    # circuit's shots from (seed, 1, 0)
+def test_single_term_observable_banks_match_the_string_banks():
+    # a string is the one-term sum with coefficient 1: the same streams,
+    # the same +-1 per shot
     grid = NotchGrid.uniform(4)
     circuit = _fixed_circuit()
     pauli = PauliString("ZII")
     obs = Observable(terms=((1.0, pauli),))
-    bank = pai_shot_bank(grid, circuit, pauli, 50, 3, 5)
-    got = pai_observable_mean(grid, circuit, obs, 50, 3, 5)
-    assert got == pytest.approx(bank.result().mean, rel=1e-12)
-    near = nearest_notch_shot_bank(grid, circuit, pauli, 400, 5)
-    assert nearest_observable_mean(grid, circuit, obs, 400, 5) == near.result().mean
+    banks = [
+        lambda o: pai_shot_bank(grid, circuit, o, 50, 3, 5, key=(2,)),
+        lambda o: nearest_notch_shot_bank(grid, circuit, o, 400, 5, key=(2,)),
+        lambda o: continuous_shot_bank(circuit, o, 400, 5),
+    ]
+    for bank in banks:
+        want, got = bank(pauli), bank(obs)
+        np.testing.assert_array_equal(got.values(), want.values())
+        np.testing.assert_array_equal(got.variant_signs, want.variant_signs)
 
 
 def test_observable_means_combine_their_terms(rng):
@@ -270,10 +270,15 @@ def test_observable_means_combine_their_terms(rng):
     want_near = continuous_expectation(rounded, obs)
     n = 20_000
     se = 1.1 / math.sqrt(n)
-    assert abs(nearest_observable_mean(grid, circuit, obs, n, 3) - want_near) < 5 * se
-    weight = decompose_circuit(grid, circuit).norm1_total
-    got = pai_observable_mean(grid, circuit, obs, n, 1, 3, key=(2,))
-    assert abs(got - exact) < 5 * weight * se
+    near = nearest_notch_shot_bank(grid, circuit, obs, n, 3).result()
+    assert abs(near.mean - want_near) < 5 * se
+    cont = continuous_shot_bank(circuit, obs, n, 3).result()
+    assert abs(cont.mean - exact) < 5 * se
+    bank = pai_shot_bank(grid, circuit, obs, n, 1, 3, key=(2,))
+    assert abs(bank.result().mean - exact) < 5 * bank.weight * se
+    # a shot's value is the coefficient-weighted sum of its terms' +-1
+    # outcomes, so it takes one of the four values +-0.7 +- 0.4
+    assert set(np.round(np.unique(bank.outcomes), 12)) <= {-1.1, -0.3, 0.3, 1.1}
 
 
 # ------------------------------------------------------ exact enumeration
@@ -314,6 +319,28 @@ def test_exact_enumeration_equals_continuous(bits, n, nu, seed):
     got = exact_pai_expectation(grid, circuit, obs)
     want = continuous_expectation(circuit, obs)
     assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_exact_enumeration_chunks_by_the_qubit_count(monkeypatch):
+    # 3**7 = 2,187 variants on 11 qubits: each chunk row is a 2**11 state,
+    # so the rows per chunk follow the same memory budget as sampling
+    rows = []
+    buffers = pai.estimate._chunk_buffers
+
+    def spy(n_rows, initial):
+        rows.append(n_rows)
+        return buffers(n_rows, initial)
+
+    monkeypatch.setattr(pai.estimate, "_chunk_buffers", spy)
+    grid = NotchGrid.uniform(4)
+    circuit = [
+        (PauliString("I" * q + "X" + "I" * (10 - q)), 0.3 + 0.4 * q) for q in range(7)
+    ]
+    obs = PauliString("Z" * 7 + "I" * 4)
+    got = exact_pai_expectation(grid, circuit, obs)
+    assert sum(rows) == 3**7
+    assert max(rows) <= _auto_chunk(2048)
+    assert got == pytest.approx(continuous_expectation(circuit, obs), abs=1e-10)
 
 
 def test_exact_enumeration_supports_observables():
@@ -462,24 +489,27 @@ def test_estimates_agree_with_oracle_on_a_fixed_case(rng):
         np.conj(state.amps) @ oracles.dense_pauli("ZZ") @ state.amps
     )
     assert continuous_expectation(circuit, obs) == pytest.approx(want, abs=1e-12)
-    res = pai_estimate(NotchGrid.uniform(6), circuit, obs, 3000, 2, 1)
+    res = pai_shot_bank(NotchGrid.uniform(6), circuit, obs, 3000, 2, 1).result()
     assert abs(res.mean - want) <= 5 * res.std_error
 
 
 _GRID = NotchGrid.uniform(4)
 _ZII = PauliString("ZII")
-_SUM = Observable(terms=((0.5, _ZII), (-0.3, PauliString("IXY"))))
 _CIRCUIT_ESTIMATORS = {
     "pai_shot_bank": lambda c: pai_shot_bank(_GRID, c, _ZII, 40, 3, 7).values().tolist(),
-    "pai_estimate": lambda c: pai_estimate(_GRID, c, _ZII, 40, 3, 7),
     "nearest_notch_shot_bank": lambda c: nearest_notch_shot_bank(
         _GRID, c, _ZII, 64, 7
     ).values().tolist(),
     "continuous_shot_bank": lambda c: continuous_shot_bank(c, _ZII, 64, 7).values().tolist(),
     "continuous_expectation": lambda c: continuous_expectation(c, _ZII),
     "exact_pai_expectation": lambda c: exact_pai_expectation(_GRID, c, _ZII),
-    "pai_observable_mean": lambda c: pai_observable_mean(_GRID, c, _SUM, 40, 2, 7),
-    "nearest_observable_mean": lambda c: nearest_observable_mean(_GRID, c, _SUM, 64, 7),
+    "pai_shot_bank_sum": lambda c: pai_shot_bank(_GRID, c, _SUM, 40, 2, 7).values().tolist(),
+    "nearest_notch_shot_bank_sum": lambda c: nearest_notch_shot_bank(
+        _GRID, c, _SUM, 64, 7
+    ).values().tolist(),
+    "continuous_shot_bank_sum": lambda c: continuous_shot_bank(
+        c, _SUM, 64, 7
+    ).values().tolist(),
     "two_notch_fidelity_profile": lambda c: two_notch_fidelity_profile(
         _GRID, c, [0, 3, 5], 20, 7
     ),

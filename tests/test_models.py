@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from pai.estimate import _auto_chunk, _chunk_bounds
+from pai.estimate import _auto_chunk, _chunk_bounds, pai_shot_bank
 from pai.models import (
     EstimatorConfig,
     SpinRingModel,
@@ -378,6 +378,11 @@ def test_pai_energy_threads_and_determinism():
     circ = hva_circuit(model, 1, np.linspace(0.1, 1.2, 12))
     # three chunks, so the threaded run really splits the variants
     assert len(_chunk_bounds(4200, _auto_chunk(1 << 3))) == 3
+    args = (grid, circ, model.observable(), 4200, 2, 9)
+    bank = pai_shot_bank(*args, key=(1,), threads=1)
+    threaded = pai_shot_bank(*args, key=(1,), threads=3)
+    np.testing.assert_array_equal(bank.outcomes, threaded.outcomes)
+    np.testing.assert_array_equal(bank.variant_signs, threaded.variant_signs)
     for mode in ("pai", "nearest", "exact"):
         cfg = EstimatorConfig(
             mode=mode, grid=grid, n_variants=4200, shots_per_variant=2, master_seed=9
@@ -386,6 +391,8 @@ def test_pai_energy_threads_and_determinism():
         three = estimate_energy(model, circ, cfg, key=(1,), threads=3)
         assert one == three
         assert one == estimate_energy(model, circ, cfg, key=(1,), threads=1)
+        if mode == "pai":
+            assert one == bank.result().mean
 
 
 # ------------------------------------------------------------------- VQE
