@@ -197,6 +197,10 @@ def _coerce(name: str, raw, annotation):
     raise ConfigError(f"field {name!r} has unsupported type {annotation!r}")
 
 
+# stream and model seeds, which SeedSequence takes only when non-negative
+_SEED_FIELDS = ("model_seed", "master_seed", "init_seed")
+
+
 def _build_config(cls, config_path: str | None, overrides: dict):
     field_map = {f.name: f for f in dataclasses.fields(cls)}
     merged: dict = {}
@@ -219,6 +223,9 @@ def _build_config(cls, config_path: str | None, overrides: dict):
         name: _coerce(name, value, field_map[name].type)
         for name, value in merged.items()
     }
+    for name in _SEED_FIELDS:
+        if kwargs.get(name, 0) < 0:
+            raise ConfigError(f"field {name!r} must be non-negative, got {kwargs[name]}")
     return cls(**kwargs)
 
 

@@ -22,16 +22,132 @@ stream of its variant, in term order.  Models draw their fields from
 ``(model_seed,)``.  No key repeats within a
 run, but at one master seed rms's ``(1, 0)``, ``(2, 0)`` and ``(3, m)`` are
 trotter's nearest-notch, continuous and resampling keys.
+
+:func:`stream` builds one generator.  :func:`chunk_uniforms` draws a
+chunk of variant streams ``(master_seed, *key, v)``, ``lo <= v < hi``,
+without a ``SeedSequence`` or a generator per variant.  The Philox keys of
+the whole chunk come from one vectorized pass of ``SeedSequence``'s pool
+hash (:func:`_chunk_keys`): its hash constants advance with the call count,
+not with the values hashed, so the words shared by the chunk are mixed
+once and only the last word, ``v``, per variant.  One Philox per call then
+draws each variant's uniforms from its key and a zero counter.  Stream
+contents are those of :func:`stream`, bit for bit; a variant index of
+2**32 or more, which takes two words, is drawn through :func:`stream`.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-__all__ = ["stream"]
+__all__ = ["stream", "chunk_uniforms"]
+
+# numpy.random.SeedSequence's pool size and hash constants
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+# a variant index from here on takes two 32-bit words, which the one-word
+# vectorized mix does not cover
+_WORD_LIMIT = 1 << 32
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
     """Return the Philox generator addressed by ``(master_seed, *key)``."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _words(n) -> list[int]:
+    """The little-endian 32-bit words that ``SeedSequence`` makes of a
+    non-negative integer (one word for 0)."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _hashmix(value, const: int):
+    """``(hash, next const)``; ``value`` is an int or a uint32 array."""
+    value = value ^ const
+    const = (const * _MULT_A) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> _XSHIFT), const
+
+
+def _mix(x, y):
+    """``x`` an int, ``y`` an int or a uint32 array."""
+    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+    return result ^ (result >> _XSHIFT)
+
+
+def _chunk_keys(master_seed: int, key, lo: int, hi: int) -> np.ndarray:
+    """The ``(hi - lo, 2)`` uint64 Philox keys of the streams
+    ``(master_seed, *key, v)`` for ``lo <= v < hi < 2**32``: row ``i``
+    equals ``SeedSequence(master_seed, spawn_key=(*key, lo + i))
+    .generate_state(2, np.uint64)``."""
+    if not 0 <= lo <= hi <= _WORD_LIMIT:
+        raise ValueError("variant range must lie in [0, 2**32]")
+    # the assembled entropy: the seed's words padded to the pool size, as
+    # for any non-empty spawn key, then the key's words; v comes last
+    entropy = _words(master_seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    for k in key:
+        entropy += _words(k)
+    const = _INIT_A
+    mixer = []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const)
+        mixer.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(mixer[src], const)
+                mixer[dst] = _mix(mixer[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            mixer[dst] = _mix(mixer[dst], value)
+    v = np.arange(lo, hi, dtype=np.uint32)
+    state = np.empty((_POOL_SIZE, hi - lo), dtype=np.uint64)
+    out_const = _INIT_B
+    for dst in range(_POOL_SIZE):
+        value, const = _hashmix(v, const)
+        # generate_state's four words, one per pool entry
+        word = _mix(mixer[dst], value) ^ out_const
+        out_const = (out_const * _MULT_B) & _MASK32
+        word = word * out_const
+        state[dst] = word ^ (word >> _XSHIFT)
+    return (state[0::2] | (state[1::2] << 32)).T
+
+
+def chunk_uniforms(master_seed: int, key, lo: int, hi: int, width: int) -> np.ndarray:
+    """``(hi - lo, width)`` uniforms: row ``i`` holds the first ``width``
+    doubles of ``stream(master_seed, *key, lo + i)``."""
+    out = np.empty((hi - lo, width))
+    split = min(max(lo, _WORD_LIMIT), hi)
+    if split > lo:
+        # one Philox per call, so concurrent chunks never share one
+        bits = np.random.Philox(0)
+        draw = np.random.Generator(bits).random
+        state = bits.state
+        state.update(buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+        state["state"] = {"counter": [0] * 4, "key": None}
+        for row, k in zip(out, _chunk_keys(master_seed, key, lo, split).tolist()):
+            state["state"]["key"] = k
+            bits.state = state
+            draw(out=row)
+    for v in range(split, hi):
+        stream(master_seed, *key, v).random(out=out[v - lo])
+    return out

@@ -111,6 +111,27 @@ def test_bad_threads_value_exits_2(capsys):
     assert run_cli("decompose", "--angle", "0.3", "--threads", "0") == 2
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["trotter", "--num-qubits", "3", "--master-seed", "-1"], "master_seed"),
+        (["rms", "--num-qubits", "3", "--model-seed", "-5"], "model_seed"),
+        (["vqe", "--num-qubits", "3", "--init-seed", "-2"], "init_seed"),
+    ],
+)
+def test_negative_seed_exits_2_naming_the_field(argv, field, tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    # rejected while the config is built, before any circuit is decomposed
+    monkeypatch.setattr(cli, "decompose_circuit", no_work)
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_threads_flag_beats_broken_env(monkeypatch, capsys):
     monkeypatch.setenv(cli.THREADS_ENV_VAR, "bogus")
     assert run_cli("decompose", "--angle", "0.3") == 2
@@ -520,20 +541,33 @@ def test_rms_curve_output(tmp_path, capsys):
 
 
 def _record_stream_keys(monkeypatch) -> list:
-    """Replace ``stream`` in every ``pai`` namespace that holds it with a
-    wrapper that records each ``(master_seed, *key)`` it is asked for."""
-    original = rng.stream
+    """Replace ``stream`` and ``chunk_uniforms`` in every ``pai`` namespace
+    that holds them with wrappers that record each ``(master_seed, *key)``
+    they are asked for, one per variant of a chunk."""
     drawn: list = []
 
-    def recording(master_seed, *key):
+    def record(master_seed, *key):
         drawn.append((int(master_seed), *(int(k) for k in key)))
-        return original(master_seed, *key)
 
+    original_stream, original_chunk = rng.stream, rng.chunk_uniforms
+
+    def recording_stream(master_seed, *key):
+        record(master_seed, *key)
+        return original_stream(master_seed, *key)
+
+    def recording_chunk(master_seed, key, lo, hi, width):
+        for v in range(lo, hi):
+            record(master_seed, *key, v)
+        return original_chunk(master_seed, key, lo, hi, width)
+
+    wrappers = {"stream": (original_stream, recording_stream)}
+    wrappers["chunk_uniforms"] = (original_chunk, recording_chunk)
     for name, module in list(sys.modules.items()):
-        if (name == "pai" or name.startswith("pai.")) and getattr(
-            module, "stream", None
-        ) is original:
-            monkeypatch.setattr(module, "stream", recording)
+        if name != "pai" and not name.startswith("pai."):
+            continue
+        for attr, (original, wrapper) in wrappers.items():
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, wrapper)
     return drawn
 
 

@@ -137,6 +137,38 @@ def test_thread_count_never_changes_results():
     assert one.weight == four.weight
 
 
+def test_chunk_rows_follow_the_cache_budget():
+    # at most 2**15 amplitudes per chunk buffer, between 64 and 2,048 rows
+    assert _auto_chunk(1 << 4) == 2048
+    assert _auto_chunk(1 << 8) == 128
+    assert _auto_chunk(1 << 12) == 64
+    assert _auto_chunk(1 << 20) == 64
+
+
+def _chunked_runs(threads: int):
+    grid = NotchGrid.uniform(4)
+    circuit = _fixed_circuit()
+    banks = [
+        pai_shot_bank(grid, circuit, obs, 150, 3, 9, key=(2,), threads=threads)
+        for obs in (PauliString("ZII"), _SUM)
+    ]
+    profile = two_notch_fidelity_profile(grid, circuit, [0, 2, 5], 150, 4, threads=threads)
+    return banks, profile
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2048])
+def test_chunk_size_never_changes_results(chunk, monkeypatch):
+    want_banks, want_profile = _chunked_runs(1)
+    monkeypatch.setattr(pai.estimate, "_auto_chunk", lambda dim: chunk)
+    for threads in (1, 3):
+        banks, profile = _chunked_runs(threads)
+        for got, want in zip(banks, want_banks):
+            np.testing.assert_array_equal(got.outcomes, want.outcomes)
+            np.testing.assert_array_equal(got.variant_signs, want.variant_signs)
+            assert got.weight == want.weight
+        assert profile == want_profile
+
+
 def test_simulate_variants_matches_gate_by_gate_reference(rng):
     # the first two gates take setting 0 in every variant, so they run once
     # as the fixed prefix; gate 3 is marked too, but the prefix stops at
@@ -189,6 +221,31 @@ def test_pai_estimate_is_unbiased_across_seeds():
         if abs(res.mean - exact) <= 5 * res.std_error:
             hits += 1
     assert hits >= 99
+
+
+def test_single_shot_values_follow_the_exact_law():
+    # a single-shot value is +w or -w, +w with probability (1 + o/w) / 2,
+    # so its variance is w**2 - o**2 (o the continuous expectation)
+    grid = NotchGrid.uniform(4)
+    circuit = _fixed_circuit()
+    obs = PauliString("ZII")
+    n = 40_000
+    bank = pai_shot_bank(grid, circuit, obs, n, 1, 13, threads=2)
+    w = bank.weight
+    o = continuous_expectation(circuit, obs)
+    vals = bank.values()
+    assert w > 1.0 and np.all(np.abs(vals) == w)
+    p = 0.5 * (1.0 + o / w)
+    plus = int(np.count_nonzero(vals > 0))
+    assert abs(plus - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
+    # (n - 1) s**2 / sigma**2 against chi-square(n - 1) at a 1e-4 two-sided
+    # level; for 0.21 < p < 0.79 a two-point law spreads s**2 less than a
+    # normal one, so the interval is conservative
+    from scipy.stats import chi2
+
+    assert 0.21 < p < 0.79
+    stat = (n - 1) * vals.var(ddof=1) / (w**2 - o**2)
+    assert chi2.ppf(5e-5, n - 1) <= stat <= chi2.ppf(1.0 - 5e-5, n - 1)
 
 
 def test_on_notch_circuit_collapses_to_plain_sampling():
