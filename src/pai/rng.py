@@ -29,7 +29,8 @@ without a ``SeedSequence`` or a generator per variant.  The Philox keys of
 the whole chunk come from one vectorized pass of ``SeedSequence``'s pool
 hash (:func:`_chunk_keys`): its hash constants advance with the call count,
 not with the values hashed, so the words shared by the chunk are mixed
-once and only the last word, ``v``, per variant.  One Philox per call then
+once, by ``SeedSequence`` itself, and only the last word, ``v``, per
+variant.  One Philox per call then
 draws each variant's uniforms from its key and a zero counter.  Stream
 contents are those of :func:`stream`, bit for bit; a variant index of
 2**32 or more, which takes two words, is drawn through :func:`stream`.
@@ -37,13 +38,11 @@ contents are those of :func:`stream`, bit for bit; a variant index of
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 __all__ = ["stream", "chunk_uniforms"]
 
-# numpy.random.SeedSequence's pool size and hash constants
+# numpy.random.SeedSequence's pool size and hash constants (uint32)
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A = 0x43B0D7E5
@@ -64,72 +63,51 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _words(n) -> list[int]:
-    """The little-endian 32-bit words that ``SeedSequence`` makes of a
-    non-negative integer (one word for 0)."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
+def _n_words(n: int) -> int:
+    """The count of 32-bit words that ``SeedSequence`` makes of ``n >= 0``."""
+    return max(1, (int(n).bit_length() + 31) // 32)
 
 
 def _hashmix(value, const: int):
-    """``(hash, next const)``; ``value`` is an int or a uint32 array."""
+    """``(hash, next const)`` of ``SeedSequence``'s hash of ``value``, a
+    uint32 array, at the hash constant ``const``."""
     value = value ^ const
     const = (const * _MULT_A) & _MASK32
-    value = (value * const) & _MASK32
+    value = value * const
     return value ^ (value >> _XSHIFT), const
 
 
-def _mix(x, y):
-    """``x`` an int, ``y`` an int or a uint32 array."""
-    result = (((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)) & _MASK32
+def _mix(x: int, y: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s mix of ``x`` with each entry of ``y`` (uint32)."""
+    result = ((_MIX_MULT_L * x) & _MASK32) - _MIX_MULT_R * y
     return result ^ (result >> _XSHIFT)
 
 
 def _chunk_keys(master_seed: int, key, lo: int, hi: int) -> np.ndarray:
     """The ``(hi - lo, 2)`` uint64 Philox keys of the streams
-    ``(master_seed, *key, v)`` for ``lo <= v < hi < 2**32``: row ``i``
+    ``(master_seed, *key, v)`` for ``lo <= v < hi <= 2**32``: row ``i``
     equals ``SeedSequence(master_seed, spawn_key=(*key, lo + i))
     .generate_state(2, np.uint64)``."""
     if not 0 <= lo <= hi <= _WORD_LIMIT:
         raise ValueError("variant range must lie in [0, 2**32]")
-    # the assembled entropy: the seed's words padded to the pool size, as
-    # for any non-empty spawn key, then the key's words; v comes last
-    entropy = _words(master_seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    for k in key:
-        entropy += _words(k)
-    const = _INIT_A
-    mixer = []
-    for word in entropy[:_POOL_SIZE]:
-        value, const = _hashmix(word, const)
-        mixer.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(mixer[src], const)
-                mixer[dst] = _mix(mixer[dst], value)
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const)
-            mixer[dst] = _mix(mixer[dst], value)
+    # the sequence without v has mixed every other word into its pool: the
+    # seed's words, padded with zeros to the pool size, then the key's, at
+    # one hash per pool entry and word; v is the last word to mix
+    key = tuple(int(k) for k in key)
+    shared = np.random.SeedSequence(master_seed, spawn_key=key)
+    n_words = max(_POOL_SIZE, _n_words(master_seed)) + sum(map(_n_words, key))
+    const = (_INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32)) & _MASK32
     v = np.arange(lo, hi, dtype=np.uint32)
-    state = np.empty((_POOL_SIZE, hi - lo), dtype=np.uint64)
+    words = np.empty((_POOL_SIZE, hi - lo), dtype=np.uint64)
     out_const = _INIT_B
-    for dst in range(_POOL_SIZE):
+    for dst, pooled in enumerate(shared.pool.tolist()):
         value, const = _hashmix(v, const)
         # generate_state's four words, one per pool entry
-        word = _mix(mixer[dst], value) ^ out_const
+        word = _mix(pooled, value) ^ out_const
         out_const = (out_const * _MULT_B) & _MASK32
         word = word * out_const
-        state[dst] = word ^ (word >> _XSHIFT)
-    return (state[0::2] | (state[1::2] << 32)).T
+        words[dst] = word ^ (word >> _XSHIFT)
+    return (words[0::2] | (words[1::2] << 32)).T
 
 
 def chunk_uniforms(master_seed: int, key, lo: int, hi: int, width: int) -> np.ndarray:
@@ -141,6 +119,8 @@ def chunk_uniforms(master_seed: int, key, lo: int, hi: int, width: int) -> np.nd
         # one Philox per call, so concurrent chunks never share one
         bits = np.random.Philox(0)
         draw = np.random.Generator(bits).random
+        # a fresh stream: counter 0 and an empty buffer (buffer_pos 4), so
+        # the first draw generates counter 1's block, as a new Philox does
         state = bits.state
         state.update(buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
         state["state"] = {"counter": [0] * 4, "key": None}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 import oracles
 import pai.estimate
@@ -241,8 +242,6 @@ def test_single_shot_values_follow_the_exact_law():
     # (n - 1) s**2 / sigma**2 against chi-square(n - 1) at a 1e-4 two-sided
     # level; for 0.21 < p < 0.79 a two-point law spreads s**2 less than a
     # normal one, so the interval is conservative
-    from scipy.stats import chi2
-
     assert 0.21 < p < 0.79
     stat = (n - 1) * vals.var(ddof=1) / (w**2 - o**2)
     assert chi2.ppf(5e-5, n - 1) <= stat <= chi2.ppf(1.0 - 5e-5, n - 1)

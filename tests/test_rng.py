@@ -89,7 +89,8 @@ def test_chunk_uniforms_fall_back_to_stream_past_one_word():
     got = chunk_uniforms(3, (1, 2), lo, hi, 24)
     want = np.array([stream(3, 1, 2, v).random(24) for v in range(lo, hi)])
     assert np.array_equal(got, want)
-    assert np.array_equal(chunk_uniforms(3, (), 2**40, 2**40 + 1, 5)[0], stream(3, 2**40).random(5))
+    far = chunk_uniforms(3, (), 2**40, 2**40 + 1, 5)
+    assert np.array_equal(far[0], stream(3, 2**40).random(5))
 
 
 def test_empty_chunk_draws_nothing():
