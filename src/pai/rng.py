@@ -114,6 +114,7 @@ def chunk_uniforms(master_seed: int, key, lo: int, hi: int, width: int) -> np.nd
     """``(hi - lo, width)`` uniforms: row ``i`` holds the first ``width``
     doubles of ``stream(master_seed, *key, lo + i)``."""
     out = np.empty((hi - lo, width))
+    # variants from split on take two words and go through stream
     split = min(max(lo, _WORD_LIMIT), hi)
     if split > lo:
         # one Philox per call, so concurrent chunks never share one

@@ -560,8 +560,10 @@ def _record_stream_keys(monkeypatch) -> list:
             record(master_seed, *key, v)
         return original_chunk(master_seed, key, lo, hi, width)
 
-    wrappers = {"stream": (original_stream, recording_stream)}
-    wrappers["chunk_uniforms"] = (original_chunk, recording_chunk)
+    wrappers = {
+        "stream": (original_stream, recording_stream),
+        "chunk_uniforms": (original_chunk, recording_chunk),
+    }
     for name, module in list(sys.modules.items()):
         if name != "pai" and not name.startswith("pai."):
             continue
