@@ -12,11 +12,12 @@ identically.
 Every sampled estimator runs one variant loop, the quasiprobability
 sampling of Endo, Benjamin and Li (PRX 8, 031027, 2018), chunk by chunk
 (:func:`_map_variants`): variant ``v`` draws one uniform per gate and then
-its shot uniforms from the stream ``(master_seed, *key, v)``
-(:func:`_variant_uniforms`, one :func:`pai.rng.chunk_uniforms` call per
-chunk), and :func:`_pai_outcomes` simulates the
-settings they select and measures every term.  :mod:`pai.rng` tables the
-keys of every subcommand.
+its shot uniforms, ``width`` doubles in all, from its window of the stream
+``(master_seed, *key, 0)`` (:func:`_variant_uniforms`, one
+:func:`pai.rng.chunk_uniforms` call per chunk), and :func:`_pai_outcomes`
+simulates the settings they select and measures every term.  The window
+depends only on ``(master_seed, key, v, width)``, so any variant can be
+regenerated alone.  :mod:`pai.rng` tables the keys of every subcommand.
 
 The simulation takes each variant's setting indices, not its angles: gate
 ``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
@@ -287,8 +288,9 @@ def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarr
 def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=None):
     """Uniforms of variants ``lo`` to ``hi - 1``: ``(V, nu)`` for the
     settings and, when ``shots`` is given, ``(V, shots)`` for the shots
-    (else ``None``).  Variant ``v`` draws both, in that order, from the
-    stream ``(master_seed, *key, v)``."""
+    (else ``None``).  Variant ``v`` draws both, in that order, from its
+    window of ``nu + shots`` doubles in the stream ``(master_seed, *key,
+    0)``."""
     draws = chunk_uniforms(master_seed, key, lo, hi, nu + (shots or 0))
     return draws[:, :nu], None if shots is None else draws[:, nu:]
 
@@ -356,9 +358,10 @@ def pai_shot_bank(
     ``observable`` once.
 
     Variant ``v`` draws its setting uniforms and then the terms' shot
-    uniforms, in term order, from the stream ``(master_seed, *key, v)``,
-    so any variant can be regenerated in isolation and the full bank is
-    identical for any thread count.
+    uniforms, in term order, from its window of the stream ``(master_seed,
+    *key, 0)``, which depends only on ``v`` and the draw width, so any
+    variant can be regenerated in isolation and the full bank is identical
+    for any thread count.
     """
     if n_variants < 1 or shots_per_variant < 1:
         raise ValueError("n_variants and shots_per_variant must be positive")
@@ -512,7 +515,7 @@ def two_notch_fidelity_profile(
     (``lam`` the gap fraction); no reweighting.  For every checkpoint
     prefix length the mean squared overlap with the ideal continuous
     prefix state is averaged over ``n_variants`` sampled assignments,
-    one stream per variant as in :func:`pai_shot_bank`.
+    one stream window per variant as in :func:`pai_shot_bank`.
     """
     if n_variants < 1:
         raise ValueError("n_variants must be positive")
@@ -596,8 +599,9 @@ def rms_vs_shots(
     """Root-mean-square estimator error versus shot budget.
 
     For every budget ``N`` in ``shot_grid`` the estimator is repeated
-    ``repeats`` times, each repeat drawing ``N`` single-shot variants from
-    the stream ``(master_seed, budget_index, repeat)``; the RMS is taken
+    ``repeats`` times, each repeat the mean of ``pai_shot_bank(grid,
+    circuit, observable, N, 1, master_seed, key=(budget_index, repeat))``,
+    whose variants it draws the same way; the RMS is taken
     against the exact continuous value.  Reported alongside are the
     direct-sampling shot-noise level ``sqrt((1 - o**2) / N)`` and the
     variance bound ``||g||_1 / sqrt(N)``.
@@ -614,16 +618,15 @@ def rms_vs_shots(
     exact = continuous_expectation(circuit, observable)
     variants = _pai_circuit(dec, n)
     terms = ((1.0, observable),)
-    block = 8192  # fixed draw-block size keeps streams thread-independent
+    block = 8192  # rows simulated at once
 
     def run_mean(budget_index: int, repeat: int) -> float:
-        r = stream(master_seed, budget_index, repeat)
+        key = (budget_index, repeat)
         n_shots = shot_grid[budget_index]
         acc = 0.0
         for lo, hi in _chunk_bounds(n_shots, block):
-            u = r.random((hi - lo, nu))
-            u_shots = r.random((hi - lo, 1, 1))
-            signs, outcomes = _pai_outcomes(dec, variants, u, u_shots, terms)
+            u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, 1)
+            signs, outcomes = _pai_outcomes(dec, variants, u, u_shots[:, :, None], terms)
             acc += float(outcomes[:, 0, 0] @ signs)
         return dec.norm1_total * acc / n_shots
 

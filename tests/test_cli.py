@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -540,25 +541,32 @@ def test_rms_curve_output(tmp_path, capsys):
 # -------------------------------------------------------------- stream keys
 
 
-def _record_stream_keys(monkeypatch) -> list:
+def _record_stream_keys(monkeypatch) -> tuple[list, list]:
     """Replace ``stream`` and ``chunk_uniforms`` in every ``pai`` namespace
-    that holds them with wrappers that record each ``(master_seed, *key)``
-    they are asked for, one per variant of a chunk."""
-    drawn: list = []
-
-    def record(master_seed, *key):
-        drawn.append((int(master_seed), *(int(k) for k in key)))
-
+    that holds them with recording wrappers.  Returns ``(singles,
+    windows)``: the ``(master_seed, *key)`` of each stream built outside a
+    chunk draw, and of each window stream that a chunk draw builds, with
+    the chunk's variant range ``(lo, hi)``."""
+    singles: list = []
+    windows: list = []
+    chunk = threading.local()
     original_stream, original_chunk = rng.stream, rng.chunk_uniforms
 
     def recording_stream(master_seed, *key):
-        record(master_seed, *key)
+        address = (int(master_seed), *(int(k) for k in key))
+        span = getattr(chunk, "span", None)
+        if span is None:
+            singles.append(address)
+        else:
+            windows.append((address, span))
         return original_stream(master_seed, *key)
 
     def recording_chunk(master_seed, key, lo, hi, width):
-        for v in range(lo, hi):
-            record(master_seed, *key, v)
-        return original_chunk(master_seed, key, lo, hi, width)
+        chunk.span = (lo, hi)
+        try:
+            return original_chunk(master_seed, key, lo, hi, width)
+        finally:
+            chunk.span = None
 
     wrappers = {
         "stream": (original_stream, recording_stream),
@@ -570,7 +578,7 @@ def _record_stream_keys(monkeypatch) -> list:
         for attr, (original, wrapper) in wrappers.items():
             if getattr(module, attr, None) is original:
                 monkeypatch.setattr(module, attr, wrapper)
-    return drawn
+    return singles, windows
 
 
 _KEYED_RUNS = {
@@ -588,17 +596,40 @@ _KEYED_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(_KEYED_RUNS))
 def test_no_stream_key_is_drawn_twice_in_a_run(run, tmp_path, monkeypatch, capsys):
-    drawn = _record_stream_keys(monkeypatch)
-    argv = _KEYED_RUNS[run].split()
-    assert run_cli(*argv, "--master-seed", 5, "--output", tmp_path / "out") == 0
-    capsys.readouterr()
-    assert drawn, "the run drew no stream through a recorded namespace"
-    assert [k for k, count in Counter(drawn).items() if count > 1] == []
-    # the documented layout: variant keys for the sampled subcommands, and
-    # the reference estimators on their own keys
-    if run == "trotter":
-        assert {(5, 1, 0), (5, 2, 0), (5, 3, 0), (5, 0)} <= set(drawn)
-    if run == "vqe-nearest":
-        assert (5, 0, 0, 0, 1, 0) in drawn
-    if run == "vqe-pai":
-        assert (5, 0, 0, 0, 0) in drawn
+    singles, windows = _record_stream_keys(monkeypatch)
+    # 11 is also the default model_seed, and vqe's init seed equals the
+    # master seed: the model-field and initial-parameter streams must stay
+    # apart from every window stream
+    for seed in (5, 11):
+        del singles[:], windows[:]
+        argv = [*_KEYED_RUNS[run].split(), "--master-seed", seed]
+        if run.startswith("vqe"):
+            argv += ["--init-seed", seed]
+        assert run_cli(*argv, "--output", tmp_path / "out") == 0
+        capsys.readouterr()
+        assert singles or windows, "the run drew no stream through a recorded namespace"
+        assert [k for k, count in Counter(singles).items() if count > 1] == []
+        window_keys = {k for k, _ in windows}
+        assert window_keys.isdisjoint(singles)
+        for key in window_keys:
+            ranges = sorted(r for k, r in windows if k == key)
+            assert all(hi <= lo for (_, hi), (lo, _) in zip(ranges, ranges[1:])), key
+        # the documented layout (pai.rng): one pai window, and the reference
+        # estimators on their own single streams
+        if run == "trotter":
+            assert window_keys == {(seed, 0)}
+            assert {(seed, 1, 0), (seed, 2, 0), (seed, 3, 0), (seed, 3, 1)} <= set(singles)
+            assert sorted(r for _, r in windows)[-1][1] == 60
+        if run == "fidelity-decay":
+            assert window_keys == {(seed, 0)}
+        if run == "rms":
+            want = {(seed, i, r, 0) for i in range(2) for r in range(3)}
+            assert window_keys == want
+        if run == "vqe-nearest":
+            assert not windows and (seed, 0, 0, 0, 1, 0) in singles
+        if run == "vqe-pai":
+            assert (seed, 0, 0, 0, 0) in window_keys
+        if run.startswith("vqe"):
+            assert (seed, 0, 0) in singles  # the initial parameters
+        if seed == 11:
+            assert (seed,) in singles  # the model fields

@@ -525,6 +525,46 @@ def test_rms_reproducible_across_threads():
     assert a == b
 
 
+def test_rms_repeats_are_single_shot_bank_means(monkeypatch):
+    # one variant engine: repeat r of budget i is the mean of the one-shot
+    # bank keyed (i, r), across rms's 8,192-row blocks and the bank's chunks
+    grid = NotchGrid.uniform(4)
+    circuit = _fixed_circuit()
+    obs = PauliString("ZII")
+    shot_grid, repeats = [3, 9000], 2
+    means = []
+    original = pai.estimate._map_chunks
+
+    def spy(worker, jobs, threads):
+        out = original(worker, jobs, threads)
+        means.extend(out)
+        return out
+
+    monkeypatch.setattr(pai.estimate, "_map_chunks", spy)
+    rms_vs_shots(grid, circuit, obs, shot_grid, repeats, 7)
+    monkeypatch.undo()
+    assert len(means) == len(shot_grid) * repeats
+    for (i, r), got in zip([(i, r) for i in range(2) for r in range(repeats)], means):
+        bank = pai_shot_bank(grid, circuit, obs, shot_grid[i], 1, 7, key=(i, r))
+        assert abs(got - bank.result().mean) <= 1e-12
+
+
+def test_rms_follows_the_exact_single_shot_law():
+    # a repeat averages N single-shot values +-w of mean o and variance
+    # w**2 - o**2, so repeats * N * rms**2 / (w**2 - o**2) follows
+    # chi-square(repeats) in the normal limit; checked at a 1e-4 two-sided
+    # level for budgets of 100 shots and more
+    grid = NotchGrid.uniform(4)
+    circuit = _fixed_circuit()
+    obs = PauliString("ZII")
+    repeats = 200
+    w = decompose_circuit(grid, circuit).norm1_total
+    o = continuous_expectation(circuit, obs)
+    for p in rms_vs_shots(grid, circuit, obs, [100, 1000], repeats, 7, threads=2):
+        stat = repeats * p.n_shots * p.rms_error**2 / (w**2 - o**2)
+        assert chi2.ppf(5e-5, repeats) <= stat <= chi2.ppf(1.0 - 5e-5, repeats)
+
+
 def test_rms_validation():
     grid = NotchGrid.uniform(5)
     with pytest.raises(ValueError):

@@ -294,9 +294,10 @@ def test_sample_variant_draws_one_uniform_per_gate():
     grid = NotchGrid.uniform(4)
     circ = [(PauliString("X"), 0.9), (PauliString("Y"), 2.0), (PauliString("Z"), 4.4)]
     dec = decompose_circuit(grid, circ)
-    # variant 3 of master seed 5 reads the first three uniforms of (5, 3)
+    # three uniforms fill one Philox block of four doubles, so variant 3 of
+    # master seed 5 reads the first three doubles of block 3 of (5, 0)
     u, _ = _variant_uniforms(5, (), 3, 4, dec.num_gates)
-    np.testing.assert_array_equal(u[0], stream(5, 3).random(3))
+    np.testing.assert_array_equal(u[0], stream(5, 0).random(16)[12:15])
     idx, signs = settings_from_uniforms(dec, u)
     want_sign = 1
     for j, qp in enumerate(dec.per_gate):

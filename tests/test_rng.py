@@ -1,10 +1,10 @@
 """Stream derivation: determinism, key separation, scalar/vector parity,
-and chunk draws equal to numpy's own ``SeedSequence`` and :func:`stream`."""
+and chunk draws as counter windows of one :func:`stream`."""
 
 import numpy as np
 import pytest
 
-from pai.rng import _chunk_keys, chunk_uniforms, stream
+from pai.rng import chunk_uniforms, stream
 
 
 def test_same_key_reproduces_draws():
@@ -40,70 +40,88 @@ def test_scalar_draws_match_vector_draw():
 # ------------------------------------------------------- chunk draws
 
 
-def _reference_keys(master_seed, key, lo, hi):
-    return np.array(
-        [
-            np.random.SeedSequence(master_seed, spawn_key=(*key, v)).generate_state(
-                2, np.uint64
-            )
-            for v in range(lo, hi)
-        ]
-    )
+def _blocks(width):
+    return -(-width // 4)  # four doubles per Philox block
+
+
+def _reference_rows(master_seed, key, lo, hi, width):
+    """Row ``i``: a fresh window stream advanced to variant ``lo + i``."""
+    rows = np.empty((hi - lo, width))
+    for i, v in enumerate(range(lo, hi)):
+        r = stream(master_seed, *key, 0)
+        r.bit_generator.advance(v * _blocks(width))
+        rows[i] = r.random(width)
+    return rows
 
 
 # master seeds of one, two and three 32-bit words
 MASTER_SEEDS = (0, 2**32 - 1, 2**32, 2**63, 2**64 + 5)
-# key prefixes of 0-4 words, some of two words
+# keys of 0-4 words, some words of 2**32 or more
 KEYS = ((), (3,), (2**32, 0), (1, 2**40 + 7, 5), (0, 0, 2**32 - 1, 2**33))
+# chunks from 0 and mid-range, widths on and off a block boundary
+CHUNKS = ((0, 5, 8), (37, 50, 398), (1021, 1024, 3))
 
 
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
 @pytest.mark.parametrize("key", KEYS)
 def test_chunk_keys_equal_seed_sequence_keys(master_seed, key):
-    # a chunk that starts mid-range and one that starts at 0
-    for lo, hi in ((0, 5), (1021, 1030)):
-        got = _chunk_keys(master_seed, key, lo, hi)
-        assert got.dtype == np.uint64 and got.shape == (hi - lo, 2)
-        assert np.array_equal(got, _reference_keys(master_seed, key, lo, hi))
-
-
-def test_chunk_keys_at_the_top_of_the_word_range():
-    lo, hi = 2**32 - 3, 2**32
-    assert np.array_equal(_chunk_keys(9, (4,), lo, hi), _reference_keys(9, (4,), lo, hi))
-    with pytest.raises(ValueError):
-        _chunk_keys(9, (4,), lo, hi + 1)
+    # the window stream is a Philox keyed by SeedSequence's state for
+    # (master_seed, *key, 0); variant v starts at counter v * blocks
+    philox_key = np.random.SeedSequence(master_seed, spawn_key=(*key, 0)).generate_state(
+        2, np.uint64
+    )
+    for lo, hi, width in CHUNKS:
+        got = chunk_uniforms(master_seed, key, lo, hi, width)
+        for i, v in enumerate(range(lo, hi)):
+            bits = np.random.Philox(key=philox_key, counter=v * _blocks(width))
+            assert np.array_equal(got[i], np.random.Generator(bits).random(width))
 
 
 @pytest.mark.parametrize("master_seed", MASTER_SEEDS)
 @pytest.mark.parametrize("key", KEYS)
 def test_chunk_uniforms_equal_stream_draws(master_seed, key):
-    lo, hi, width = 37, 50, 398
-    got = chunk_uniforms(master_seed, key, lo, hi, width)
-    want = np.array([stream(master_seed, *key, v).random(width) for v in range(lo, hi)])
-    assert np.array_equal(got, want)
+    for lo, hi, width in CHUNKS:
+        got = chunk_uniforms(master_seed, key, lo, hi, width)
+        assert got.shape == (hi - lo, width)
+        assert np.array_equal(got, _reference_rows(master_seed, key, lo, hi, width))
 
 
-def test_chunk_uniforms_fall_back_to_stream_past_one_word():
-    # variants from 2**32 on take two words; the chunk draws them per stream
+def test_windows_tile_the_stream():
+    # a whole number of blocks per variant: the windows are the stream itself
+    got = chunk_uniforms(7, (2,), 0, 6, 12)
+    assert np.array_equal(got.ravel(), stream(7, 2, 0).random(72))
+
+
+@pytest.mark.parametrize("width", [1, 5, 8, 11])
+def test_every_split_of_a_range_gives_the_same_rows(width):
+    lo, hi = 3, 40
+    whole = chunk_uniforms(4, (1, 2), lo, hi, width)
+    for cuts in ([], [4], [10, 11, 30], list(range(lo + 1, hi))):
+        bounds = [lo, *cuts, hi]
+        parts = [chunk_uniforms(4, (1, 2), a, b, width) for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_large_variant_indices_need_no_special_path():
     lo, hi = 2**32 - 2, 2**32 + 2
     got = chunk_uniforms(3, (1, 2), lo, hi, 24)
-    want = np.array([stream(3, 1, 2, v).random(24) for v in range(lo, hi)])
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, _reference_rows(3, (1, 2), lo, hi, 24))
+    assert np.array_equal(chunk_uniforms(3, (1, 2), 2**32, hi, 24), got[2:])
     far = chunk_uniforms(3, (), 2**40, 2**40 + 1, 5)
-    assert np.array_equal(far[0], stream(3, 2**40).random(5))
+    assert np.array_equal(far, _reference_rows(3, (), 2**40, 2**40 + 1, 5))
 
 
 def test_empty_chunk_draws_nothing():
     assert chunk_uniforms(1, (), 4, 4, 7).shape == (0, 7)
-    assert _chunk_keys(1, (), 4, 4).shape == (0, 2)
+    # zero width: rows of nothing
+    assert chunk_uniforms(1, (2,), 0, 5, 0).shape == (5, 0)
+    assert chunk_uniforms(1, (), 9, 9, 0).shape == (0, 0)
 
 
 @pytest.mark.parametrize(
     "master_seed, key", [(-1, ()), (5, (-1,)), (5, (2, -(2**40))), (-(2**64), (0,))]
 )
 def test_negative_seed_or_key_word_raises(master_seed, key):
-    with pytest.raises(ValueError):
-        _chunk_keys(master_seed, key, 0, 3)
     with pytest.raises(ValueError):
         chunk_uniforms(master_seed, key, 0, 3, 4)
     # the same rule as SeedSequence's
