@@ -26,11 +26,12 @@ Addresses after ``master_seed``, per subcommand:
 
 Models draw their fields from ``(model_seed,)``.  A bank of a Pauli sum
 draws every term's shot uniforms from its variant's window, in term order.
-No address is drawn twice in a run, and no two purposes share one, as the
-address length tells them apart: none for model fields, one word for the
-pai window (shared only by trotter and fidelity-decay, whose pai draws are
-alike), two for trotter's reference streams and vqe's initial parameters,
-three for rms, four for vqe pai and five for vqe nearest.
+No address is drawn twice in a run, and no two purposes share one: while
+every key word is below 2**32 (``SeedSequence`` splits a larger one into
+32-bit words), the key length tells them apart.  Model fields have no key
+word, the pai window one (shared only by trotter and fidelity-decay, whose
+pai draws are alike), trotter's reference streams and vqe's initial
+parameters two, rms three, vqe pai four and vqe nearest five.
 """
 
 from __future__ import annotations
