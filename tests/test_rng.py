@@ -102,7 +102,18 @@ def test_every_split_of_a_range_gives_the_same_rows(width):
         assert np.array_equal(np.concatenate(parts), whole)
 
 
-def test_large_variant_indices_need_no_special_path():
+def test_chunk_keys_at_the_top_of_the_word_range():
+    # the last variants of one 32-bit word, and a chunk that runs past it
+    lo, hi = 2**32 - 3, 2**32
+    got = chunk_uniforms(9, (4,), lo, hi, 6)
+    assert np.array_equal(got, _reference_rows(9, (4,), lo, hi, 6))
+    past = chunk_uniforms(9, (4,), lo, hi + 1, 6)
+    assert np.array_equal(past[:-1], got)
+    assert np.array_equal(past[-1:], _reference_rows(9, (4,), hi, hi + 1, 6))
+
+
+def test_chunk_uniforms_fall_back_to_stream_past_one_word():
+    # variants of 2**32 or more are windows of the same stream: no fallback
     lo, hi = 2**32 - 2, 2**32 + 2
     got = chunk_uniforms(3, (1, 2), lo, hi, 24)
     assert np.array_equal(got, _reference_rows(3, (1, 2), lo, hi, 24))
