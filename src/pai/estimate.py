@@ -9,15 +9,17 @@ rounding and the continuous-angle circuit) fill the same structure with a
 single trivial variant so downstream analysis treats all three
 identically.
 
-Every sampled estimator runs one variant loop, the quasiprobability
-sampling of Endo, Benjamin and Li (PRX 8, 031027, 2018), chunk by chunk
-(:func:`_map_variants`): variant ``v`` draws one uniform per gate and then
+Every variant loop runs chunk by chunk through :func:`_map_variants`.  The
+sampled ones follow the quasiprobability sampling of Endo, Benjamin and Li
+(PRX 8, 031027, 2018): variant ``v`` draws one uniform per gate and then
 its shot uniforms, ``width`` doubles in all, from its window of the stream
 ``(master_seed, *key, 0)`` (:func:`_variant_uniforms`, one
-:func:`pai.rng.chunk_uniforms` call per chunk), and :func:`_pai_outcomes`
+:func:`pai.rng.chunk_uniforms` call per chunk), and :func:`_pai_draws`
 simulates the settings they select and measures every term.  The window
 depends only on ``(master_seed, key, v, width)``, so any variant can be
-regenerated alone.  :mod:`pai.rng` tables the keys of every subcommand.
+regenerated alone.  An rms repeat is a range of variants of one such bank,
+and exact enumeration walks all ``3**nu`` settings through the same chunks.
+:mod:`pai.rng` tables the keys of every subcommand.
 
 The simulation takes each variant's setting indices, not its angles: gate
 ``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
@@ -188,20 +190,15 @@ def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _map_chunks(worker, jobs, threads: int) -> list:
-    """``[worker(*job) for job in jobs]``, spread over ``threads`` threads;
-    results keep the order of ``jobs``."""
-    if threads <= 1 or len(jobs) <= 1:
-        return [worker(*job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda job: worker(*job), jobs))
-
-
 def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> list:
     """``worker(lo, hi)`` over the chunks of ``n_variants`` variants on
-    ``num_qubits`` qubits; the chunk bounds never depend on ``threads``."""
+    ``num_qubits`` qubits, spread over ``threads`` threads; results keep
+    chunk order, and the chunk bounds never depend on ``threads``."""
     bounds = _chunk_bounds(n_variants, _auto_chunk(1 << num_qubits))
-    return _map_chunks(worker, bounds, threads)
+    if threads <= 1 or len(bounds) <= 1:
+        return [worker(lo, hi) for lo, hi in bounds]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda bound: worker(*bound), bounds))
 
 
 def _chunk_buffers(n_rows: int, initial: np.ndarray):
@@ -302,22 +299,35 @@ def _outcomes(u: np.ndarray, ev) -> np.ndarray:
     return 2 * (u < p_plus).view(np.int8) - 1
 
 
-def _pai_outcomes(
-    dec: CircuitDecomposition, circuit: _SettingCircuit, u: np.ndarray, u_shots, terms
-):
-    """``(signs, outcomes)`` of the variants that the ``(V, nu)`` setting
-    uniforms ``u`` select from ``dec``, whose :func:`_pai_circuit` is
-    ``circuit``: ``outcomes`` holds the +-1 outcomes that the ``(V, T,
-    shots)`` shot uniforms ``u_shots`` draw for each of the ``T`` terms."""
-    settings, signs = settings_from_uniforms(dec, u)
-    amps = _simulate_variants(circuit, settings)
-    # row blocks keep term_expectations' float temporaries at 512 KiB:
-    # chunk-sized ones stay resident once freed (8 MiB of trotter's peak RSS)
-    rows = max(1, (1 << 16) // amps.shape[1])
-    evs = np.concatenate(
-        [term_expectations(amps[lo:hi], terms) for lo, hi in _chunk_bounds(len(amps), rows)]
-    )
-    return signs, _outcomes(u_shots, evs[:, :, None])
+def _pai_draws(dec, num_qubits, terms, n_variants, shots, master_seed, key, threads):
+    """``(signs, outcomes)``, both int8, of ``n_variants`` variants sampled
+    from the :class:`CircuitDecomposition` ``dec`` on ``num_qubits``
+    qubits: ``outcomes[v, t, i]`` is the +-1 outcome of shot ``i`` of term
+    ``t`` of variant ``v``.  Variant ``v`` draws its setting uniforms and
+    then its ``(T, shots)`` shot uniforms, in term order, from its window
+    of the stream ``(master_seed, *key, 0)``."""
+    nu = dec.num_gates
+    n_terms = len(terms)
+    circuit = _pai_circuit(dec, num_qubits)
+    signs = np.empty(n_variants, dtype=np.int8)
+    outcomes = np.empty((n_variants, n_terms, shots), dtype=np.int8)
+
+    def worker(lo: int, hi: int) -> None:
+        u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots)
+        settings, signs[lo:hi] = settings_from_uniforms(dec, u)
+        amps = _simulate_variants(circuit, settings)
+        # row blocks cap term_expectations' float temporaries at 2^16 entries;
+        # they split a chunk only from 11 qubits, where _auto_chunk's 64-row
+        # floor puts more than 2^16 amplitudes in a chunk
+        rows = max(1, (1 << 16) // amps.shape[1])
+        evs = np.concatenate(
+            [term_expectations(amps[a:b], terms) for a, b in _chunk_bounds(hi - lo, rows)]
+        )
+        u_shots = u_shots.reshape(hi - lo, n_terms, shots)
+        outcomes[lo:hi] = _outcomes(u_shots, evs[:, :, None])
+
+    _map_variants(worker, n_variants, num_qubits, threads)
+    return signs, outcomes
 
 
 def _term_sum(outcomes: np.ndarray, terms) -> np.ndarray:
@@ -366,24 +376,14 @@ def pai_shot_bank(
     if n_variants < 1 or shots_per_variant < 1:
         raise ValueError("n_variants and shots_per_variant must be positive")
     terms = _as_observable(observable).terms
-    n_terms = len(terms)
     circuit, n = _circuit_qubits(circuit, observable)
     dec = decompose_circuit(grid, circuit)
-    nu = dec.num_gates
-    variants = _pai_circuit(dec, n)
-
-    def worker(lo: int, hi: int):
-        u, u_shots = _variant_uniforms(
-            master_seed, key, lo, hi, nu, n_terms * shots_per_variant
-        )
-        u_shots = u_shots.reshape(hi - lo, n_terms, shots_per_variant)
-        signs, outcomes = _pai_outcomes(dec, variants, u, u_shots, terms)
-        return signs.astype(np.int8), _term_sum(outcomes, terms)
-
-    parts = _map_variants(worker, n_variants, n, threads)
+    signs, outcomes = _pai_draws(
+        dec, n, terms, n_variants, shots_per_variant, master_seed, key, threads
+    )
     return _PaiBank(
-        outcomes=np.concatenate([p[1] for p in parts], axis=0),
-        variant_signs=np.concatenate([p[0] for p in parts]),
+        outcomes=_term_sum(outcomes, terms),
+        variant_signs=signs,
         weight=dec.norm1_total,
         decomposition=dec,
     )
@@ -475,18 +475,22 @@ def exact_pai_expectation(
     if nu == 0:
         return continuous_expectation([], obs)
     gamma_table = np.array([qp.gammas for qp in dec.per_gate])
-    all_idx = np.stack(
-        np.meshgrid(*[np.arange(3, dtype=np.int8)] * nu, indexing="ij"), axis=-1
-    ).reshape(-1, nu)
     cols = np.arange(nu)
     # every variant is enumerated, so no gate is fixed
     variants = _setting_circuit(dec.generators, dec.setting_angle_table, [False] * nu, n)
-    total = 0.0
-    for lo, hi in _chunk_bounds(all_idx.shape[0], _auto_chunk(1 << n)):
-        idx = all_idx[lo:hi]
+
+    def worker(lo: int, hi: int) -> float:
+        # variant v takes the settings of v's base-3 digits, last gate fastest
+        idx = np.stack(np.unravel_index(np.arange(lo, hi), (3,) * nu), axis=-1)
+        idx = idx.astype(np.int8)
         weights = gamma_table[cols, idx].prod(axis=1)
         amps = _simulate_variants(variants, idx)
-        total += float(weights @ batch_expectation(amps, obs))
+        return float(weights @ batch_expectation(amps, obs))
+
+    # a plain loop keeps chunk-order addition; sum() compensates from 3.12
+    total = 0.0
+    for part in _map_variants(worker, 3**nu, n, 1):
+        total += part
     return total
 
 
@@ -598,13 +602,13 @@ def rms_vs_shots(
 ) -> list[RmsPoint]:
     """Root-mean-square estimator error versus shot budget.
 
-    For every budget ``N`` in ``shot_grid`` the estimator is repeated
-    ``repeats`` times, each repeat the mean of ``pai_shot_bank(grid,
-    circuit, observable, N, 1, master_seed, key=(budget_index, repeat))``,
-    whose variants it draws the same way; the RMS is taken
-    against the exact continuous value.  Reported alongside are the
-    direct-sampling shot-noise level ``sqrt((1 - o**2) / N)`` and the
-    variance bound ``||g||_1 / sqrt(N)``.
+    Budget ``i`` of ``shot_grid``, ``N`` shots, draws the one-shot bank
+    ``pai_shot_bank(grid, circuit, observable, repeats * N, 1,
+    master_seed, key=(i, 0))`` and splits it into ``repeats`` estimates:
+    repeat ``r`` is the mean of variants ``r * N`` to ``(r + 1) * N - 1``.
+    The RMS of the repeats is taken against the exact continuous value.
+    Reported alongside are the direct-sampling shot-noise level
+    ``sqrt((1 - o**2) / N)`` and the variance bound ``||g||_1 / sqrt(N)``.
     """
     observable = _require_pauli(observable)
     if repeats < 2:
@@ -614,27 +618,18 @@ def rms_vs_shots(
         raise ValueError("shot budgets must be positive")
     circuit, n = _circuit_qubits(circuit, observable)
     dec = decompose_circuit(grid, circuit)
-    nu = dec.num_gates
     exact = continuous_expectation(circuit, observable)
-    variants = _pai_circuit(dec, n)
     terms = ((1.0, observable),)
-    block = 8192  # rows simulated at once
-
-    def run_mean(budget_index: int, repeat: int) -> float:
-        key = (budget_index, repeat)
-        n_shots = shot_grid[budget_index]
-        acc = 0.0
-        for lo, hi in _chunk_bounds(n_shots, block):
-            u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, 1)
-            signs, outcomes = _pai_outcomes(dec, variants, u, u_shots[:, :, None], terms)
-            acc += float(outcomes[:, 0, 0] @ signs)
-        return dec.norm1_total * acc / n_shots
-
-    jobs = [(i, r) for i in range(len(shot_grid)) for r in range(repeats)]
-    means = _map_chunks(run_mean, jobs, threads)
     points = []
     for i, n_shots in enumerate(shot_grid):
-        errs = np.array(means[i * repeats : (i + 1) * repeats]) - exact
+        signs, outcomes = _pai_draws(
+            dec, n, terms, repeats * n_shots, 1, master_seed, (i, 0), threads
+        )
+        values = outcomes[:, 0, 0]
+        values *= signs
+        # exact int64 sums, so no repeat's mean depends on the chunking
+        sums = values.reshape(repeats, n_shots).sum(axis=1, dtype=np.int64)
+        errs = dec.norm1_total * sums / n_shots - exact
         points.append(
             RmsPoint(
                 n_shots=n_shots,

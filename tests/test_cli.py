@@ -623,8 +623,8 @@ def test_no_stream_key_is_drawn_twice_in_a_run(run, tmp_path, monkeypatch, capsy
         if run == "fidelity-decay":
             assert window_keys == {(seed, 0)}
         if run == "rms":
-            want = {(seed, i, r, 0) for i in range(2) for r in range(3)}
-            assert window_keys == want
+            # one window per budget; a repeat is a range of its variants
+            assert window_keys == {(seed, i, 0, 0) for i in range(2)}
         if run == "vqe-nearest":
             assert not windows and (seed, 0, 0, 0, 1, 0) in singles
         if run == "vqe-pai":

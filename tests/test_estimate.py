@@ -154,20 +154,22 @@ def _chunked_runs(threads: int):
         for obs in (PauliString("ZII"), _SUM)
     ]
     profile = two_notch_fidelity_profile(grid, circuit, [0, 2, 5], 150, 4, threads=threads)
-    return banks, profile
+    rms = rms_vs_shots(grid, circuit, PauliString("ZII"), [5, 30], 4, 9, threads=threads)
+    return banks, profile, rms
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 2048])
 def test_chunk_size_never_changes_results(chunk, monkeypatch):
-    want_banks, want_profile = _chunked_runs(1)
+    want_banks, want_profile, want_rms = _chunked_runs(1)
     monkeypatch.setattr(pai.estimate, "_auto_chunk", lambda dim: chunk)
     for threads in (1, 3):
-        banks, profile = _chunked_runs(threads)
+        banks, profile, rms = _chunked_runs(threads)
         for got, want in zip(banks, want_banks):
             np.testing.assert_array_equal(got.outcomes, want.outcomes)
             np.testing.assert_array_equal(got.variant_signs, want.variant_signs)
             assert got.weight == want.weight
         assert profile == want_profile
+        assert rms == want_rms
 
 
 def test_simulate_variants_matches_gate_by_gate_reference(rng):
@@ -189,6 +191,15 @@ def test_simulate_variants_matches_gate_by_gate_reference(rng):
         want = oracles.gather_rotate_batch(want, generator.letters, angles)
     assert got.flags.c_contiguous
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_bank_keys_reject_words_that_would_alias():
+    # a key word of 2**32 would name the same stream as two 32-bit words
+    grid, obs = NotchGrid.uniform(4), PauliString("ZII")
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        pai_shot_bank(grid, _fixed_circuit(), obs, 4, 1, 7, key=(2**32,))
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        nearest_notch_shot_bank(grid, _fixed_circuit(), obs, 4, 7, key=(0, 2**40))
 
 
 def test_first_variant_regenerates_in_isolation():
@@ -517,36 +528,32 @@ def test_rms_on_notch_matches_binomial_noise():
 
 
 def test_rms_reproducible_across_threads():
+    # 1,024 shots x 6 repeats = 6,144 rows, three 2,048-row chunks at 3
+    # qubits, so the threads split the budget
     grid = NotchGrid.uniform(5)
     circuit = _fixed_circuit()
     obs = PauliString("ZII")
-    a = rms_vs_shots(grid, circuit, obs, [32, 128], 6, 7, threads=1)
-    b = rms_vs_shots(grid, circuit, obs, [32, 128], 6, 7, threads=3)
+    assert 6 * 1024 > _auto_chunk(1 << 3)
+    a = rms_vs_shots(grid, circuit, obs, [32, 1024], 6, 7, threads=1)
+    b = rms_vs_shots(grid, circuit, obs, [32, 1024], 6, 7, threads=3)
     assert a == b
 
 
-def test_rms_repeats_are_single_shot_bank_means(monkeypatch):
-    # one variant engine: repeat r of budget i is the mean of the one-shot
-    # bank keyed (i, r), across rms's 8,192-row blocks and the bank's chunks
+def test_rms_repeats_are_single_shot_bank_means():
+    # one variant engine: budget i is the one-shot bank keyed (i, 0), and
+    # repeat r its variants r*N to (r+1)*N - 1; both budgets put a repeat
+    # boundary inside a chunk
     grid = NotchGrid.uniform(4)
     circuit = _fixed_circuit()
     obs = PauliString("ZII")
     shot_grid, repeats = [3, 9000], 2
-    means = []
-    original = pai.estimate._map_chunks
-
-    def spy(worker, jobs, threads):
-        out = original(worker, jobs, threads)
-        means.extend(out)
-        return out
-
-    monkeypatch.setattr(pai.estimate, "_map_chunks", spy)
-    rms_vs_shots(grid, circuit, obs, shot_grid, repeats, 7)
-    monkeypatch.undo()
-    assert len(means) == len(shot_grid) * repeats
-    for (i, r), got in zip([(i, r) for i in range(2) for r in range(repeats)], means):
-        bank = pai_shot_bank(grid, circuit, obs, shot_grid[i], 1, 7, key=(i, r))
-        assert abs(got - bank.result().mean) <= 1e-12
+    exact = continuous_expectation(circuit, obs)
+    points = rms_vs_shots(grid, circuit, obs, shot_grid, repeats, 7)
+    for i, (n_shots, point) in enumerate(zip(shot_grid, points)):
+        bank = pai_shot_bank(grid, circuit, obs, repeats * n_shots, 1, 7, key=(i, 0))
+        means = bank.values().reshape(repeats, n_shots).mean(axis=1)
+        want = math.sqrt(np.mean((means - exact) ** 2))
+        assert abs(point.rms_error - want) <= 1e-12
 
 
 def test_rms_follows_the_exact_single_shot_law():

@@ -56,8 +56,8 @@ def _reference_rows(master_seed, key, lo, hi, width):
 
 # master seeds of one, two and three 32-bit words
 MASTER_SEEDS = (0, 2**32 - 1, 2**32, 2**63, 2**64 + 5)
-# keys of 0-4 words, some words of 2**32 or more
-KEYS = ((), (3,), (2**32, 0), (1, 2**40 + 7, 5), (0, 0, 2**32 - 1, 2**33))
+# keys of 0-4 words, some at the top of the 32-bit word range
+KEYS = ((), (3,), (2**32 - 1, 0), (1, 2**31 + 7, 5), (0, 0, 2**32 - 1, 2**32 - 2))
 # chunks from 0 and mid-range, widths on and off a block boundary
 CHUNKS = ((0, 5, 8), (37, 50, 398), (1021, 1024, 3))
 
@@ -120,6 +120,21 @@ def test_chunk_uniforms_fall_back_to_stream_past_one_word():
     assert np.array_equal(chunk_uniforms(3, (1, 2), 2**32, hi, 24), got[2:])
     far = chunk_uniforms(3, (), 2**40, 2**40 + 1, 5)
     assert np.array_equal(far, _reference_rows(3, (), 2**40, 2**40 + 1, 5))
+
+
+def test_key_words_of_2_to_the_32_or_more_raise():
+    # SeedSequence splits a word of 2**32 or more into 32-bit words, so the
+    # key (2**32, 0) would draw exactly what (0, 1, 0) draws
+    wide = np.random.SeedSequence(3, spawn_key=(2**32, 0)).generate_state(4)
+    long = np.random.SeedSequence(3, spawn_key=(0, 1, 0)).generate_state(4)
+    assert np.array_equal(wide, long)
+    stream(3, 0, 1, 0)  # the longer key stays valid
+    for key in ((2**32, 0), (1, 2**40 + 7, 5), (0, 0, 2**32 - 1, 2**33), (2**64,)):
+        word = str(next(k for k in key if k >= 2**32))
+        with pytest.raises(ValueError, match=word):
+            stream(3, *key)
+        with pytest.raises(ValueError, match=word):
+            chunk_uniforms(3, key, 0, 3, 4)
 
 
 def test_empty_chunk_draws_nothing():
