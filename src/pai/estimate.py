@@ -23,10 +23,12 @@ and exact enumeration walks all ``3**nu`` settings through the same chunks.
 
 The simulation takes each variant's setting indices, not its angles: gate
 ``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
-(:class:`_SettingCircuit`), which :func:`pai.statevector.run_batch` turns
-into per-block table look-ups.  The leading gates that take setting 0 in
-every variant, such as the Neel X at pi, run once on one row, and their
-state starts every chunk.
+(:class:`_SettingCircuit`).  Its fused blocks are compiled once per circuit
+(once per checkpoint segment for the fidelity profile), block tables
+looked up included, so a chunk only sums its variants' combination codes
+and runs the blocks.  The leading gates that take setting 0 in every
+variant, such as the Neel X at pi, run once on one row, and their state
+starts every chunk.
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -54,8 +56,9 @@ from .statevector import (
     PauliString,
     Statevector,
     batch_expectation,
+    _compile_blocks,
+    _run_program,
     rotate_batch,
-    run_batch,
     run_circuit,
     term_expectations,
 )
@@ -178,12 +181,12 @@ def _as_observable(observable) -> Observable:
 def _auto_chunk(dim: int) -> int:
     # a chunk's (dim, V) complex buffer holds at most 2^15 amplitudes
     # (512 KiB), so the state, the spare and the block tables stay in a
-    # 2 MiB L2 through every block: 128 rows at 8 qubits, 2,048 at 4 or
-    # fewer.  On trotter's 8-qubit circuit a row costs 95-125 us at 128 rows
-    # against 144-165 us at 2,048, where each buffer is 8 MiB.  The 64-row
-    # floor (12 qubits and up) stays: narrower chunks pay more per-block
-    # call overhead per row.
-    return max(64, min(2048, (1 << 15) // dim))
+    # 2 MiB L2 through every block: 2,048 rows at 4 qubits or fewer, 128 at
+    # 8, 8 at 12 and one row from 15 qubits up.  On trotter's 8-qubit
+    # circuit a row costs 95-125 us at 128 rows against 144-165 us at 2,048,
+    # where each buffer is 8 MiB.  A chunk's blocks are compiled once per
+    # circuit, so a narrow chunk pays only a few numpy calls per block.
+    return max(1, min(2048, (1 << 15) // dim))
 
 
 def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
@@ -205,8 +208,8 @@ def _chunk_buffers(n_rows: int, initial: np.ndarray):
     """``(state, spare)`` for one chunk of ``n_rows`` variants.
 
     Each is a C-contiguous ``(dim, V)`` buffer, so the kernel's inner loops
-    run over the variants; :func:`run_batch` swaps the state and the spare
-    as its blocks need.  The state starts as ``initial`` in every column.
+    run over the variants; the blocks swap the state and the spare as
+    they need.  The state starts as ``initial`` in every column.
     """
     state = np.empty((initial.shape[0], n_rows), dtype=np.complex128)
     state[...] = initial[:, None]
@@ -236,30 +239,37 @@ class _SettingCircuit:
     """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
     variant that draws setting ``s``.  Its first ``start`` gates take
     setting 0 in every variant, so they run once: ``initial`` is the state
-    they make from ``|0...0>``."""
+    they make from ``|0...0>``.  The rest run in ``segments``, ``(lo, hi,
+    program)`` per segment: gates ``lo`` to ``hi - 1`` compiled once by
+    :func:`pai.statevector._compile_blocks`."""
 
-    generators: tuple
-    table: np.ndarray
     start: int
     initial: np.ndarray
+    segments: tuple
 
 
 def _setting_circuit(
-    generators, table: np.ndarray, fixed, num_qubits: int, stop: int | None = None
+    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None
 ) -> _SettingCircuit:
     """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
-    setting angles ``table``.  Its fixed prefix is the leading gates before
-    gate ``stop`` (default: all) that ``fixed`` marks as taking setting 0
-    in every variant, such as the Neel X at pi; it runs once, on one row,
-    through :func:`rotate_batch`."""
-    stop = len(generators) if stop is None else stop
+    setting angles ``table``, in segments that end at each of the ascending
+    ``cuts`` (default: one segment to the last gate).  Its fixed prefix is
+    the leading gates before the first cut that ``fixed`` marks as taking
+    setting 0 in every variant, such as the Neel X at pi; it runs once, on
+    one row, through :func:`rotate_batch`."""
+    cuts = [len(generators)] if cuts is None else list(cuts)
     amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
     amps[0, 0] = 1.0
     start = 0
-    while start < stop and fixed[start]:
+    while start < cuts[0] and fixed[start]:
         amps = rotate_batch(amps, generators[start], table[start, :1])
         start += 1
-    return _SettingCircuit(tuple(generators), table, start, amps[0])
+    segments = []
+    lo = start
+    for hi in cuts:
+        segments.append((lo, hi, _compile_blocks(generators[lo:hi], table[lo:hi])))
+        lo = hi
+    return _SettingCircuit(start, amps[0], tuple(segments))
 
 
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
@@ -271,14 +281,12 @@ def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
 
 def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarray:
     """Run one realized circuit per row of ``angles``, the ``(V, nu)``
-    setting indices: variant ``v`` runs gate ``j`` at angle
-    ``circuit.table[j, angles[v, j]]``.  Returns the C-ordered ``(V, dim)``
-    amplitude batch."""
-    start = circuit.start
+    setting indices: variant ``v`` runs gate ``j`` at angle ``table[j,
+    angles[v, j]]``.  Returns the C-ordered ``(V, dim)`` amplitude
+    batch."""
     state, spare = _chunk_buffers(angles.shape[0], circuit.initial)
-    state, spare = run_batch(
-        state, circuit.generators[start:], angles[:, start:], circuit.table[start:], spare
-    )
+    for lo, hi, program in circuit.segments:
+        state, spare = _run_program(program, state, angles[:, lo:hi], spare)
     return _as_rows(state, spare)
 
 
@@ -299,35 +307,27 @@ def _outcomes(u: np.ndarray, ev) -> np.ndarray:
     return 2 * (u < p_plus).view(np.int8) - 1
 
 
-def _pai_draws(dec, num_qubits, terms, n_variants, shots, master_seed, key, threads):
-    """``(signs, outcomes)``, both int8, of ``n_variants`` variants sampled
-    from the :class:`CircuitDecomposition` ``dec`` on ``num_qubits``
-    qubits: ``outcomes[v, t, i]`` is the +-1 outcome of shot ``i`` of term
-    ``t`` of variant ``v``.  Variant ``v`` draws its setting uniforms and
-    then its ``(T, shots)`` shot uniforms, in term order, from its window
-    of the stream ``(master_seed, *key, 0)``."""
+def _pai_draws(dec, num_qubits, terms, n_variants, shots, master_seed, key, threads, reduce):
+    """``reduce(lo, hi, signs, outcomes)`` of every chunk of ``n_variants``
+    variants sampled from the :class:`CircuitDecomposition` ``dec`` on
+    ``num_qubits`` qubits, in chunk order: ``signs`` and ``outcomes`` are
+    int8, and ``outcomes[v - lo, t, i]`` is the +-1 outcome of shot ``i`` of
+    term ``t`` of variant ``v``.  Variant ``v`` draws its setting uniforms
+    and then its ``(T, shots)`` shot uniforms, in term order, from its
+    window of the stream ``(master_seed, *key, 0)``.  Returns the list of
+    ``reduce``'s results."""
     nu = dec.num_gates
     n_terms = len(terms)
     circuit = _pai_circuit(dec, num_qubits)
-    signs = np.empty(n_variants, dtype=np.int8)
-    outcomes = np.empty((n_variants, n_terms, shots), dtype=np.int8)
 
-    def worker(lo: int, hi: int) -> None:
+    def worker(lo: int, hi: int):
         u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots)
-        settings, signs[lo:hi] = settings_from_uniforms(dec, u)
-        amps = _simulate_variants(circuit, settings)
-        # row blocks cap term_expectations' float temporaries at 2^16 entries;
-        # they split a chunk only from 11 qubits, where _auto_chunk's 64-row
-        # floor puts more than 2^16 amplitudes in a chunk
-        rows = max(1, (1 << 16) // amps.shape[1])
-        evs = np.concatenate(
-            [term_expectations(amps[a:b], terms) for a, b in _chunk_bounds(hi - lo, rows)]
-        )
+        settings, signs = settings_from_uniforms(dec, u)
+        evs = term_expectations(_simulate_variants(circuit, settings), terms)
         u_shots = u_shots.reshape(hi - lo, n_terms, shots)
-        outcomes[lo:hi] = _outcomes(u_shots, evs[:, :, None])
+        return reduce(lo, hi, signs, _outcomes(u_shots, evs[:, :, None]))
 
-    _map_variants(worker, n_variants, num_qubits, threads)
-    return signs, outcomes
+    return _map_variants(worker, n_variants, num_qubits, threads)
 
 
 def _term_sum(outcomes: np.ndarray, terms) -> np.ndarray:
@@ -378,9 +378,14 @@ def pai_shot_bank(
     terms = _as_observable(observable).terms
     circuit, n = _circuit_qubits(circuit, observable)
     dec = decompose_circuit(grid, circuit)
-    signs, outcomes = _pai_draws(
-        dec, n, terms, n_variants, shots_per_variant, master_seed, key, threads
-    )
+    signs = np.empty(n_variants, dtype=np.int8)
+    outcomes = np.empty((n_variants, len(terms), shots_per_variant), dtype=np.int8)
+
+    def keep(lo, hi, chunk_signs, chunk_outcomes):
+        signs[lo:hi] = chunk_signs
+        outcomes[lo:hi] = chunk_outcomes
+
+    _pai_draws(dec, n, terms, n_variants, shots_per_variant, master_seed, key, threads, keep)
     return _PaiBank(
         outcomes=_term_sum(outcomes, terms),
         variant_signs=signs,
@@ -541,8 +546,9 @@ def two_notch_fidelity_profile(
     table = np.array([low, high], dtype=np.float64).T
     thresholds = np.array([1.0 - p.lam for p in positions])
     # a gate on a notch always takes its lower one; that prefix runs once,
-    # up to the first checkpoint
-    variants = _setting_circuit(generators, table, thresholds >= 1.0, n, stop=cps[0])
+    # up to the first checkpoint, and each checkpoint ends a segment, so no
+    # block crosses a checkpoint
+    variants = _setting_circuit(generators, table, thresholds >= 1.0, n, cuts=cps)
 
     # run_circuit never writes to the amplitudes of ``initial``, so the
     # checkpoint states need no copies
@@ -560,13 +566,8 @@ def two_notch_fidelity_profile(
         settings = (u >= thresholds).astype(np.int8)
         state, spare = _chunk_buffers(count, variants.initial)
         fid = np.empty((count, len(cps)))
-        step = variants.start
-        for m, cp in enumerate(cps):
-            # one run per segment, so no block crosses a checkpoint
-            state, spare = run_batch(
-                state, generators[step:cp], settings[:, step:cp], table[step:cp], spare
-            )
-            step = cp
+        for m, (lo, cp, program) in enumerate(variants.segments):
+            state, spare = _run_program(program, state, settings[:, lo:cp], spare)
             # spare is free between segments; it holds the checkpoint rows
             fid[:, m] = np.abs(_row_dots(_as_rows(state, spare), np.conj(ideal[cp]))) ** 2
         return fid
@@ -622,13 +623,23 @@ def rms_vs_shots(
     terms = ((1.0, observable),)
     points = []
     for i, n_shots in enumerate(shot_grid):
-        signs, outcomes = _pai_draws(
-            dec, n, terms, repeats * n_shots, 1, master_seed, (i, 0), threads
+
+        def tally(lo, hi, signs, outcomes):
+            # exact int64 sums of each repeat's part in this chunk, so no
+            # repeat's mean depends on the chunking; repeat r is variants
+            # r * n_shots to (r + 1) * n_shots - 1
+            values = outcomes[:, 0, 0].astype(np.int64) * signs
+            first = lo // n_shots
+            cuts = np.arange(first * n_shots, hi, n_shots) - lo
+            cuts[0] = 0
+            return first, np.add.reduceat(values, cuts)
+
+        sums = np.zeros(repeats, dtype=np.int64)
+        parts = _pai_draws(
+            dec, n, terms, repeats * n_shots, 1, master_seed, (i, 0), threads, tally
         )
-        values = outcomes[:, 0, 0]
-        values *= signs
-        # exact int64 sums, so no repeat's mean depends on the chunking
-        sums = values.reshape(repeats, n_shots).sum(axis=1, dtype=np.int64)
+        for first, part in parts:
+            sums[first : first + part.size] += part
         errs = dec.norm1_total * sums / n_shots - exact
         points.append(
             RmsPoint(

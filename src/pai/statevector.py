@@ -41,12 +41,14 @@ block holds at most six gates, ``3**6 = 729`` setting combinations; on the
 spin ring it is a bond's XX, YY, ZZ triple with the on-site Z gates that
 precede it.  A block's table holds the structurally nonzero entries of its
 unitary for every combination, built once per block letters and setting
-angles and cached; per chunk each variant's combination code picks its
-column in one ``take``.  Grouped by flip, the block is ``sum_f D_f *
-psi[c ^ f]``: one multiply per flip through a view of the ``(dim, V)``
-chunk whose support axes are reversed where ``f`` flips them, so only the
-structurally nonzero entries are touched (8 of 16 for a bond triple), and
-a diagonal block is a single in-place multiply.  A gate on more than two
+angles and cached.  :func:`_compile_blocks` plans a circuit's blocks and
+looks up their tables once; per chunk, :func:`_run_program` sums every
+block's combination codes in one ``np.add.reduceat`` over the setting
+indices and each code picks its column in one ``take``.  Grouped by flip,
+the block is ``sum_f D_f * psi[c ^ f]``: one multiply per flip through a
+view of the ``(dim, V)`` chunk whose support axes are reversed where ``f``
+flips them, so only the structurally nonzero entries are touched (8 of 16
+for a bond triple), and a diagonal block is a single in-place multiply.  A gate on more than two
 qubits runs alone through :func:`rotate_batch`, the single-gate kernel.
 """
 
@@ -444,64 +446,103 @@ def _block_plan(letters: tuple[str, ...]) -> tuple:
     return tuple(blocks), rows
 
 
-def run_batch(
-    state: np.ndarray,
-    generators,
-    settings: np.ndarray,
-    table: np.ndarray,
-    spare: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply gate ``j`` at angle ``table[j, settings[v, j]]``,
-    ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
-    C-contiguous ``(dim, V)`` chunk ``state``, in fused blocks (see the
-    module docstring).
+@dataclass(frozen=True)
+class _BlockProgram:
+    """A gate sequence and its ``(nu, S)`` setting-angle table compiled into
+    fused blocks by :func:`_compile_blocks`, ready to run on any chunk.
 
-    ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
-    1`` and entries in ``[0, S)``; ``table`` holds the ``S`` setting angles
-    of each gate, one to three.  ``spare`` is a C-contiguous ``(dim, V)`` buffer that
-    must not overlap ``state``.  The blocks overwrite both in turn; returns
-    ``(result, free)``, the buffer that holds the final state and the other
-    one.  A third ``(dim, V)`` buffer is allocated only for a block with
-    more than two bit-flip patterns.
+    ``steps`` holds ``(kernel, entries)`` per block in run order:
+    ``kernel`` is the :func:`_block_kernel` and ``entries`` the looked-up
+    :func:`_block_table`, or, for a gate on more than two qubits, ``kernel``
+    is ``None`` and ``entries`` is ``(generator, angles)``, the gate and its
+    ``S`` setting angles.  ``order`` lists the gates block by block,
+    ``starts`` the offset of each block's first gate in ``order`` and
+    ``weights`` the code weight ``S**i`` of the ``i``-th gate of its block,
+    as a column, so a variant's setting indices sum to one combination code
+    per block.  ``rows`` is the most table rows of a block.
     """
-    dim, n_rows = state.shape
+
+    num_qubits: int
+    n_settings: int
+    steps: tuple
+    order: np.ndarray
+    starts: np.ndarray
+    weights: np.ndarray
+    rows: int
+
+
+def _compile_blocks(generators, table: np.ndarray) -> _BlockProgram:
+    """Plan the blocks of ``generators`` at the ``(nu, S)`` setting angles
+    ``table`` and look up every block's table, once per circuit; chunks
+    then run through :func:`_run_program`."""
     nu = len(generators)
-    settings = np.asarray(settings)
     table = np.asarray(table, dtype=np.float64)
+    if table.ndim != 2 or table.shape[0] != nu or not 1 <= table.shape[1] <= _MAX_SETTINGS:
+        raise ValueError(f"table must be (gates, S) = ({nu}, 1 to 3), got {table.shape}")
+    n_settings = table.shape[1]
+    if not nu:
+        empty = np.zeros(0, dtype=np.intp)
+        return _BlockProgram(0, n_settings, (), empty, empty, empty, 0)
+    blocks, rows = _plan(tuple(g.letters for g in generators))
+    angles = table.tolist()
+    steps, order, starts, weights = [], [], [], []
+    for gates, local, kernel in blocks:
+        starts.append(len(order))
+        order += gates
+        weights += [n_settings**i for i in range(len(gates))]
+        if kernel is None:  # a gate on more than two qubits
+            steps.append((None, (generators[gates[0]], table[gates[0]])))
+        else:
+            entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
+            steps.append((kernel, entries))
+    return _BlockProgram(
+        generators[0].num_qubits,
+        n_settings,
+        tuple(steps),
+        np.array(order, dtype=np.intp),
+        np.array(starts, dtype=np.intp),
+        np.array(weights, dtype=np.intp)[:, None],
+        rows,
+    )
+
+
+def _run_program(
+    program: _BlockProgram, state: np.ndarray, settings: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`run_batch` of a compiled program: per chunk it only sums the
+    combination codes, takes each block's columns and multiplies."""
+    dim, n_rows = state.shape
+    nu = program.order.size
+    settings = np.asarray(settings)
     if n_rows < 1 or settings.shape != (n_rows, nu) or settings.dtype.kind not in "iu":
         raise ValueError(
             f"settings must be (V, gates) = ({n_rows}, {nu}) integers with V >= 1, "
             f"got {settings.dtype} {settings.shape}"
         )
-    if table.ndim != 2 or table.shape[0] != nu or not 1 <= table.shape[1] <= _MAX_SETTINGS:
-        raise ValueError(f"table must be (gates, S) = ({nu}, 1 to 3), got {table.shape}")
-    n_settings = table.shape[1]
     # an index outside [0, S) would read another combination's column
-    if nu and (settings.min() < 0 or settings.max() >= n_settings):
-        raise ValueError(f"settings must lie in [0, {n_settings})")
+    if nu and (settings.min() < 0 or settings.max() >= program.n_settings):
+        raise ValueError(f"settings must lie in [0, {program.n_settings})")
     if spare.shape != state.shape:
         raise ValueError("state and spare buffers differ in shape")
     if not (state.flags.c_contiguous and spare.flags.c_contiguous):
         raise ValueError("run_batch needs C-contiguous (dim, V) buffers")
     if not nu:
         return state, spare
-    if len(generators[0].letters) != dim.bit_length() - 1:
+    if dim != 1 << program.num_qubits:
         raise ValueError("circuit generators do not match the state dimension")
-    blocks, rows = _plan(tuple(g.letters for g in generators))
-    digits = np.ascontiguousarray(settings.T)  # one contiguous row per gate
-    angles = table.tolist()
-    powers = n_settings ** np.arange(_MAX_BLOCK_GATES)
-    table_buf = np.empty((rows, n_rows), dtype=np.complex128)
+    # one combination code per block and variant, one contiguous row per block
+    codes = np.add.reduceat(
+        settings.T[program.order] * program.weights, program.starts, axis=0
+    )
+    table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
     work = None
-    for gates, local, kernel in blocks:
+    for (kernel, entries), code in zip(program.steps, codes):
         if kernel is None:  # a gate on more than two qubits
-            j = gates[0]
-            rotate_batch(state.T, generators[j], table[j, settings[:, j]], out=spare.T)
+            generator, angles = entries
+            rotate_batch(state.T, generator, angles[code], out=spare.T)
             state, spare = spare, state
             continue
         shape, flips, table_shape, diagonal = kernel
-        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
-        code = powers[: len(gates)] @ digits[gates, :]  # one combination per variant
         tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]])
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
@@ -523,6 +564,31 @@ def run_batch(
         out += src[flips[-1]]
         state, spare = spare, state
     return state, spare
+
+
+def run_batch(
+    state: np.ndarray,
+    generators,
+    settings: np.ndarray,
+    table: np.ndarray,
+    spare: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply gate ``j`` at angle ``table[j, settings[v, j]]``,
+    ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
+    C-contiguous ``(dim, V)`` chunk ``state``, in fused blocks (see the
+    module docstring).
+
+    ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
+    1`` and entries in ``[0, S)``; ``table`` holds the ``S`` setting angles
+    of each gate, one to three.  ``spare`` is a C-contiguous ``(dim, V)`` buffer that
+    must not overlap ``state``.  The blocks overwrite both in turn; returns
+    ``(result, free)``, the buffer that holds the final state and the other
+    one.  A third ``(dim, V)`` buffer is allocated only for a block with
+    more than two bit-flip patterns.  Compiles the blocks on every call;
+    a caller that runs one circuit over many chunks compiles it once with
+    :func:`_compile_blocks` and runs each chunk through :func:`_run_program`.
+    """
+    return _run_program(_compile_blocks(generators, table), state, settings, spare)
 
 
 def run_circuit(

@@ -10,6 +10,7 @@ from scipy.stats import chi2
 
 import oracles
 import pai.estimate
+import pai.statevector as statevector
 from pai.estimate import (
     EnumerationLimitError,
     _auto_chunk,
@@ -139,11 +140,16 @@ def test_thread_count_never_changes_results():
 
 
 def test_chunk_rows_follow_the_cache_budget():
-    # at most 2**15 amplitudes per chunk buffer, between 64 and 2,048 rows
+    # at most 2**15 amplitudes per chunk buffer, at most 2,048 rows and at
+    # least one, so from 15 qubits up a chunk is one row
     assert _auto_chunk(1 << 4) == 2048
     assert _auto_chunk(1 << 8) == 128
-    assert _auto_chunk(1 << 12) == 64
-    assert _auto_chunk(1 << 20) == 64
+    assert _auto_chunk(1 << 12) == 8
+    assert _auto_chunk(1 << 20) == 1
+    for n in range(1, 25):
+        dim = 1 << n
+        assert 1 <= _auto_chunk(dim) <= 2048
+        assert _auto_chunk(dim) * dim <= max(2**15, dim)
 
 
 def _chunked_runs(threads: int):
@@ -170,6 +176,54 @@ def test_chunk_size_never_changes_results(chunk, monkeypatch):
             assert got.weight == want.weight
         assert profile == want_profile
         assert rms == want_rms
+
+
+def _ring_profile(threads: int):
+    # 12 qubits: the Neel X gates and one Trotter layer, 54 gates; 20
+    # variants make three chunks of the auto chunk, 8 + 8 + 4 rows
+    from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
+
+    circuit = neel_prep_circuit(12) + trotter_circuit(
+        spin_ring(12, 0.3, 11), TrotterSpec(1.0, 1)
+    )
+    grid = NotchGrid.uniform(7)
+    return two_notch_fidelity_profile(grid, circuit, [6, 30, 54], 20, 7, threads=threads)
+
+
+def test_twelve_qubit_profile_never_depends_on_chunks_or_threads(monkeypatch):
+    assert _n_chunks(20, 12) == 3
+    want = _ring_profile(1)
+    assert [p.n_gates for p in want] == [6, 30, 54]
+    assert _ring_profile(3) == want
+    for chunk in (1, 7):
+        monkeypatch.setattr(pai.estimate, "_auto_chunk", lambda dim: chunk)
+        for threads in (1, 3):
+            assert _ring_profile(threads) == want
+
+
+def test_block_tables_are_looked_up_once_per_circuit(monkeypatch):
+    # the blocks are compiled once per circuit, and once per checkpoint
+    # segment for the profile, so the look-ups do not grow with the chunks
+    calls = []
+    lookup = statevector._block_table
+
+    def spy(local, angles):
+        calls.append(local)
+        return lookup(local, angles)
+
+    monkeypatch.setattr(statevector, "_block_table", spy)
+    grid, circuit = NotchGrid.uniform(4), _fixed_circuit()
+    counts = []
+    for chunk in (2048, 7, 1):
+        monkeypatch.setattr(pai.estimate, "_auto_chunk", lambda dim: chunk)
+        calls.clear()
+        pai_shot_bank(grid, circuit, PauliString("ZII"), 40, 2, 9)
+        bank = len(calls)
+        calls.clear()
+        two_notch_fidelity_profile(grid, circuit, [0, 2, 5], 40, 4, threads=2)
+        counts.append((bank, len(calls)))
+    assert counts[0][0] > 0 and counts[0][1] > 0
+    assert counts == [counts[0]] * 3
 
 
 def test_simulate_variants_matches_gate_by_gate_reference(rng):
