@@ -55,9 +55,9 @@ from .statevector import (
     Observable,
     PauliString,
     Statevector,
-    batch_expectation,
     _compile_blocks,
     _run_program,
+    batch_expectation,
     rotate_batch,
     run_circuit,
     term_expectations,
@@ -281,8 +281,8 @@ def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
 
 def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarray:
     """Run one realized circuit per row of ``angles``, the ``(V, nu)``
-    setting indices: variant ``v`` runs gate ``j`` at angle ``table[j,
-    angles[v, j]]``.  Returns the C-ordered ``(V, dim)`` amplitude
+    setting indices: variant ``v`` runs gate ``j`` at its setting
+    ``angles[v, j]``.  Returns the C-ordered ``(V, dim)`` amplitude
     batch."""
     state, spare = _chunk_buffers(angles.shape[0], circuit.initial)
     for lo, hi, program in circuit.segments:
