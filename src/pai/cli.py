@@ -300,13 +300,19 @@ def _observable_string(letter: str, qubit: int, num_qubits: int) -> PauliString:
     )
 
 
+# indices drawn per resampling block: 512 KiB of int64, and as much again
+# for the gathered values, so a block stays in cache; Philox keeps its
+# place across integers() calls, so block size never changes the draws
+_RESAMPLE_BLOCK = 1 << 16
+
+
 def _resampled_batches(values: np.ndarray, batch_size: int, n_batches: int, rng) -> dict:
     """Mean and spread of batch means over resampled shot batches."""
     pool = values.shape[0]
     means = np.empty(n_batches)
     done = 0
     while done < n_batches:
-        take = min(n_batches - done, max(1, (1 << 23) // max(batch_size, 1)))
+        take = min(n_batches - done, max(1, _RESAMPLE_BLOCK // max(batch_size, 1)))
         idx = rng.integers(0, pool, size=(take, batch_size))
         means[done : done + take] = values[idx].mean(axis=1)
         done += take

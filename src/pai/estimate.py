@@ -276,7 +276,7 @@ def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
     """The :class:`_SettingCircuit` of a decomposition; a gate whose first
     setting has probability 1 (a gate on a notch) is fixed."""
     fixed = dec.thresholds_low >= 1.0
-    return _setting_circuit(dec.generators, dec.setting_angle_table, fixed, num_qubits)
+    return _setting_circuit(dec.generators, dec.setting_angles, fixed, num_qubits)
 
 
 def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarray:
@@ -479,16 +479,15 @@ def exact_pai_expectation(
         )
     if nu == 0:
         return continuous_expectation([], obs)
-    gamma_table = np.array([qp.gammas for qp in dec.per_gate])
     cols = np.arange(nu)
     # every variant is enumerated, so no gate is fixed
-    variants = _setting_circuit(dec.generators, dec.setting_angle_table, [False] * nu, n)
+    variants = _setting_circuit(dec.generators, dec.setting_angles, [False] * nu, n)
 
     def worker(lo: int, hi: int) -> float:
         # variant v takes the settings of v's base-3 digits, last gate fastest
         idx = np.stack(np.unravel_index(np.arange(lo, hi), (3,) * nu), axis=-1)
         idx = idx.astype(np.int8)
-        weights = gamma_table[cols, idx].prod(axis=1)
+        weights = dec.gammas[cols, idx].prod(axis=1)
         amps = _simulate_variants(variants, idx)
         return float(weights @ batch_expectation(amps, obs))
 
@@ -539,12 +538,10 @@ def two_notch_fidelity_profile(
         if g.num_qubits != n:
             raise ValueError("circuit generators act on differing qubit counts")
 
-    positions = [locate(grid, angle) for _, angle in circuit]
-    low = [grid.angle(p.k) for p in positions]
-    high = [grid.angle((p.k + 1) % grid.size) for p in positions]
+    pos = locate(grid, np.array([angle for _, angle in circuit], dtype=np.float64))
     # setting 0 is the lower notch, taken below the threshold 1 - lam
-    table = np.array([low, high], dtype=np.float64).T
-    thresholds = np.array([1.0 - p.lam for p in positions])
+    table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
+    thresholds = 1.0 - pos.lam
     # a gate on a notch always takes its lower one; that prefix runs once,
     # up to the first checkpoint, and each checkpoint ends a segment, so no
     # block crosses a checkpoint

@@ -13,6 +13,15 @@ Angle bookkeeping rules, applied consistently everywhere:
   notch (fraction exactly 0);
 * rounding to the nearest notch sends a fraction of exactly 0.5 (within
   ``1e-12``) up to the higher notch.
+
+:func:`locate` applies these rules to a whole array of targets in one
+numpy pass (``np.searchsorted`` on explicit grids), and
+:func:`nearest_notch`, :func:`round_params_to_grid` and
+:func:`antipolar_notch` read from it, so a circuit's angles are placed,
+rounded and paired with their antipodes without a per-gate loop.  These
+functions and :meth:`NotchGrid.angle` and :meth:`NotchGrid.spacing` take a
+scalar or an array and return the same shape; a scalar gives numpy
+scalars.
 """
 
 from __future__ import annotations
@@ -41,25 +50,26 @@ _MAX_SPACING = np.pi / 2 + 1e-12
 
 @dataclass(frozen=True)
 class AnglePosition:
-    """Where a target angle falls on a grid.
+    """Where target angles fall on a grid, each field shaped like the
+    targets.
 
-    ``k`` indexes the notch at or below the target, ``theta`` is the offset
+    ``k`` indexes the notch at or below a target, ``theta`` is the offset
     above that notch (0 when snapped), ``lam = theta / delta_k`` is the
     fractional position in the enclosing interval and ``delta_k`` the
     interval width.
     """
 
-    k: int
-    theta: float
-    lam: float
-    delta_k: float
+    k: np.ndarray
+    theta: np.ndarray
+    lam: np.ndarray
+    delta_k: np.ndarray
 
 
 class NotchGrid:
     """Cyclic grid of allowed channel angles; construct via :meth:`uniform`,
     :meth:`explicit` or :meth:`from_json`."""
 
-    __slots__ = ("_bits", "_delta", "_angles", "_size")
+    __slots__ = ("_bits", "_delta", "_angles", "_gaps", "_size")
 
     def __init__(self, *, bits: int | None, angles: np.ndarray | None) -> None:
         self._bits = bits
@@ -67,10 +77,13 @@ class NotchGrid:
         if bits is not None:
             self._size = 1 << bits
             self._delta = TWO_PI / self._size
+            self._gaps = None
         else:
             assert angles is not None
             self._size = angles.shape[0]
             self._delta = None
+            # gap k runs from notch k to notch k + 1; the last one wraps
+            self._gaps = np.append(np.diff(angles), angles[0] + TWO_PI - angles[-1])
 
     @classmethod
     def uniform(cls, bits: int) -> "NotchGrid":
@@ -136,25 +149,21 @@ class NotchGrid:
         """Largest gap between adjacent notches."""
         if self._bits is not None:
             return self._delta
-        gaps = np.diff(self._angles)
-        wrap = self._angles[0] + TWO_PI - self._angles[-1]
-        return float(max(gaps.max(), wrap))
+        return float(self._gaps.max())
 
-    def angle(self, k: int) -> float:
+    def angle(self, k):
         """Angle of notch ``k`` (indices taken mod the grid size)."""
-        k = int(k) % self._size
+        k = np.asarray(k, dtype=np.int64) % self._size
         if self._bits is not None:
-            return k * self._delta
-        return float(self._angles[k])
+            return (k * self._delta)[()]
+        return self._angles[k][()]
 
-    def spacing(self, k: int) -> float:
+    def spacing(self, k):
         """Gap between notch ``k`` and notch ``k + 1`` (cyclic)."""
-        k = int(k) % self._size
+        k = np.asarray(k, dtype=np.int64) % self._size
         if self._bits is not None:
-            return self._delta
-        if k == self._size - 1:
-            return float(self._angles[0] + TWO_PI - self._angles[-1])
-        return float(self._angles[k + 1] - self._angles[k])
+            return np.full(k.shape, self._delta)[()]
+        return self._gaps[k][()]
 
     def angles_array(self) -> np.ndarray:
         """All notch angles as an array (materialized for uniform grids)."""
@@ -163,67 +172,63 @@ class NotchGrid:
         return self._angles.copy()
 
 
-def locate(grid: NotchGrid, target_angle: float) -> AnglePosition:
-    """Reduce ``target_angle`` mod ``2*pi`` and express it as notch ``k``
-    plus offset ``theta``, snapping offsets within ``SNAP_TOL`` of a notch."""
-    x = float(target_angle)
-    if not np.isfinite(x):
-        raise ValueError("target angle must be finite")
+def locate(grid: NotchGrid, target_angle) -> AnglePosition:
+    """Reduce each target angle mod ``2*pi`` and express it as notch ``k``
+    plus offset ``theta``, snapping offsets within ``SNAP_TOL`` of a notch.
+
+    ``target_angle`` is a scalar or an array; a non-finite entry raises
+    ``ValueError`` naming its flat index.
+    """
+    shape = np.shape(target_angle)
+    x = np.asarray(target_angle, dtype=np.float64).ravel()
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"target angle must be finite, got {x[bad[0]]} at index {bad[0]}")
     x = x % TWO_PI
-    if x >= TWO_PI:  # tiny negative inputs can reduce to exactly 2*pi
-        x = 0.0
+    x[x >= TWO_PI] = 0.0  # tiny negative inputs can reduce to exactly 2*pi
     size = grid.size
     if grid.is_uniform:
-        delta = grid._delta
-        k = int(x / delta)
-        if k >= size:
-            k = size - 1
-        theta = x - k * delta
+        # x >= 0, so the cast truncates like int()
+        k = np.minimum((x / grid._delta).astype(np.int64), size - 1)
+        theta = x - k * grid._delta
     else:
         angles = grid._angles
-        idx = int(np.searchsorted(angles, x, side="right")) - 1
-        if idx < 0:
-            k = size - 1
-            theta = x + TWO_PI - angles[k]
-        else:
-            k = idx
-            theta = x - angles[k]
+        k = np.searchsorted(angles, x, side="right") - 1
+        below = k < 0  # under the first notch: in the wrap-around gap
+        k[below] = size - 1
+        theta = np.where(below, x + TWO_PI - angles[-1], x - angles[k])
     delta_k = grid.spacing(k)
-    if theta < SNAP_TOL:
-        theta = 0.0
-    elif delta_k - theta < SNAP_TOL:
-        k = (k + 1) % size
-        theta = 0.0
-        delta_k = grid.spacing(k)
+    low = theta < SNAP_TOL
+    high = ~low & (delta_k - theta < SNAP_TOL)
+    theta[low | high] = 0.0
+    k[high] = (k[high] + 1) % size
+    delta_k = grid.spacing(k)
     lam = theta / delta_k
-    return AnglePosition(k=k, theta=theta, lam=lam, delta_k=delta_k)
+    return AnglePosition(*(a.reshape(shape)[()] for a in (k, theta, lam, delta_k)))
 
 
-def nearest_notch(grid: NotchGrid, target_angle: float) -> int:
-    """Index of the notch nearest to ``target_angle`` by fractional
-    position; a fraction of exactly one half rounds up."""
+def nearest_notch(grid: NotchGrid, target_angle):
+    """Index of the notch nearest to each target by fractional position;
+    a fraction of exactly one half rounds up."""
     pos = locate(grid, target_angle)
-    if pos.lam >= 0.5 - _TIE_TOL:
-        return (pos.k + 1) % grid.size
-    return pos.k
+    return np.where(pos.lam >= 0.5 - _TIE_TOL, (pos.k + 1) % grid.size, pos.k)[()]
 
 
 def round_params_to_grid(grid: NotchGrid, params) -> np.ndarray:
     """Round every channel angle to its nearest notch."""
-    return np.array(
-        [grid.angle(nearest_notch(grid, float(p))) for p in np.asarray(params)]
-    )
+    return np.asarray(grid.angle(nearest_notch(grid, params)), dtype=np.float64)
 
 
-def antipolar_notch(grid: NotchGrid, k: int) -> int:
+def antipolar_notch(grid: NotchGrid, k):
     """Index of the notch nearest to ``angle(k) + pi``.
 
     Exact for uniform grids, where it is ``k + size/2`` (mod size).
     """
     size = grid.size
-    k = int(k)
-    if not 0 <= k < size:
-        raise ValueError(f"notch index {k} outside [0, {size})")
+    k = np.asarray(k, dtype=np.int64)
+    outside = (k < 0) | (k >= size)
+    if np.any(outside):
+        raise ValueError(f"notch index {k[outside].flat[0]} outside [0, {size})")
     if grid.is_uniform:
-        return (k + size // 2) % size
+        return ((k + size // 2) % size)[()]
     return nearest_notch(grid, grid.angle(k) + np.pi)

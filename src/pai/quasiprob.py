@@ -21,6 +21,12 @@ coefficients have the closed form
 
 which this module uses on uniform grids; non-uniform grids fall back to
 solving the 3x3 constraint system in absolute angles.
+
+:func:`decompose_circuit` decomposes a whole circuit in one array pass:
+one :func:`pai.notch.locate` call places every angle, the closed form (or
+the stacked 3x3 solves of :func:`gamma_general`) runs over all gates at
+once, and the result is a :class:`CircuitDecomposition` of ``(nu, 3)``
+arrays.  :func:`decompose_gate` is its one-gate case.
 """
 
 from __future__ import annotations
@@ -63,57 +69,65 @@ def _exp(log_value: float, what: str) -> float:
         raise ValueError(f"{what} exp({log_value:.6g}) overflows a float") from None
 
 
-def gamma_uniform(theta: float, delta: float) -> tuple[float, float, float]:
-    """Interpolation coefficients for offset ``theta`` in a gap ``delta``.
+def gamma_uniform(theta, delta):
+    """Interpolation coefficients ``(g1, g2, g3)`` for offsets ``theta`` in
+    gaps ``delta``.
 
-    Valid for ``0 <= theta <= delta`` and ``0 < delta <= pi/2``.  At the
-    endpoints the coefficients reduce to ``(1, 0, 0)`` and ``(0, 1, 0)``.
+    The arguments broadcast against each other, and each coefficient has
+    their broadcast shape.  Valid for ``0 <= theta <= delta`` and
+    ``0 < delta <= pi/2``.  At the endpoints the coefficients reduce to
+    ``(1, 0, 0)`` and ``(0, 1, 0)``.
     """
-    theta = float(theta)
-    delta = float(delta)
-    if not (np.isfinite(theta) and np.isfinite(delta)):
+    theta, delta = np.broadcast_arrays(
+        np.asarray(theta, dtype=np.float64), np.asarray(delta, dtype=np.float64)
+    )
+    if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(delta))):
         raise ValueError("theta and delta must be finite")
-    if not 0.0 < delta <= np.pi / 2 + 1e-12:
+    if not np.all((0.0 < delta) & (delta <= np.pi / 2 + 1e-12)):
         raise ValueError("delta must be in (0, pi/2]")
-    if not 0.0 <= theta <= delta * (1.0 + 1e-12):
+    if not np.all((0.0 <= theta) & (theta <= delta * (1.0 + 1e-12))):
         raise ValueError("theta must be in [0, delta]")
     rest = 0.5 * (delta - theta)
-    g1 = math.cos(0.5 * theta) * math.sin(rest) / math.sin(0.5 * delta)
-    g2 = math.sin(theta) / math.sin(delta)
-    g3 = -math.sin(0.5 * theta) * math.sin(rest) / math.cos(0.5 * delta)
-    return (g1, g2, g3)
+    g1 = np.cos(0.5 * theta) * np.sin(rest) / np.sin(0.5 * delta)
+    g2 = np.sin(theta) / np.sin(delta)
+    g3 = -np.sin(0.5 * theta) * np.sin(rest) / np.cos(0.5 * delta)
+    return g1[()], g2[()], g3[()]
 
 
 def _constraint_matrix(setting_angles) -> np.ndarray:
+    # row i, column l: constraint i at setting l, one 3x3 block per gate
     a = np.asarray(setting_angles, dtype=np.float64)
-    return np.vstack([1.0 + np.cos(a), np.sin(a), 1.0 - np.cos(a)])
+    return np.stack([1.0 + np.cos(a), np.sin(a), 1.0 - np.cos(a)], axis=-2)
 
 
-def _constraint_rhs(target_angle: float) -> np.ndarray:
-    t = float(target_angle)
-    return np.array([1.0 + np.cos(t), np.sin(t), 1.0 - np.cos(t)])
+def _constraint_rhs(target_angle) -> np.ndarray:
+    t = np.asarray(target_angle, dtype=np.float64)
+    return np.stack([1.0 + np.cos(t), np.sin(t), 1.0 - np.cos(t)], axis=-1)
 
 
-def gamma_general(
-    target_angle: float, setting_angles: tuple[float, float, float]
-) -> tuple[float, float, float]:
+def gamma_general(target_angle, setting_angles):
     """Solve for interpolation coefficients over three arbitrary settings.
 
     The constraints say the signed mixture must reproduce the target
     channel's action on the generator's invariant components; they reduce
     to ``sum(g) = 1`` plus matching ``cos`` and ``sin`` of the angles.
-    Raises :class:`DegenerateSettingsError` when the system is singular
-    (condition number above 1e12), e.g. for coincident settings.
+    ``target_angle`` has some shape ``S`` and ``setting_angles`` the shape
+    ``S + (3,)``; the stacked 3x3 systems are solved at once and each of
+    the returned ``(g1, g2, g3)`` has shape ``S``.  Raises
+    :class:`DegenerateSettingsError` when a system is singular (condition
+    number above 1e12), e.g. for coincident settings.
     """
-    if not np.all(np.isfinite(setting_angles)) or not np.isfinite(target_angle):
+    if not np.all(np.isfinite(setting_angles)) or not np.all(np.isfinite(target_angle)):
         raise ValueError("angles must be finite")
     mat = _constraint_matrix(setting_angles)
-    if np.linalg.cond(mat) > 1e12:
+    degenerate = np.flatnonzero(np.linalg.cond(mat) > 1e12)
+    if degenerate.size:
+        worst = np.reshape(setting_angles, (-1, 3))[degenerate[0]]
         raise DegenerateSettingsError(
-            f"interpolation settings {tuple(setting_angles)} are degenerate"
+            f"interpolation settings {tuple(worst.tolist())} are degenerate"
         )
-    sol = np.linalg.solve(mat, _constraint_rhs(target_angle))
-    return (float(sol[0]), float(sol[1]), float(sol[2]))
+    sol = np.linalg.solve(mat, _constraint_rhs(target_angle)[..., None])[..., 0]
+    return sol[..., 0][()], sol[..., 1][()], sol[..., 2][()]
 
 
 def interpolation_residual(
@@ -146,93 +160,119 @@ class GateQuasiProb:
 def decompose_gate(
     grid: NotchGrid, generator: PauliString, target_angle: float
 ) -> GateQuasiProb:
-    """Decompose a rotation at ``target_angle`` over notches of ``grid``.
+    """Decompose a rotation at ``target_angle`` over notches of ``grid``:
+    the one-gate case of :func:`decompose_circuit`.
 
     The generator only enters validation (it must be non-identity so the
     rotation is periodic in ``2*pi``); the coefficients themselves depend
     on the angles alone.
     """
-    if generator.weight == 0:
-        raise ValueError("rotation generator must be a non-identity Pauli string")
-    pos = locate(grid, target_angle)
-    k1 = pos.k
-    k2 = (k1 + 1) % grid.size
-    k3 = antipolar_notch(grid, k1)
-    indices = (k1, k2, k3)
-    angles = (grid.angle(k1), grid.angle(k2), grid.angle(k3))
-    if pos.theta == 0.0:
-        gammas = (1.0, 0.0, 0.0)
-    elif grid.is_uniform:
-        gammas = gamma_uniform(pos.theta, pos.delta_k)
-    else:
-        gammas = gamma_general(grid.angle(k1) + pos.theta, angles)
-    norm1 = abs(gammas[0]) + abs(gammas[1]) + abs(gammas[2])
-    probs = tuple(abs(g) / norm1 for g in gammas)
-    signs = tuple(-1 if g < 0.0 else 1 for g in gammas)
+    dec = decompose_circuit(grid, [(generator, target_angle)])
     return GateQuasiProb(
-        gammas=gammas,
-        probs=probs,
-        norm1=norm1,
-        setting_indices=indices,
-        setting_angles=angles,
-        setting_signs=signs,
-        lam=pos.lam,
-        delta_k=pos.delta_k,
+        gammas=tuple(dec.gammas[0].tolist()),
+        probs=tuple(dec.probs[0].tolist()),
+        norm1=float(dec.norm1[0]),
+        setting_indices=tuple(dec.setting_indices[0].tolist()),
+        setting_angles=tuple(dec.setting_angles[0].tolist()),
+        setting_signs=tuple(dec.setting_signs[0].tolist()),
+        lam=float(dec.lam[0]),
+        delta_k=float(dec.delta_k[0]),
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class CircuitDecomposition:
-    """Per-gate decompositions for a whole circuit plus cached arrays used
-    by the vectorized variant sampler.  Treat instances as immutable."""
+    """Every gate's decomposition as arrays with one row per gate:
+    ``(nu, 3)`` ``gammas``, ``probs``, ``setting_indices``,
+    ``setting_angles`` and ``setting_signs`` (int8, +-1), the ``(nu,)``
+    one-norms ``norm1``, gap fractions ``lam`` and gap widths ``delta_k``,
+    and the circuit weight ``norm1_total``.  The sampler's thresholds and
+    sign masks are derived from them.  Treat instances as immutable."""
 
     generators: tuple[PauliString, ...]
-    per_gate: tuple[GateQuasiProb, ...]
+    gammas: np.ndarray
+    probs: np.ndarray
+    norm1: np.ndarray
+    setting_indices: np.ndarray
+    setting_angles: np.ndarray
+    setting_signs: np.ndarray
+    lam: np.ndarray
+    delta_k: np.ndarray
     norm1_total: float
     thresholds_low: np.ndarray = field(init=False, repr=False)
     thresholds_high: np.ndarray = field(init=False, repr=False)
-    setting_angle_table: np.ndarray = field(init=False, repr=False)
     negative_settings: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        probs = np.array([qp.probs for qp in self.per_gate], dtype=np.float64)
-        probs = probs.reshape(len(self.per_gate), 3)
-        self.thresholds_low = probs[:, 0].copy()
-        self.thresholds_high = probs[:, 0] + probs[:, 1]
-        self.setting_angle_table = np.array(
-            [qp.setting_angles for qp in self.per_gate], dtype=np.float64
-        ).reshape(len(self.per_gate), 3)
+        # contiguous, so the sampler's per-chunk comparison runs unstrided
+        self.thresholds_low = self.probs[:, 0].copy()
+        self.thresholds_high = self.probs[:, 0] + self.probs[:, 1]
         # bit s of gate j's entry is set where its setting s is negative
-        self.negative_settings = np.array(
-            [sum(1 << s for s in range(3) if qp.setting_signs[s] < 0) for qp in self.per_gate],
-            dtype=np.int8,
-        )
+        self.negative_settings = np.dot(self.setting_signs < 0, [1, 2, 4]).astype(np.int8)
 
     @property
     def num_gates(self) -> int:
-        return len(self.per_gate)
+        return len(self.generators)
+
+
+def _check_gates(generators, angles: np.ndarray) -> None:
+    """``ValueError`` naming the first gate with an identity generator or a
+    non-finite angle, so a bad gate fails before any decomposition."""
+    identity = np.array([g.weight == 0 for g in generators], dtype=bool)
+    bad = np.flatnonzero(identity | ~np.isfinite(angles))
+    if bad.size:
+        j = int(bad[0])
+        if identity[j]:
+            raise ValueError(f"gate {j}: rotation generator must be a non-identity Pauli string")
+        raise ValueError(f"gate {j}: target angle must be finite, got {angles[j]}")
 
 
 def decompose_circuit(
     grid: NotchGrid, circuit: list[tuple[PauliString, float]]
 ) -> CircuitDecomposition:
-    """Decompose every gate of ``circuit`` over ``grid``.
+    """Decompose every gate of ``circuit`` over ``grid`` in one array pass.
 
-    The total weight ``||g||_1`` is the product of per-gate one-norms,
+    Gate ``j`` mixes its enclosing notches ``k`` and ``k + 1`` with the
+    notch half a turn from ``k``; a gate on a notch is ``(1, 0, 0)``.  The
+    total weight ``||g||_1`` is the product of per-gate one-norms,
     accumulated in log space so long circuits cannot lose precision; a
     weight that overflows a float raises ``ValueError``.
     """
-    generators = []
-    per_gate = []
+    gates = list(circuit)
+    generators = tuple(generator for generator, _ in gates)
+    targets = np.array([angle for _, angle in gates], dtype=np.float64)
+    _check_gates(generators, targets)
+    pos = locate(grid, targets)
+    indices = np.stack([pos.k, (pos.k + 1) % grid.size, antipolar_notch(grid, pos.k)], axis=1)
+    angles = grid.angle(indices)
+    gammas = np.zeros((len(gates), 3))
+    gammas[:, 0] = 1.0
+    off = pos.theta != 0.0
+    if off.any():
+        theta, delta_k, settings = pos.theta[off], pos.delta_k[off], angles[off]
+        if grid.is_uniform:
+            solved = gamma_uniform(theta, delta_k)
+        else:
+            solved = gamma_general(settings[:, 0] + theta, settings)
+        gammas[off] = np.stack(solved, axis=1)
+    weights = np.abs(gammas)
+    norm1 = weights[:, 0] + weights[:, 1] + weights[:, 2]
+    # a left-to-right sum of math.log: np.log differs in the last bit on
+    # some inputs and sum() compensates from Python 3.12, and either would
+    # move the weight's bits
     log_norm = 0.0
-    for generator, angle in circuit:
-        qp = decompose_gate(grid, generator, angle)
-        generators.append(generator)
-        per_gate.append(qp)
-        log_norm += math.log(qp.norm1)
+    for value in norm1.tolist():
+        log_norm += math.log(value)
     return CircuitDecomposition(
-        generators=tuple(generators),
-        per_gate=tuple(per_gate),
+        generators=generators,
+        gammas=gammas,
+        probs=weights / norm1[:, None],
+        norm1=norm1,
+        setting_indices=indices,
+        setting_angles=angles,
+        setting_signs=np.where(gammas < 0.0, -1, 1).astype(np.int8),
+        lam=pos.lam,
+        delta_k=pos.delta_k,
         norm1_total=_exp(log_norm, "circuit weight"),
     )
 
@@ -280,8 +320,8 @@ def refined_overhead(dec: CircuitDecomposition) -> tuple[float, float]:
     nu = dec.num_gates
     if nu == 0:
         return 0.0, 1.0
-    lams = np.array([qp.lam for qp in dec.per_gate])
-    dmax = max(qp.delta_k for qp in dec.per_gate)
+    lams = dec.lam
+    dmax = float(dec.delta_k.max())
     lam_tilde = float(4.0 * np.mean(lams * (1.0 - lams)))
     bound = _exp(0.25 * nu * lam_tilde * dmax * dmax, f"refined overhead of {nu} gates")
     return lam_tilde, bound

@@ -104,7 +104,7 @@ class PauliString:
     @property
     def weight(self) -> int:
         """Number of non-identity tensor factors."""
-        return sum(c != "I" for c in self.letters)
+        return len(self.letters) - self.letters.count("I")
 
     def __str__(self) -> str:
         return self.letters

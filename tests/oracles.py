@@ -1,12 +1,17 @@
-"""Independent dense-matrix oracles used to cross-check the fast kernels.
+"""Independent oracles used to cross-check the fast kernels.
 
-Everything here is built from 2x2 Pauli matrices with plain Kronecker
-products and matrix products, sharing no code with the package internals.
-Qubit 0 is the least-significant bit, matching the package convention, so
-the factor for qubit q sits q kron-positions from the right.
+The dense-matrix oracles are built from 2x2 Pauli matrices with plain
+Kronecker products and matrix products, sharing no code with the package
+internals.  Qubit 0 is the least-significant bit, matching the package
+convention, so the factor for qubit q sits q kron-positions from the right.
+The scalar decomposition oracles at the end place, round and decompose one
+gate at a time.
 """
 
 from __future__ import annotations
+
+import bisect
+import math
 
 import numpy as np
 
@@ -128,3 +133,126 @@ def sample_gate(probs, signs, u: float) -> tuple[int, int]:
     if u < probs[0] + probs[1]:
         return 1, signs[1]
     return 2, signs[2]
+
+
+# ------------------------------------------------- scalar decomposition
+#
+# The gate-at-a-time notch rules and interpolation coefficients, with
+# Python floats and the math module, as the reference for the array pass of
+# pai.notch.locate and pai.quasiprob.decompose_circuit.  Grids enter only
+# through their public size, uniformity and notch angles.
+
+TWO_PI = 2.0 * math.pi
+SNAP_TOL = 1e-12
+TIE_TOL = 1e-12
+
+
+def random_explicit_angles(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Sorted angles of an ``n``-notch explicit grid with random gaps in
+    (0, pi/2], evenly spaced where a random draw would exceed pi/2."""
+    gaps = rng.uniform(0.1, 1.0, size=n)
+    gaps *= TWO_PI / gaps.sum()
+    if gaps.max() > math.pi / 2:
+        gaps = np.full(n, TWO_PI / n)
+    start = rng.uniform(0.0, float(gaps[0]) / 2)
+    return np.sort((start + np.concatenate([[0.0], np.cumsum(gaps[:-1])])) % TWO_PI)
+
+
+def _spacing(grid, angles: list, k: int) -> float:
+    if grid.is_uniform:
+        return TWO_PI / grid.size
+    if k == grid.size - 1:
+        return angles[0] + TWO_PI - angles[-1]
+    return angles[k + 1] - angles[k]
+
+
+def locate_scalar(grid, target: float) -> tuple[int, float, float, float]:
+    """``(k, theta, lam, delta_k)`` of one target: reduce mod 2*pi, bracket,
+    then snap an offset within SNAP_TOL of either notch onto it."""
+    x = float(target)
+    if not math.isfinite(x):
+        raise ValueError("target angle must be finite")
+    x = x % TWO_PI
+    if x >= TWO_PI:  # tiny negative inputs can reduce to exactly 2*pi
+        x = 0.0
+    size = grid.size
+    angles = grid.angles_array().tolist()
+    if grid.is_uniform:
+        delta = TWO_PI / size
+        k = min(int(x / delta), size - 1)
+        theta = x - k * delta
+    else:
+        k = bisect.bisect_right(angles, x) - 1
+        if k < 0:
+            k = size - 1
+            theta = x + TWO_PI - angles[k]
+        else:
+            theta = x - angles[k]
+    delta_k = _spacing(grid, angles, k)
+    if theta < SNAP_TOL:
+        theta = 0.0
+    elif delta_k - theta < SNAP_TOL:
+        k = (k + 1) % size
+        theta = 0.0
+        delta_k = _spacing(grid, angles, k)
+    return k, theta, theta / delta_k, delta_k
+
+
+def nearest_scalar(grid, target: float) -> int:
+    """Nearest notch by fractional position; a half rounds up."""
+    k, _, lam, _ = locate_scalar(grid, target)
+    return (k + 1) % grid.size if lam >= 0.5 - TIE_TOL else k
+
+
+def antipolar_scalar(grid, k: int) -> int:
+    """Notch nearest to ``angle(k) + pi``."""
+    if grid.is_uniform:
+        return (k + grid.size // 2) % grid.size
+    return nearest_scalar(grid, float(grid.angles_array()[k]) + math.pi)
+
+
+def gamma_uniform_scalar(theta: float, delta: float) -> tuple[float, float, float]:
+    """Closed-form coefficients for offset ``theta`` in a uniform gap."""
+    rest = 0.5 * (delta - theta)
+    g1 = math.cos(0.5 * theta) * math.sin(rest) / math.sin(0.5 * delta)
+    g2 = math.sin(theta) / math.sin(delta)
+    g3 = -math.sin(0.5 * theta) * math.sin(rest) / math.cos(0.5 * delta)
+    return (g1, g2, g3)
+
+
+def gamma_general_scalar(target: float, settings) -> tuple[float, float, float]:
+    """Coefficients from one 3x3 constraint solve in absolute angles."""
+    a = np.asarray(settings, dtype=np.float64)
+    mat = np.vstack([1.0 + np.cos(a), np.sin(a), 1.0 - np.cos(a)])
+    if np.linalg.cond(mat) > 1e12:
+        raise ValueError(f"interpolation settings {tuple(settings)} are degenerate")
+    t = float(target)
+    sol = np.linalg.solve(mat, np.array([1.0 + np.cos(t), np.sin(t), 1.0 - np.cos(t)]))
+    return (float(sol[0]), float(sol[1]), float(sol[2]))
+
+
+def decompose_scalar(grid, target: float) -> dict:
+    """One gate's decomposition, gate at a time: the fields of
+    ``pai.quasiprob.GateQuasiProb`` plus the snapped offset ``theta``."""
+    k1, theta, lam, delta_k = locate_scalar(grid, target)
+    indices = (k1, (k1 + 1) % grid.size, antipolar_scalar(grid, k1))
+    notches = grid.angles_array()
+    angles = tuple(float(notches[k]) for k in indices)
+    if theta == 0.0:
+        gammas = (1.0, 0.0, 0.0)
+    elif grid.is_uniform:
+        gammas = gamma_uniform_scalar(theta, delta_k)
+    else:
+        gammas = gamma_general_scalar(angles[0] + theta, angles)
+    norm1 = abs(gammas[0]) + abs(gammas[1]) + abs(gammas[2])
+    return {
+        "gammas": gammas,
+        "probs": tuple(abs(g) / norm1 for g in gammas),
+        "norm1": norm1,
+        "setting_indices": indices,
+        "setting_angles": angles,
+        "setting_signs": tuple(-1 if g < 0.0 else 1 for g in gammas),
+        "lam": lam,
+        "delta_k": delta_k,
+        "theta": theta,
+    }

@@ -294,16 +294,33 @@ def test_trotter_outputs(tmp_path, capsys):
 
 
 def test_trotter_decomposes_each_gate_once(tmp_path, monkeypatch, capsys):
-    from pai import quasiprob
+    # one decompose_circuit call covers all 13 gates; the report reuses it
+    from pai import estimate
 
     calls = []
-    original = quasiprob.decompose_gate
-    monkeypatch.setattr(
-        quasiprob, "decompose_gate", lambda *args: calls.append(1) or original(*args)
-    )
+    original = estimate.decompose_circuit
+
+    def spy(grid, circuit):
+        dec = original(grid, circuit)
+        calls.append(dec.num_gates)
+        return dec
+
+    for module in (cli, estimate):
+        monkeypatch.setattr(module, "decompose_circuit", spy)
     out = _run_trotter(tmp_path, "tr")
     capsys.readouterr()
-    assert len(calls) == json.loads(out.with_suffix(".json").read_text())["n_gates"] == 13
+    assert calls == [json.loads(out.with_suffix(".json").read_text())["n_gates"]] == [13]
+
+
+@pytest.mark.parametrize("block", [1, 1 << 23])
+def test_resampling_block_size_never_changes_the_batches(block, monkeypatch):
+    # a one-row block and a single block of every row draw the same
+    # indices as the default block: Philox keeps its place across calls
+    values = rng.stream(5, 1).random(3000)
+    want = cli._resampled_batches(values, 1000, 300, rng.stream(7, 3, 0))
+    assert cli._RESAMPLE_BLOCK // 1000 < 300  # the default splits the rows
+    monkeypatch.setattr(cli, "_RESAMPLE_BLOCK", block)
+    assert cli._resampled_batches(values, 1000, 300, rng.stream(7, 3, 0)) == want
 
 
 def test_trotter_threads_do_not_change_bytes(tmp_path, capsys):

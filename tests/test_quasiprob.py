@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 
 import oracles
 from pai.estimate import _variant_uniforms
-from pai.notch import TWO_PI, NotchGrid, antipolar_notch, locate
+from pai.notch import (
+    TWO_PI,
+    NotchGrid,
+    antipolar_notch,
+    locate,
+    nearest_notch,
+    round_params_to_grid,
+)
 from pai.quasiprob import (
     DegenerateSettingsError,
     decompose_circuit,
@@ -248,13 +255,13 @@ def test_sample_gate_on_notch_is_deterministic():
     dec = decompose_circuit(grid, [(PauliString("X"), 0.0)])
     idx, signs = settings_from_uniforms(dec, stream(0, 5).random((16, 1)))
     assert np.all(idx == 0) and np.all(signs == 1)
-    assert dec.setting_angle_table[0, 0] == 0.0
+    assert dec.setting_angles[0, 0] == 0.0
 
 
 def test_sample_gate_thresholds():
     grid = NotchGrid.uniform(4)
     dec = decompose_circuit(grid, [(PauliString("X"), 1.6 * grid.delta_max)])
-    p1, p2, _ = dec.per_gate[0].probs
+    p1, p2, _ = dec.probs[0]
     eps = 1e-9
     seq = [0.0, p1 - eps, p1 + eps, p1 + p2 - eps, p1 + p2 + eps, 1.0 - eps]
     idx, _ = settings_from_uniforms(dec, np.array(seq)[:, None])
@@ -264,10 +271,9 @@ def test_sample_gate_thresholds():
 def test_sample_gate_frequencies_match_probabilities():
     grid = NotchGrid.uniform(5)
     dec = decompose_circuit(grid, [(PauliString("X"), 2.5 * grid.delta_max)])
-    qp = dec.per_gate[0]
     n = 200_000
     draws = settings_from_uniforms(dec, stream(1, 6).random((n, 1)))[0][:, 0]
-    for setting, p in zip((0, 1, 2), qp.probs):
+    for setting, p in zip((0, 1, 2), dec.probs[0]):
         freq = float(np.mean(draws == setting))
         sigma = math.sqrt(p * (1 - p) / n)
         assert abs(freq - p) < 5 * sigma
@@ -282,10 +288,9 @@ def test_settings_from_uniforms_replays_sample_gate():
     assert idx.dtype == np.int8 and signs.dtype == np.int64
     for v in range(7):
         want_sign = 1
-        for j, qp in enumerate(dec.per_gate):
-            setting, sign = oracles.sample_gate(qp.probs, qp.setting_signs, u[v, j])
+        for j in range(dec.num_gates):
+            setting, sign = oracles.sample_gate(dec.probs[j], dec.setting_signs[j], u[v, j])
             assert idx[v, j] == setting
-            assert dec.setting_angle_table[j, setting] == qp.setting_angles[setting]
             want_sign *= sign
         assert signs[v] == want_sign
 
@@ -300,8 +305,8 @@ def test_sample_variant_draws_one_uniform_per_gate():
     np.testing.assert_array_equal(u[0], stream(5, 0).random(16)[12:15])
     idx, signs = settings_from_uniforms(dec, u)
     want_sign = 1
-    for j, qp in enumerate(dec.per_gate):
-        want_sign *= qp.setting_signs[idx[0, j]]
+    for j in range(dec.num_gates):
+        want_sign *= dec.setting_signs[j, idx[0, j]]
     assert signs[0] == want_sign
 
 
@@ -314,8 +319,8 @@ def test_variant_sign_distribution_matches_enumeration():
         p = 1.0
         s = 1
         for j, c in enumerate(combo):
-            p *= dec.per_gate[j].probs[c]
-            s *= dec.per_gate[j].setting_signs[c]
+            p *= dec.probs[j, c]
+            s *= dec.setting_signs[j, c]
         if s < 0:
             p_minus += p
     n = 100_000
@@ -399,3 +404,85 @@ def test_max_gates_for_bits_values():
     assert max_gates_for_bits(10) == 262_144
     with pytest.raises(ValueError):
         max_gates_for_bits(1)
+
+
+# ------------------------------------------------ array pass against oracle
+
+
+@st.composite
+def grid_and_angles(draw):
+    """A uniform (B = 2-10) or explicit grid and up to 40 angles, many on
+    the rules' edges: within 1e-13 of a notch, a hair below 0, multiples
+    of 2*pi and exact mid-gap ties, each shifted by whole turns."""
+    if draw(st.booleans()):
+        grid = NotchGrid.uniform(draw(st.integers(min_value=2, max_value=10)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        n = draw(st.integers(min_value=5, max_value=24))
+        grid = NotchGrid.explicit(oracles.random_explicit_angles(rng, n))
+    notches = grid.angles_array()
+    upper = np.append(notches[1:], notches[0] + TWO_PI)
+    k = st.integers(min_value=0, max_value=grid.size - 1)
+    edge = st.one_of(
+        st.floats(min_value=-20.0, max_value=20.0),
+        st.tuples(k, st.sampled_from([-1e-13, 1e-13, -1e-11, 1e-11, 0.0])).map(
+            lambda p: float(notches[p[0]]) + p[1]
+        ),
+        k.map(lambda i: 0.5 * (float(notches[i]) + float(upper[i]))),
+        st.sampled_from([-1e-18, 1e-18, -0.0]),
+        st.integers(min_value=-3, max_value=3).map(lambda m: m * TWO_PI),
+    )
+    turns = st.integers(min_value=-2, max_value=2)
+    angle = st.tuples(edge, turns).map(lambda p: p[0] + p[1] * TWO_PI)
+    return grid, draw(st.lists(angle, min_size=1, max_size=40))
+
+
+@given(case=grid_and_angles())
+@settings(max_examples=150, deadline=None)
+def test_array_pass_matches_the_scalar_oracle(case):
+    grid, angles = case
+    x = PauliString("X")
+    dec = decompose_circuit(grid, [(x, a) for a in angles])
+    pos = locate(grid, angles)
+    nearest = nearest_notch(grid, angles)
+    rounded = round_params_to_grid(grid, angles)
+    for j, angle in enumerate(angles):
+        want = oracles.decompose_scalar(grid, angle)
+        assert pos.k[j] == want["setting_indices"][0]
+        assert pos.theta[j] == want["theta"]  # snapping included
+        assert pos.delta_k[j] == want["delta_k"]
+        assert dec.setting_indices[j].tolist() == list(want["setting_indices"])
+        assert dec.setting_angles[j].tolist() == list(want["setting_angles"])
+        assert dec.setting_signs[j].tolist() == list(want["setting_signs"])
+        for name in ("gammas", "probs", "lam"):
+            np.testing.assert_array_max_ulp(getattr(dec, name)[j], want[name], maxulp=2)
+        assert nearest[j] == oracles.nearest_scalar(grid, angle)
+        assert rounded[j] == grid.angle(oracles.nearest_scalar(grid, angle))
+        # the one-gate path is the same pass, so its result is the row
+        qp = decompose_gate(grid, x, angle)
+        for name in ("gammas", "probs", "setting_indices", "setting_angles", "setting_signs"):
+            assert getattr(qp, name) == tuple(getattr(dec, name)[j].tolist())
+        assert (qp.norm1, qp.lam, qp.delta_k) == (dec.norm1[j], dec.lam[j], dec.delta_k[j])
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ((PauliString("I" * 12), 0.3), "gate 1000: rotation generator must be a non-identity"),
+        ((PauliString("X" + "I" * 11), float("nan")), "gate 1000: target angle must be finite"),
+    ],
+)
+def test_a_bad_gate_fails_by_index_before_any_array_work(bad, message, monkeypatch):
+    from pai import cli, quasiprob
+
+    circuit = cli._quench_circuit(cli.FidelityConfig())
+    assert len(circuit) == 1782
+    circuit[1000] = bad
+    circuit[1500] = (PauliString("I" * 12), float("inf"))  # a later bad gate
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("angles were placed")
+
+    monkeypatch.setattr(quasiprob, "locate", no_work)
+    with pytest.raises(ValueError, match=message):
+        decompose_circuit(NotchGrid.uniform(7), circuit)
