@@ -300,22 +300,25 @@ def _observable_string(letter: str, qubit: int, num_qubits: int) -> PauliString:
     )
 
 
-# indices drawn per resampling block: 512 KiB of int64, and as much again
-# for the gathered values, so a block stays in cache; Philox keeps its
-# place across integers() calls, so block size never changes the draws
-_RESAMPLE_BLOCK = 1 << 16
+def _batch_means(values: np.ndarray, batch_size: int, n_batches: int, rng) -> np.ndarray:
+    """Means of ``n_batches`` batches of ``batch_size`` shots drawn with
+    replacement from ``values``.
+
+    A batch mean is fixed by how many times each distinct value was drawn,
+    so one multinomial draw gives every batch's counts over the pool's
+    ``K`` distinct values.  Work and memory are O(n_batches * K) and do
+    not depend on ``batch_size``; a trotter bank holds K <= 2 values (+-w,
+    or +-1 for the references), because its observable is one Pauli
+    string.
+    """
+    levels, counts = np.unique(values, return_counts=True)
+    drawn = rng.multinomial(batch_size, counts / values.shape[0], size=n_batches)
+    return drawn @ levels / batch_size
 
 
 def _resampled_batches(values: np.ndarray, batch_size: int, n_batches: int, rng) -> dict:
-    """Mean and spread of batch means over resampled shot batches."""
-    pool = values.shape[0]
-    means = np.empty(n_batches)
-    done = 0
-    while done < n_batches:
-        take = min(n_batches - done, max(1, _RESAMPLE_BLOCK // max(batch_size, 1)))
-        idx = rng.integers(0, pool, size=(take, batch_size))
-        means[done : done + take] = values[idx].mean(axis=1)
-        done += take
+    """Mean and spread of the :func:`_batch_means` of ``values``."""
+    means = _batch_means(values, batch_size, n_batches, rng)
     return {
         "batch_size": batch_size,
         "n_batches": n_batches,
@@ -377,6 +380,8 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
     circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", cfg.observable_qubit, cfg.num_qubits)
     grid = _grid_from(cfg.bits)
+    if cfg.batch_size < 1 or cfg.n_batches < 1:
+        raise ConfigError("batch_size and n_batches must be positive")
     # before any bank is drawn, so an overhead that overflows exits 2 at once
     worst = worst_case_overhead(len(circuit), grid.delta_max)
     exact = continuous_expectation(circuit, observable)

@@ -294,37 +294,53 @@ def settings_from_uniforms(
     return idx, 1 - 2 * np.bitwise_xor.reduce(negative, axis=1).astype(np.int64)
 
 
+def _log_worst_case(nu: int, delta_max: float) -> float:
+    """Natural log of :func:`worst_case_overhead`, with its checks."""
+    if nu < 0:
+        raise ValueError("gate count must be non-negative")
+    if not 0.0 < delta_max <= np.pi / 2 + 1e-12:
+        raise ValueError("delta_max must be in (0, pi/2]")
+    # mid-gap one-norm is 1 + 2 * sec(d/2) * sin(d/4)**2, the max over offsets
+    excess = 2.0 * math.sin(0.25 * delta_max) ** 2 / math.cos(0.5 * delta_max)
+    return 2.0 * nu * math.log1p(excess)
+
+
 def worst_case_overhead(nu: int, delta_max: float) -> float:
     """Sampling-variance inflation ``||g||_1**2`` for ``nu`` gates all at
     the worst offset (mid-gap) of a grid with largest gap ``delta_max``;
     ``ValueError`` where it overflows a float."""
     nu = int(nu)
-    if nu < 0:
-        raise ValueError("gate count must be non-negative")
-    delta_max = float(delta_max)
-    if not 0.0 < delta_max <= np.pi / 2 + 1e-12:
-        raise ValueError("delta_max must be in (0, pi/2]")
-    # mid-gap one-norm is 1 + 2 * sec(d/2) * sin(d/4)**2, the max over offsets
-    excess = 2.0 * math.sin(0.25 * delta_max) ** 2 / math.cos(0.5 * delta_max)
-    return _exp(2.0 * nu * math.log1p(excess), f"worst-case overhead of {nu} gates")
+    log_worst = _log_worst_case(nu, float(delta_max))
+    return _exp(log_worst, f"worst-case overhead of {nu} gates")
 
 
 def refined_overhead(dec: CircuitDecomposition) -> tuple[float, float]:
-    """Circuit-aware overhead bound from the realized gap fractions.
+    """Circuit-aware upper bound on the overhead ``dec.norm1_total**2``.
 
-    Returns ``(lam_tilde, bound)`` where ``lam_tilde`` is four times the
-    mean of ``lam * (1 - lam)`` over gates and the bound is
-    ``exp(nu * lam_tilde * delta_max**2 / 4)``; never exceeds the
-    worst-case overhead at the same gap.
+    Returns ``(lam_tilde, bound)``: ``lam_tilde`` is four times the mean of
+    ``lam * (1 - lam)`` over gates, and ``bound`` is the smaller of the
+    worst-case overhead and ``exp(nu * lam_tilde * d**2 * sec(d/2) / 4)``,
+    ``d`` the widest gap a gate falls in.  A gate's one-norm ``1 + 2
+    sin(t/2) sin((d - t)/2) / cos(d/2)`` is at most ``1 + lam (1 - lam)
+    d**2 / (2 cos(d/2))``, and ``log(1 + x) <= x``; without the secant the
+    bound can fall below the exact overhead.  The one-norm needs each
+    off-notch gate's third setting at the antipode of its first, which
+    explicit grids may lack.  ``ValueError`` where that fails, where a gap
+    exceeds ``pi/2`` (no worst case is defined there) or where the bound
+    overflows a float; the exponent is taken in log space.
     """
     nu = dec.num_gates
     if nu == 0:
         return 0.0, 1.0
     lams = dec.lam
     dmax = float(dec.delta_k.max())
+    off = dec.setting_angles[lams > 0.0]
+    if np.any(np.abs(np.abs(off[:, 2] - off[:, 0]) - np.pi) > 1e-12):
+        raise ValueError("refined overhead needs each gate's third setting at its antipode")
     lam_tilde = float(4.0 * np.mean(lams * (1.0 - lams)))
-    bound = _exp(0.25 * nu * lam_tilde * dmax * dmax, f"refined overhead of {nu} gates")
-    return lam_tilde, bound
+    log_sec = 0.25 * nu * lam_tilde * dmax * dmax / math.cos(0.5 * dmax)
+    log_bound = min(log_sec, _log_worst_case(nu, dmax))
+    return lam_tilde, _exp(log_bound, f"refined overhead of {nu} gates")
 
 
 def max_gates_for_bits(bits: int) -> int:

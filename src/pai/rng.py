@@ -17,7 +17,8 @@ variants, or one variant alone, is drawn by advancing the counter.
 Addresses after ``master_seed``, per subcommand:
 
 * ``trotter``: window ``(0,)`` for pai, ``(1, 0)`` nearest-notch shots,
-  ``(2, 0)`` continuous shots, ``(3, m)`` resampling of method ``m``;
+  ``(2, 0)`` continuous shots, ``(3, m)`` resampling of method ``m`` (one
+  multinomial draw of every batch's value counts);
 * ``fidelity-decay``: window ``(0,)``;
 * ``rms``: window ``(i, 0, 0)`` for budget ``i``, whose repeat ``r`` is a
   range of its variants;

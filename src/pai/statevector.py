@@ -543,7 +543,9 @@ def _run_program(
             state, spare = spare, state
             continue
         shape, flips, table_shape, diagonal = kernel
-        tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]])
+        # the range check above keeps every code in [0, S**m), so "clip" only
+        # skips the per-index check and the copy of out that "raise" makes
+        tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]], mode="clip")
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
         src = state.reshape(shape)

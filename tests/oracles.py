@@ -4,8 +4,8 @@ The dense-matrix oracles are built from 2x2 Pauli matrices with plain
 Kronecker products and matrix products, sharing no code with the package
 internals.  Qubit 0 is the least-significant bit, matching the package
 convention, so the factor for qubit q sits q kron-positions from the right.
-The scalar decomposition oracles at the end place, round and decompose one
-gate at a time.
+The scalar decomposition oracles place, round and decompose one gate at a
+time, and :func:`index_resample` draws batch means one shot index at a time.
 """
 
 from __future__ import annotations
@@ -256,3 +256,10 @@ def decompose_scalar(grid, target: float) -> dict:
         "delta_k": delta_k,
         "theta": theta,
     }
+
+
+def index_resample(values: np.ndarray, batch_size: int, n_batches: int, rng) -> np.ndarray:
+    """Batch means of the index bootstrap: draw ``batch_size`` pool indices
+    per batch, gather their values and average them."""
+    idx = rng.integers(0, values.shape[0], size=(n_batches, batch_size))
+    return values[idx].mean(axis=1)

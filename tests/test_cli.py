@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from pai import __version__, cli, rng
 
 
@@ -312,15 +313,82 @@ def test_trotter_decomposes_each_gate_once(tmp_path, monkeypatch, capsys):
     assert calls == [json.loads(out.with_suffix(".json").read_text())["n_gates"]] == [13]
 
 
-@pytest.mark.parametrize("block", [1, 1 << 23])
-def test_resampling_block_size_never_changes_the_batches(block, monkeypatch):
-    # a one-row block and a single block of every row draw the same
-    # indices as the default block: Philox keeps its place across calls
-    values = rng.stream(5, 1).random(3000)
-    want = cli._resampled_batches(values, 1000, 300, rng.stream(7, 3, 0))
-    assert cli._RESAMPLE_BLOCK // 1000 < 300  # the default splits the rows
-    monkeypatch.setattr(cli, "_RESAMPLE_BLOCK", block)
-    assert cli._resampled_batches(values, 1000, 300, rng.stream(7, 3, 0)) == want
+# pools shaped like trotter banks (+-w, uneven) and one with three values
+_POOLS = {
+    "two": np.repeat([-5.647, 5.647], [1300, 1700]),
+    "three": np.repeat([-1.0, 0.25, 2.0], [900, 1500, 600]),
+}
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+@pytest.mark.parametrize("pool", sorted(_POOLS))
+def test_batch_means_follow_the_exact_law(pool, seed):
+    # a batch mean of B draws with replacement has the pool's mean and
+    # 1/B of its (ddof=0) variance; the means of n batches are checked at
+    # 5 sigma and their sample variance against chi-square(n - 1) at a
+    # 1e-4 two-sided level
+    from scipy.stats import chi2
+
+    values, size, n = _POOLS[pool], 200, 4000
+    means = cli._batch_means(values, size, n, rng.stream(seed, 3, 0))
+    mu, var = values.mean(), values.var() / size
+    assert abs(means.mean() - mu) < 5.0 * math.sqrt(var / n)
+    stat = (n - 1) * means.var(ddof=1) / var
+    assert chi2.ppf(5e-5, n - 1) <= stat <= chi2.ppf(1.0 - 5e-5, n - 1)
+
+
+@pytest.mark.parametrize(
+    "levels, counts", [([-3.0, 1.0], [40, 60]), ([-1.0, 0.0, 2.0], [30, 50, 20])]
+)
+def test_batch_means_match_the_index_bootstrap(levels, counts):
+    # the same law as drawing shot indices: the sums of 8-shot batches
+    # from both samplers pass a chi-square homogeneity test at 1e-4
+    from scipy.stats import chi2_contingency
+
+    values = rng.stream(3, 1).permutation(np.repeat(levels, counts))
+    size, n = 8, 20000
+    fast = cli._batch_means(values, size, n, rng.stream(7, 3, 0))
+    slow = oracles.index_resample(values, size, n, rng.stream(7, 3, 1))
+    sums = [np.rint(m * size).astype(np.int64) for m in (fast, slow)]
+    outcomes = np.unique(np.concatenate(sums))
+    assert outcomes.size > 8
+    table = np.array([[np.count_nonzero(s == o) for o in outcomes] for s in sums])
+    # pool the sparse tails so every cell expects at least 5 counts
+    keep = table.sum(axis=0) >= 20
+    table = np.column_stack([table[:, keep], table[:, ~keep].sum(axis=1)])
+    table = table[:, table.sum(axis=0) > 0]
+    assert chi2_contingency(table).pvalue > 1e-4
+
+
+def test_one_batch_has_zero_width():
+    out = cli._resampled_batches(_POOLS["two"], 50, 1, rng.stream(7, 3, 0))
+    assert out["n_batches"] == 1 and out["batch_width"] == 0.0
+    assert abs(out["batch_mean"]) <= 5.647
+
+
+def test_huge_batches_draw_counts_not_indices():
+    # 10**9 shots per batch would be 8 GB of indices per batch for an
+    # index bootstrap; the counts take a few hundred bytes
+    import tracemalloc
+
+    values = _POOLS["two"]
+    tracemalloc.start()
+    try:
+        out = cli._resampled_batches(values, 10**9, 100, rng.stream(7, 3, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    sd = values.std() / math.sqrt(10**9)
+    assert abs(out["batch_mean"] - values.mean()) < 5.0 * sd / math.sqrt(100)
+    assert 0.5 * sd < out["batch_width"] < 2.0 * sd
+
+
+@pytest.mark.parametrize("field", ["batch-size", "n-batches"])
+def test_trotter_rejects_empty_batches(tmp_path, capsys, field):
+    assert run_cli("trotter", "--output", tmp_path / "tr", f"--{field}", "0") == 2
+    assert "batch_size and n_batches must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "tr.json").exists()
 
 
 def test_trotter_threads_do_not_change_bytes(tmp_path, capsys):

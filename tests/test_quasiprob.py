@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from pai.estimate import _variant_uniforms
+from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
 from pai.notch import (
     TWO_PI,
     NotchGrid,
@@ -396,6 +397,77 @@ def test_refined_overhead_never_exceeds_worst_case(data):
     dec = decompose_circuit(grid, circ)
     _, bound = refined_overhead(dec)
     assert bound <= worst_case_overhead(nu, grid.delta_max) * (1.0 + 1e-9)
+
+
+def _antipodal_grid(rng: np.random.Generator, half: int) -> NotchGrid:
+    """Explicit grid whose notches come in pairs half a turn apart: ``half``
+    random gaps in (0, pi/2] cover one half-circle, repeated on the other."""
+    gaps = rng.uniform(0.1, 1.0, size=half)
+    gaps *= np.pi / gaps.sum()
+    if gaps.max() > np.pi / 2:
+        gaps = np.full(half, np.pi / half)
+    first = np.concatenate([[0.0], np.cumsum(gaps[:-1])])
+    return NotchGrid.explicit(np.concatenate([first, first + np.pi]))
+
+
+@given(data=st.data())
+@settings(max_examples=80)
+def test_refined_overhead_lies_between_the_weight_and_the_worst_case(data):
+    # uniform grids from B = 2, and explicit grids of antipodal pairs; gates
+    # anywhere on the circle, on notches and at mid-gap
+    if data.draw(st.booleans()):
+        grid = NotchGrid.uniform(data.draw(st.integers(min_value=2, max_value=9)))
+    else:
+        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+        grid = _antipodal_grid(np.random.default_rng(seed), data.draw(st.integers(2, 12)))
+    notches = grid.angles_array()
+    gaps = grid.spacing(np.arange(grid.size))
+    angle = st.one_of(
+        st.floats(min_value=-10.0, max_value=10.0),
+        st.integers(0, grid.size - 1).map(lambda k: float(notches[k])),
+        st.integers(0, grid.size - 1).map(lambda k: float(notches[k] + gaps[k] / 2)),
+    )
+    angles = data.draw(st.lists(angle, min_size=1, max_size=60))
+    dec = decompose_circuit(grid, [(PauliString("X"), a) for a in angles])
+    _, bound = refined_overhead(dec)
+    # the weight is a product of rounded one-norms, hence the tolerance
+    assert dec.norm1_total**2 <= bound * (1.0 + 1e-9)
+    assert bound <= worst_case_overhead(len(angles), float(dec.delta_k.max()))
+
+
+def test_refined_overhead_bounds_the_trotter_weight():
+    # the leading-order exp(nu * lam_tilde * delta**2 / 4) gave 31.703
+    # against the exact 31.886 on this 388-gate circuit
+    model = spin_ring(8, 0.3, 11)
+    circuit = neel_prep_circuit(8) + trotter_circuit(model, TrotterSpec(2.0, 12))
+    grid = NotchGrid.uniform(5)
+    dec = decompose_circuit(grid, circuit)
+    _, bound = refined_overhead(dec)
+    assert dec.norm1_total**2 == pytest.approx(31.886, abs=1e-3)
+    assert dec.norm1_total**2 <= bound < worst_case_overhead(len(circuit), grid.delta_max)
+
+
+def test_refined_overhead_needs_each_third_setting_at_its_antipode():
+    # notch 0's antipode pi falls between 2.4 and 3.6 and rounds to 3.6,
+    # so its third setting sits 0.46 rad past half a turn
+    grid = NotchGrid.explicit([0.0, 1.2, 2.4, 3.6, 4.8])
+    x = PauliString("X")
+    with pytest.raises(ValueError, match="antipode"):
+        refined_overhead(decompose_circuit(grid, [(x, 0.5)]))
+    # a gate on a notch mixes nothing, so it needs no antipode
+    assert refined_overhead(decompose_circuit(grid, [(x, 1.2)])) == (0.0, 1.0)
+
+
+def test_refined_overhead_refuses_a_gap_over_a_quarter_turn():
+    # no worst case is defined past pi/2: explicit() refuses such a grid,
+    # and a decomposition over one built past that check raises too
+    angles = np.array([0.0, 2.0, np.pi, np.pi + 2.0])
+    with pytest.raises(ValueError, match="spacing"):
+        NotchGrid.explicit(angles)
+    dec = decompose_circuit(NotchGrid(bits=None, angles=angles), [(PauliString("X"), 1.0)])
+    assert dec.delta_k[0] == 2.0 and dec.lam[0] == 0.5
+    with pytest.raises(ValueError, match="pi/2"):
+        refined_overhead(dec)
 
 
 def test_max_gates_for_bits_values():
