@@ -24,6 +24,7 @@ algebra breakdown).
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -61,7 +62,6 @@ from .notch import NotchGrid
 from .quasiprob import (
     DegenerateSettingsError,
     decompose_circuit,
-    decompose_gate,
     interpolation_residual,
     max_gates_for_bits,
     refined_overhead,
@@ -335,21 +335,23 @@ def _cmd_decompose(cfg: DecomposeConfig, threads: int) -> int:
     if cfg.angle is None:
         raise ConfigError("decompose needs --angle")
     grid = _grid_from(cfg.bits, cfg.grid_file)
-    qp = decompose_gate(grid, PauliString("X"), cfg.angle)
+    dec = decompose_circuit(grid, [(PauliString("X"), cfg.angle)])
+    gammas, setting_angles = dec.gammas[0].tolist(), dec.setting_angles[0].tolist()
+    norm1 = float(dec.norm1[0])
     payload = {
         **_run_info(cfg),
         "angle": cfg.angle,
-        "gammas": list(qp.gammas),
-        "probs": list(qp.probs),
-        "norm1": qp.norm1,
-        "single_gate_overhead": qp.norm1**2,
-        "setting_indices": list(qp.setting_indices),
-        "setting_angles": list(qp.setting_angles),
-        "setting_signs": list(qp.setting_signs),
-        "gap_fraction": qp.lam,
-        "gap_width": qp.delta_k,
-        "gamma_sum": float(sum(qp.gammas)),
-        "residual": interpolation_residual(cfg.angle, qp.setting_angles, qp.gammas),
+        "gammas": gammas,
+        "probs": dec.probs[0].tolist(),
+        "norm1": norm1,
+        "single_gate_overhead": norm1**2,
+        "setting_indices": dec.setting_indices[0].tolist(),
+        "setting_angles": setting_angles,
+        "setting_signs": dec.setting_signs[0].tolist(),
+        "gap_fraction": float(dec.lam[0]),
+        "gap_width": float(dec.delta_k[0]),
+        "gamma_sum": float(sum(gammas)),
+        "residual": interpolation_residual(cfg.angle, setting_angles, gammas),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -556,7 +558,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves a parser unchanged
     parser = argparse.ArgumentParser(
         prog="pai",
         description="quantum rotation-angle interpolation toolkit",
@@ -572,11 +576,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "never changes results",
         )
         for f in dataclasses.fields(config_type):
+            default = f.default_factory() if f.default is dataclasses.MISSING else f.default
             sp.add_argument(
                 f"--{f.name.replace('_', '-')}",
                 dest=f"field_{f.name}",
                 metavar="VALUE",
-                help=argparse.SUPPRESS,
+                help=f"default: {default}",
             )
     return parser
 

@@ -55,6 +55,7 @@ from .statevector import (
     Observable,
     PauliString,
     Statevector,
+    _as_observable,
     _compile_blocks,
     _run_program,
     batch_expectation,
@@ -169,12 +170,6 @@ def _require_pauli(observable) -> PauliString:
     if not isinstance(observable, PauliString):
         # the shot-noise line sqrt((1 - o**2) / N) holds for a +-1 observable
         raise ValueError("rms_vs_shots measures a single Pauli string")
-    return observable
-
-
-def _as_observable(observable) -> Observable:
-    if isinstance(observable, PauliString):
-        return Observable(terms=((1.0, observable),))
     return observable
 
 
@@ -452,9 +447,8 @@ def continuous_expectation(
     circuit: Sequence[tuple[PauliString, float]], observable
 ) -> float:
     """Noise-free continuous-angle expectation (statevector evaluation)."""
-    obs = _as_observable(observable)
-    state = run_circuit(list(circuit), obs.num_qubits)
-    return float(batch_expectation(state.amps[None, :], obs)[0])
+    state = run_circuit(list(circuit), observable.num_qubits)
+    return float(batch_expectation(state.amps[None, :], observable)[0])
 
 
 def exact_pai_expectation(
@@ -469,8 +463,7 @@ def exact_pai_expectation(
     rounding the result equals the continuous-angle expectation, which is
     what makes the sampled estimator unbiased.
     """
-    obs = _as_observable(observable)
-    circuit, n = _circuit_qubits(circuit, obs)
+    circuit, n = _circuit_qubits(circuit, observable)
     dec = decompose_circuit(grid, circuit)
     nu = dec.num_gates
     if nu > _ENUMERATION_CAP:
@@ -478,7 +471,7 @@ def exact_pai_expectation(
             f"{nu} gates would need 3**{nu} variants; cap is {_ENUMERATION_CAP}"
         )
     if nu == 0:
-        return continuous_expectation([], obs)
+        return continuous_expectation([], observable)
     cols = np.arange(nu)
     # every variant is enumerated, so no gate is fixed
     variants = _setting_circuit(dec.generators, dec.setting_angles, [False] * nu, n)
@@ -489,7 +482,7 @@ def exact_pai_expectation(
         idx = idx.astype(np.int8)
         weights = dec.gammas[cols, idx].prod(axis=1)
         amps = _simulate_variants(variants, idx)
-        return float(weights @ batch_expectation(amps, obs))
+        return float(weights @ batch_expectation(amps, observable))
 
     # a plain loop keeps chunk-order addition; sum() compensates from 3.12
     total = 0.0

@@ -366,24 +366,23 @@ def vqe_run(
         if params.shape != (n_params,):
             raise ValueError(f"expected {n_params} initial parameters")
     init = params.copy()
-    energies = np.empty(int(n_iters) + 1)
+    last = int(n_iters)
+    energies = np.empty(last + 1)
     best_energy = math.inf
     best_params = params.copy()
-    for it in range(int(n_iters)):
+    # the last iterate is evaluated but takes no gradient step
+    for it in range(last + 1):
         state = run_circuit(hva_circuit(model, n_layers, params), model.num_qubits)
         energies[it] = energy(model, state)
         if energies[it] < best_energy:
             best_energy = float(energies[it])
             best_params = params.copy()
+        if it == last:
+            break
         step = gradient(
             model, n_layers, params, config, key=(it,), threads=threads
         )
         params = params - float(learning_rate) * step
-    state = run_circuit(hva_circuit(model, n_layers, params), model.num_qubits)
-    energies[-1] = energy(model, state)
-    if energies[-1] < best_energy:
-        best_energy = float(energies[-1])
-        best_params = params.copy()
     return VqeResult(
         energies=energies,
         init_params=init,

@@ -26,7 +26,8 @@ solving the 3x3 constraint system in absolute angles.
 one :func:`pai.notch.locate` call places every angle, the closed form (or
 the stacked 3x3 solves of :func:`gamma_general`) runs over all gates at
 once, and the result is a :class:`CircuitDecomposition` of ``(nu, 3)``
-arrays.  :func:`decompose_gate` is its one-gate case.
+arrays.  A single gate is the one-row case: decompose
+``[(generator, angle)]`` and read row 0.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ __all__ = [
     "gamma_uniform",
     "gamma_general",
     "interpolation_residual",
-    "GateQuasiProb",
-    "decompose_gate",
     "CircuitDecomposition",
     "decompose_circuit",
     "settings_from_uniforms",
@@ -140,44 +139,6 @@ def interpolation_residual(
     mat = _constraint_matrix(setting_angles)
     resid = mat @ np.asarray(gammas) - _constraint_rhs(target_angle)
     return float(np.max(np.abs(resid)))
-
-
-@dataclass(frozen=True)
-class GateQuasiProb:
-    """Decomposition of one gate: coefficients, sampling probabilities and
-    the realizable settings they refer to."""
-
-    gammas: tuple[float, float, float]
-    probs: tuple[float, float, float]
-    norm1: float
-    setting_indices: tuple[int, int, int]
-    setting_angles: tuple[float, float, float]
-    setting_signs: tuple[int, int, int]
-    lam: float
-    delta_k: float
-
-
-def decompose_gate(
-    grid: NotchGrid, generator: PauliString, target_angle: float
-) -> GateQuasiProb:
-    """Decompose a rotation at ``target_angle`` over notches of ``grid``:
-    the one-gate case of :func:`decompose_circuit`.
-
-    The generator only enters validation (it must be non-identity so the
-    rotation is periodic in ``2*pi``); the coefficients themselves depend
-    on the angles alone.
-    """
-    dec = decompose_circuit(grid, [(generator, target_angle)])
-    return GateQuasiProb(
-        gammas=tuple(dec.gammas[0].tolist()),
-        probs=tuple(dec.probs[0].tolist()),
-        norm1=float(dec.norm1[0]),
-        setting_indices=tuple(dec.setting_indices[0].tolist()),
-        setting_angles=tuple(dec.setting_angles[0].tolist()),
-        setting_signs=tuple(dec.setting_signs[0].tolist()),
-        lam=float(dec.lam[0]),
-        delta_k=float(dec.delta_k[0]),
-    )
 
 
 @dataclass(eq=False)

@@ -26,7 +26,9 @@ few dimensions.
 Batch kernels take ``(V, dim)`` arrays: row ``v`` is the state of variant
 ``v``.  Any strides work; the transpose of a C-contiguous ``(dim, V)``
 buffer runs fastest, because every inner loop then runs over ``V``
-contiguous variants.
+contiguous variants.  Expectation values are taken per term of an
+:class:`Observable` (:func:`term_expectations`); a lone Pauli string is
+the one-term observable ``1.0 * G``.
 
 Circuits run as fused blocks (:func:`run_batch`), in the manner of qsim's
 gate fusion (Isakov et al., arXiv 2111.02396) with qulacs-style small-gate
@@ -68,8 +70,6 @@ __all__ = [
     "rotate_batch",
     "run_batch",
     "run_circuit",
-    "pauli_expectation",
-    "batch_pauli_expectation",
     "term_expectations",
     "expectation",
     "batch_expectation",
@@ -616,16 +616,11 @@ def run_circuit(
     return Statevector(amps[:, 0])
 
 
-def batch_pauli_expectation(amps: np.ndarray, pauli: PauliString) -> np.ndarray:
-    """``<row|G|row>`` for each row of a ``(V, dim)`` batch; real output."""
-    _check_compatible(pauli, amps.shape[1])
-    return np.einsum("vi,vi->v", np.conj(amps), _apply_pauli(amps, pauli)).real
-
-
-def pauli_expectation(state: Statevector, pauli: PauliString) -> float:
-    """Expectation value of a single Pauli string; a real number in [-1, 1]
-    for normalized states."""
-    return float(batch_pauli_expectation(state.amps[None, :], pauli)[0])
+def _as_observable(observable) -> Observable:
+    """``observable`` itself, or a Pauli string as the one-term sum ``1.0 * G``."""
+    if isinstance(observable, PauliString):
+        return Observable(terms=((1.0, observable),))
+    return observable
 
 
 def term_expectations(amps: np.ndarray, terms) -> np.ndarray:
@@ -634,26 +629,32 @@ def term_expectations(amps: np.ndarray, terms) -> np.ndarray:
     out = np.empty((amps.shape[0], len(terms)))
     probs = None
     for t, (_, pauli) in enumerate(terms):
+        _check_compatible(pauli, amps.shape[1])
         if "X" not in pauli.letters and "Y" not in pauli.letters:
             # diagonal term: expectation is a signed sum of probabilities
             if probs is None:
                 probs = amps.real**2 + amps.imag**2
             out[:, t] = probs @ _pauli_phase_vector(pauli).real
         else:
-            out[:, t] = batch_pauli_expectation(amps, pauli)
+            # <row|G|row> for each row
+            out[:, t] = np.einsum("vi,vi->v", np.conj(amps), _apply_pauli(amps, pauli)).real
     return out
 
 
-def batch_expectation(amps: np.ndarray, observable: Observable) -> np.ndarray:
-    evs = term_expectations(amps, observable.terms)
+def batch_expectation(amps: np.ndarray, observable: PauliString | Observable) -> np.ndarray:
+    """Expectation of an :class:`Observable`, or of a Pauli string as a
+    one-term observable, for each row of a ``(V, dim)`` batch."""
+    terms = _as_observable(observable).terms
+    evs = term_expectations(amps, terms)
     out = np.zeros(amps.shape[0])
-    for t, (coeff, _) in enumerate(observable.terms):
+    for t, (coeff, _) in enumerate(terms):
         out += coeff * evs[:, t]
     return out
 
 
-def expectation(state: Statevector, observable: Observable) -> float:
-    """Expectation value of a real Pauli-sum observable."""
+def expectation(state: Statevector, observable: PauliString | Observable) -> float:
+    """Expectation value of a real Pauli-sum observable or a Pauli string;
+    a real number in [-1, 1] for a string and a normalized state."""
     return float(batch_expectation(state.amps[None, :], observable)[0])
 
 

@@ -232,8 +232,9 @@ def gamma_general_scalar(target: float, settings) -> tuple[float, float, float]:
 
 
 def decompose_scalar(grid, target: float) -> dict:
-    """One gate's decomposition, gate at a time: the fields of
-    ``pai.quasiprob.GateQuasiProb`` plus the snapped offset ``theta``."""
+    """One gate's decomposition, gate at a time: row 0 of
+    ``pai.quasiprob.CircuitDecomposition``'s per-gate fields (as tuples and
+    floats) plus the snapped offset ``theta``."""
     k1, theta, lam, delta_k = locate_scalar(grid, target)
     indices = (k1, (k1 + 1) % grid.size, antipolar_scalar(grid, k1))
     notches = grid.angles_array()

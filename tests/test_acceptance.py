@@ -25,7 +25,6 @@ from pai.models import EstimatorConfig, energy, gradient, hva_circuit, spin_ring
 from pai.notch import NotchGrid
 from pai.quasiprob import (
     decompose_circuit,
-    decompose_gate,
     max_gates_for_bits,
     worst_case_overhead,
 )
@@ -144,11 +143,11 @@ def test_criterion_01_single_gate_decomposition_identity():
         grid = NotchGrid.uniform(bits)
         letter = "XYZ"[int(rng.integers(3))]
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
-        qp = decompose_gate(grid, PauliString(letter), angle)
+        gate = decompose_circuit(grid, [(PauliString(letter), angle)])
         target = oracles.process_matrix(letter, angle)
         mixed = sum(
             g * oracles.process_matrix(letter, a)
-            for g, a in zip(qp.gammas, qp.setting_angles)
+            for g, a in zip(gate.gammas[0].tolist(), gate.setting_angles[0].tolist())
         )
         worst = max(worst, float(np.max(np.abs(mixed - target))))
     ok = worst < 1e-12

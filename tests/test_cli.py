@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,6 +16,9 @@ import pytest
 
 import oracles
 from pai import __version__, cli, rng
+from pai.notch import NotchGrid
+from pai.quasiprob import decompose_circuit
+from pai.statevector import PauliString
 
 
 def run_cli(*argv) -> int:
@@ -73,6 +77,27 @@ def test_decompose_accepts_an_explicit_grid_file(tmp_path, capsys):
     assert payload["residual"] < 1e-10
     assert payload["gap_width"] == pytest.approx(0.7)
     assert payload["gap_fraction"] == pytest.approx(0.4 / 0.7)
+
+
+@pytest.mark.parametrize("explicit", [False, True], ids=["uniform", "explicit"])
+def test_decompose_payload_is_the_one_gate_row(explicit, tmp_path, capsys):
+    if explicit:
+        grid_file = tmp_path / "grid.json"
+        angles = [0.0, 0.5, 1.2, 1.8, 2.4, 3.0, 3.6, 4.2, 4.8, 5.4, 6.0]
+        grid_file.write_text(json.dumps({"angles": angles}))
+        grid, angle, argv = NotchGrid.from_json(grid_file), 0.9, ("--grid-file", grid_file)
+    else:
+        grid, angle, argv = NotchGrid.uniform(7), 0.3, ("--bits", 7)
+    assert run_cli("decompose", "--angle", angle, *argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    dec = decompose_circuit(grid, [(PauliString("X"), angle)])
+    for name in ("gammas", "probs", "setting_indices", "setting_angles", "setting_signs"):
+        assert payload[name] == getattr(dec, name)[0].tolist()
+    assert payload["norm1"] == dec.norm1[0]
+    assert payload["single_gate_overhead"] == dec.norm1[0] ** 2
+    assert payload["gap_fraction"] == dec.lam[0]
+    assert payload["gap_width"] == dec.delta_k[0]
+    assert payload["gamma_sum"] == sum(dec.gammas[0].tolist())
 
 
 # ------------------------------------------------------------ config errors
@@ -148,6 +173,15 @@ def test_flags_override_config_file(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["bits"] == 5
     assert payload["config"]["angle"] == 0.3
+
+
+def test_command_help_lists_every_field_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("trotter", "--help")
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"--n-variants VALUE\s+default: 10000\n", out)
+    assert re.search(r"--batch-size VALUE\s+default: 1000\n", out)
 
 
 def test_numerical_failure_exits_3(monkeypatch, capsys):

@@ -32,7 +32,7 @@ from pai.statevector import (
     PauliString,
     Statevector,
     _view_factors,
-    pauli_expectation,
+    expectation,
     run_circuit,
 )
 
@@ -198,7 +198,7 @@ def test_trotter_error_shrinks_like_one_over_layers():
         want = float(
             np.real(np.conj(exact_amps) @ oracles.dense_pauli(obs.letters) @ exact_amps)
         )
-        return abs(pauli_expectation(state, obs) - want)
+        return abs(expectation(state, obs) - want)
 
     # bond correlator: clean first order already at shallow depth
     zz = PauliString("ZZII")

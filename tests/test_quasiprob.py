@@ -22,7 +22,6 @@ from pai.notch import (
 from pai.quasiprob import (
     DegenerateSettingsError,
     decompose_circuit,
-    decompose_gate,
     gamma_general,
     gamma_uniform,
     interpolation_residual,
@@ -148,45 +147,45 @@ def test_fine_grid_expansions(bits, frac):
 
 def test_decompose_on_notch_is_the_identity_mixture():
     grid = NotchGrid.uniform(7)
-    qp = decompose_gate(grid, PauliString("X"), 3 * grid.delta_max)
-    assert qp.gammas == (1.0, 0.0, 0.0)
-    assert qp.probs == (1.0, 0.0, 0.0)
-    assert qp.norm1 == 1.0
-    assert qp.lam == 0.0
-    assert qp.setting_indices == (3, 4, 67)
+    dec = decompose_circuit(grid, [(PauliString("X"), 3 * grid.delta_max)])
+    assert dec.gammas[0].tolist() == [1.0, 0.0, 0.0]
+    assert dec.probs[0].tolist() == [1.0, 0.0, 0.0]
+    assert dec.norm1[0] == 1.0
+    assert dec.lam[0] == 0.0
+    assert dec.setting_indices[0].tolist() == [3, 4, 67]
 
 
 def test_decompose_midgap_seven_bit_numbers():
     grid = NotchGrid.uniform(7)
     d = grid.delta_max
-    qp = decompose_gate(grid, PauliString("X"), 3.5 * d)
-    assert qp.probs[2] == pytest.approx(d**2 / 16.0, rel=1e-3)
-    assert qp.norm1**2 == pytest.approx(1.0 + d**2 / 4.0, rel=1e-3)
-    assert qp.setting_signs == (1, 1, -1)
+    dec = decompose_circuit(grid, [(PauliString("X"), 3.5 * d)])
+    assert dec.probs[0, 2] == pytest.approx(d**2 / 16.0, rel=1e-3)
+    assert dec.norm1[0] ** 2 == pytest.approx(1.0 + d**2 / 4.0, rel=1e-3)
+    assert dec.setting_signs[0].tolist() == [1, 1, -1]
 
 
 def test_decompose_quarter_gap_probabilities():
     grid = NotchGrid.uniform(7)
     d = grid.delta_max
-    qp = decompose_gate(grid, PauliString("Z"), 3.25 * d)
-    assert abs(qp.probs[0] - 0.75) < d**2
-    assert abs(qp.probs[1] - 0.25) < d**2
+    dec = decompose_circuit(grid, [(PauliString("Z"), 3.25 * d)])
+    assert abs(dec.probs[0, 0] - 0.75) < d**2
+    assert abs(dec.probs[0, 1] - 0.25) < d**2
 
 
 def test_decompose_rejects_identity_generator():
     with pytest.raises(ValueError):
-        decompose_gate(NotchGrid.uniform(5), PauliString("II"), 0.3)
+        decompose_circuit(NotchGrid.uniform(5), [(PauliString("II"), 0.3)])
 
 
 def test_decompose_uses_bracketing_and_antipodal_settings():
     grid = NotchGrid.explicit([0.0, 0.5, 1.2, 1.8, 2.4, 3.0, 3.6, 4.2, 4.8, 5.4, 6.0])
-    qp = decompose_gate(grid, PauliString("Y"), 0.9)
+    dec = decompose_circuit(grid, [(PauliString("Y"), 0.9)])
     pos = locate(grid, 0.9)
-    assert qp.setting_indices == (1, 2, antipolar_notch(grid, 1))
-    assert qp.setting_angles[0] == grid.angle(1)
-    assert qp.lam == pytest.approx(pos.lam)
-    assert abs(sum(qp.gammas) - 1.0) < 1e-12
-    target_residual = interpolation_residual(0.9, qp.setting_angles, qp.gammas)
+    assert dec.setting_indices[0].tolist() == [1, 2, antipolar_notch(grid, 1)]
+    assert dec.setting_angles[0, 0] == grid.angle(1)
+    assert dec.lam[0] == pytest.approx(pos.lam)
+    assert abs(sum(dec.gammas[0].tolist()) - 1.0) < 1e-12
+    target_residual = interpolation_residual(0.9, dec.setting_angles[0], dec.gammas[0])
     assert target_residual < 1e-10
 
 
@@ -200,10 +199,10 @@ def test_single_gate_mixture_reproduces_the_channel(bits, target, letter):
     # weighted sum of the three setting process matrices equals the target
     # process matrix; dense 4x4 oracle, no shared code
     grid = NotchGrid.uniform(bits)
-    qp = decompose_gate(grid, PauliString(letter), target)
+    dec = decompose_circuit(grid, [(PauliString(letter), target)])
     mix = sum(
         g * oracles.process_matrix(letter, a)
-        for g, a in zip(qp.gammas, qp.setting_angles)
+        for g, a in zip(dec.gammas[0].tolist(), dec.setting_angles[0].tolist())
     )
     np.testing.assert_allclose(
         mix, oracles.process_matrix(letter, target), atol=1e-12
@@ -216,11 +215,11 @@ def test_single_gate_mixture_reproduces_the_channel(bits, target, letter):
 def test_circuit_weight_is_the_product_of_gate_weights():
     grid = NotchGrid.uniform(6)
     x = PauliString("X")
-    a = decompose_gate(grid, x, 0.4)
-    b = decompose_gate(grid, x, 1.1)
+    a = decompose_circuit(grid, [(x, 0.4)])
+    b = decompose_circuit(grid, [(x, 1.1)])
     dec = decompose_circuit(grid, [(x, 0.4), (x, 1.1)])
     assert dec.num_gates == 2
-    assert dec.norm1_total == pytest.approx(a.norm1 * b.norm1, rel=1e-12)
+    assert dec.norm1_total == pytest.approx(a.norm1[0] * b.norm1[0], rel=1e-12)
 
 
 def test_circuit_weight_on_notch_is_one():
@@ -530,11 +529,6 @@ def test_array_pass_matches_the_scalar_oracle(case):
             np.testing.assert_array_max_ulp(getattr(dec, name)[j], want[name], maxulp=2)
         assert nearest[j] == oracles.nearest_scalar(grid, angle)
         assert rounded[j] == grid.angle(oracles.nearest_scalar(grid, angle))
-        # the one-gate path is the same pass, so its result is the row
-        qp = decompose_gate(grid, x, angle)
-        for name in ("gammas", "probs", "setting_indices", "setting_angles", "setting_signs"):
-            assert getattr(qp, name) == tuple(getattr(dec, name)[j].tolist())
-        assert (qp.norm1, qp.lam, qp.delta_k) == (dec.norm1[j], dec.lam[j], dec.delta_k[j])
 
 
 @pytest.mark.parametrize(

@@ -15,10 +15,8 @@ from pai.statevector import (
     PauliString,
     Statevector,
     batch_expectation,
-    batch_pauli_expectation,
     expectation,
     fidelity,
-    pauli_expectation,
     rotate_batch,
     run_batch,
     run_circuit,
@@ -59,7 +57,7 @@ def test_qubit_count_cap():
     state25 = np.zeros(4)
     with pytest.raises(ValueError):
         # strings past the cap are rejected
-        pauli_expectation(Statevector(np.array([1.0, 0, 0, 0])), too_wide)
+        expectation(Statevector(np.array([1.0, 0, 0, 0])), too_wide)
     del state25
 
 
@@ -104,14 +102,14 @@ def test_x_rotation_by_pi_flips_the_qubit():
     # exp(-i pi/2 X)|0> = -i|1>
     out = _rotate(Statevector.zero(1), PauliString("X"), np.pi)
     np.testing.assert_allclose(out.amps, [0.0, -1.0j], atol=1e-15)
-    assert pauli_expectation(out, PauliString("Z")) == pytest.approx(-1.0)
+    assert expectation(out, PauliString("Z")) == pytest.approx(-1.0)
 
 
 def test_x_rotation_traces_cosine():
     z = PauliString("Z")
     for phi in np.linspace(0.0, 2 * np.pi, 17):
         out = _rotate(Statevector.zero(1), PauliString("X"), float(phi))
-        assert pauli_expectation(out, z) == pytest.approx(np.cos(phi), abs=1e-12)
+        assert expectation(out, z) == pytest.approx(np.cos(phi), abs=1e-12)
 
 
 def test_full_turn_is_a_global_phase():
@@ -120,15 +118,15 @@ def test_full_turn_is_a_global_phase():
     # unitary at 2*pi is exactly -identity; expectations cannot change
     np.testing.assert_allclose(turned.amps, -state.amps, atol=1e-15)
     for p in ("X", "Y", "Z"):
-        assert pauli_expectation(turned, PauliString(p)) == pytest.approx(
-            pauli_expectation(state, PauliString(p)), abs=1e-12
+        assert expectation(turned, PauliString(p)) == pytest.approx(
+            expectation(state, PauliString(p)), abs=1e-12
         )
 
 
 def test_plus_state_has_zero_z_expectation():
     plus = _rotate(Statevector.zero(1), PauliString("Y"), np.pi / 2)
     np.testing.assert_allclose(plus.amps, [2**-0.5, 2**-0.5], atol=1e-15)
-    assert pauli_expectation(plus, PauliString("Z")) == pytest.approx(0.0, abs=1e-15)
+    assert expectation(plus, PauliString("Z")) == pytest.approx(0.0, abs=1e-15)
 
 
 @given(letters=letters_st, angle=angle_st, seed=st.integers(0, 2**16))
@@ -165,8 +163,8 @@ def test_channel_period_two_pi(letters, angle):
     np.testing.assert_allclose(np.abs(wrapped.amps), np.abs(base.amps), atol=1e-12)
     for p in ("X", "Z"):
         obs = PauliString(p * len(letters))
-        assert pauli_expectation(wrapped, obs) == pytest.approx(
-            pauli_expectation(base, obs), abs=1e-12
+        assert expectation(wrapped, obs) == pytest.approx(
+            expectation(base, obs), abs=1e-12
         )
 
 
@@ -453,7 +451,7 @@ def test_pauli_expectation_matches_quadratic_form(letters, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     amps /= np.linalg.norm(amps)
-    got = pauli_expectation(Statevector(amps), PauliString(letters))
+    got = expectation(Statevector(amps), PauliString(letters))
     want = np.real(np.conj(amps) @ oracles.dense_pauli(letters) @ amps)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -476,6 +474,17 @@ def test_observable_expectation_sums_terms(rng):
     assert expectation(state, obs) == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("letters", ["ZIZ", "IZI", "XYI", "ZXY"])
+def test_a_pauli_string_is_a_one_term_observable(letters, rng):
+    amps = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    p = PauliString(letters)
+    one_term = Observable(terms=((1.0, p),))
+    state = Statevector(amps[0])
+    assert expectation(state, p) == expectation(state, one_term)
+    assert np.array_equal(batch_expectation(amps, p), batch_expectation(amps, one_term))
+
+
 def test_batch_expectation_matches_per_row(rng):
     amps = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
@@ -483,9 +492,9 @@ def test_batch_expectation_matches_per_row(rng):
     got = batch_expectation(amps, obs)
     want = [expectation(Statevector(a), obs) for a in amps]
     np.testing.assert_allclose(got, want, atol=1e-12)
-    single = batch_pauli_expectation(amps, PauliString("ZZI"))
+    single = batch_expectation(amps, PauliString("ZZI"))
     np.testing.assert_allclose(
-        single, [pauli_expectation(Statevector(a), PauliString("ZZI")) for a in amps]
+        single, [expectation(Statevector(a), PauliString("ZZI")) for a in amps]
     )
 
 
@@ -516,17 +525,17 @@ def test_term_expectations_match_the_dense_oracle(rng):
 def test_shot_on_eigenstate_is_deterministic():
     r = stream(0, 9)
     state = Statevector.zero(1)
-    ev = pauli_expectation(state, PauliString("Z"))
+    ev = expectation(state, PauliString("Z"))
     shots = _outcomes(r.random(32), ev)
     assert shots.dtype == np.int8 and np.all(shots == 1)
     flipped = _rotate(state, PauliString("X"), np.pi)
-    ev = pauli_expectation(flipped, PauliString("Z"))
+    ev = expectation(flipped, PauliString("Z"))
     assert np.all(_outcomes(r.random(32), ev) == -1)
 
 
 def test_shot_frequency_tracks_expectation():
     state = _rotate(Statevector.zero(1), PauliString("X"), 0.9)
-    ev = pauli_expectation(state, PauliString("Z"))
+    ev = expectation(state, PauliString("Z"))
     n = 40_000
     mean = _outcomes(stream(3, 4).random(n), ev).mean()
     sigma = np.sqrt((1 - ev**2) / n)
@@ -536,7 +545,7 @@ def test_shot_frequency_tracks_expectation():
 def test_shot_error_scales_as_inverse_sqrt_shots():
     """RMS error of the shot mean follows the -1/2 power law."""
     state = _rotate(Statevector.zero(1), PauliString("X"), 0.7)
-    ev = pauli_expectation(state, PauliString("Z"))
+    ev = expectation(state, PauliString("Z"))
     p_plus = 0.5 * (1.0 + ev)
 
     # the vectorized draws below walk the stream exactly like one scalar
