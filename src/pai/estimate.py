@@ -27,8 +27,10 @@ The simulation takes each variant's setting indices, not its angles: gate
 (once per checkpoint segment for the fidelity profile), block tables
 looked up included, so a chunk only sums its variants' combination codes
 and runs the blocks.  The leading gates that take setting 0 in every
-variant, such as the Neel X at pi, run once on one row, and their state
-starts every chunk.
+variant, such as the Neel X at pi, run once on one row, checkpoints inside
+them included, and their state starts every chunk.  That state is exact,
+so when every later gate keeps its parity sector the blocks off the top
+qubit run on half the amplitudes (see :mod:`pai.statevector`).
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -57,6 +59,8 @@ from .statevector import (
     Statevector,
     _as_observable,
     _compile_blocks,
+    _parity,
+    _preserves_parity,
     _run_program,
     batch_expectation,
     rotate_batch,
@@ -181,6 +185,11 @@ def _auto_chunk(dim: int) -> int:
     # circuit a row costs 95-125 us at 128 rows against 144-165 us at 2,048,
     # where each buffer is 8 MiB.  A chunk's blocks are compiled once per
     # circuit, so a narrow chunk pays only a few numpy calls per block.
+    # The budget is unchanged by the parity sector: a program that runs
+    # blocks on the half state without the top qubit keeps that half and
+    # its spare in the first halves of these two buffers, expands back
+    # into them and ends with the full state, so the sector only halves
+    # what those blocks touch
     return max(1, min(2048, (1 << 15) // dim))
 
 
@@ -234,12 +243,14 @@ class _SettingCircuit:
     """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
     variant that draws setting ``s``.  Its first ``start`` gates take
     setting 0 in every variant, so they run once: ``initial`` is the state
-    they make from ``|0...0>``.  The rest run in ``segments``, ``(lo, hi,
-    program)`` per segment: gates ``lo`` to ``hi - 1`` compiled once by
-    :func:`pai.statevector._compile_blocks`."""
+    they make from ``|0...0>``, and ``shared`` holds the state at each cut
+    inside that prefix, in cut order, which every variant shares.  The rest run in ``segments``, ``(lo,
+    hi, program)`` per later cut: gates ``lo`` to ``hi - 1`` compiled once
+    by :func:`pai.statevector._compile_blocks`."""
 
     start: int
     initial: np.ndarray
+    shared: tuple
     segments: tuple
 
 
@@ -248,23 +259,39 @@ def _setting_circuit(
 ) -> _SettingCircuit:
     """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
     setting angles ``table``, in segments that end at each of the ascending
-    ``cuts`` (default: one segment to the last gate).  Its fixed prefix is
-    the leading gates before the first cut that ``fixed`` marks as taking
+    ``cuts`` (default: one segment to the last gate).
+
+    Its fixed prefix is the leading gates that ``fixed`` marks as taking
     setting 0 in every variant, such as the Neel X at pi; it runs once, on
-    one row, through :func:`rotate_batch`."""
+    one row, through :func:`rotate_batch`, which takes an angle at a
+    multiple of pi exactly, so the Neel state has one nonzero amplitude.
+    The prefix runs across cuts: a cut inside it is read once, on that
+    row.  Each segment is compiled with the exact parity of the prefix
+    state (:func:`pai.statevector._parity`) while every gate before it
+    preserves parity, so its blocks off the top qubit may run on the
+    sector's half state.
+    """
     cuts = [len(generators)] if cuts is None else list(cuts)
     amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
     amps[0, 0] = 1.0
     start = 0
-    while start < cuts[0] and fixed[start]:
-        amps = rotate_batch(amps, generators[start], table[start, :1])
-        start += 1
+    shared = []
+    for cut in cuts:
+        while start < cut and fixed[start]:
+            amps = rotate_batch(amps, generators[start], table[start, :1])
+            start += 1
+        if start < cut:
+            break
+        shared.append(amps[0])
+    parity = _parity(amps[0])
     segments = []
     lo = start
-    for hi in cuts:
-        segments.append((lo, hi, _compile_blocks(generators[lo:hi], table[lo:hi])))
+    for hi in cuts[len(shared) :]:
+        segments.append((lo, hi, _compile_blocks(generators[lo:hi], table[lo:hi], parity)))
+        if not _preserves_parity(generators[lo:hi]):
+            parity = None
         lo = hi
-    return _SettingCircuit(start, amps[0], tuple(segments))
+    return _SettingCircuit(start, amps[0], tuple(shared), tuple(segments))
 
 
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
@@ -536,8 +563,8 @@ def two_notch_fidelity_profile(
     table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
     thresholds = 1.0 - pos.lam
     # a gate on a notch always takes its lower one; that prefix runs once,
-    # up to the first checkpoint, and each checkpoint ends a segment, so no
-    # block crosses a checkpoint
+    # checkpoints inside it included, and each later checkpoint ends a
+    # segment, so no block crosses a checkpoint
     variants = _setting_circuit(generators, table, thresholds >= 1.0, n, cuts=cps)
 
     # run_circuit never writes to the amplitudes of ``initial``, so the
@@ -549,6 +576,12 @@ def two_notch_fidelity_profile(
         state = run_circuit(circuit[lo:cp], n, initial=state)
         ideal[cp] = state.amps
         lo = cp
+    # a checkpoint inside the prefix is read once, on the row every
+    # variant shares
+    shared = [
+        np.abs(_row_dots(row[None, :], np.conj(ideal[cp]))) ** 2
+        for row, cp in zip(variants.shared, cps)
+    ]
 
     def worker(lo_v: int, hi_v: int):
         count = hi_v - lo_v
@@ -556,7 +589,9 @@ def two_notch_fidelity_profile(
         settings = (u >= thresholds).astype(np.int8)
         state, spare = _chunk_buffers(count, variants.initial)
         fid = np.empty((count, len(cps)))
-        for m, (lo, cp, program) in enumerate(variants.segments):
+        for m, value in enumerate(shared):
+            fid[:, m] = value
+        for m, (lo, cp, program) in enumerate(variants.segments, len(shared)):
             state, spare = _run_program(program, state, settings[:, lo:cp], spare)
             # spare is free between segments; it holds the checkpoint rows
             fid[:, m] = np.abs(_row_dots(_as_rows(state, spare), np.conj(ideal[cp]))) ** 2

@@ -358,6 +358,8 @@ def vqe_run(
     keys prefixed ``(i, ...)`` so the noise is independent across
     iterations yet fully reproducible.
     """
+    if int(n_iters) < 0:
+        raise ValueError(f"n_iters must be non-negative, got {n_iters}")
     n_params = model.num_terms * int(n_layers)
     if init_params is None:
         params = stream(init_seed, *_INIT_KEY).uniform(-0.1, 0.1, n_params)

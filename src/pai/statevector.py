@@ -50,8 +50,27 @@ indices and each code picks its column in one ``take``.  Grouped by flip,
 the block is ``sum_f D_f * psi[c ^ f]``: one multiply per flip through a
 view of the ``(dim, V)`` chunk whose support axes are reversed where ``f``
 flips them, so only the structurally nonzero entries are touched (8 of 16
-for a bond triple), and a diagonal block is a single in-place multiply.  A gate on more than two
-qubits runs alone through :func:`rotate_batch`, the single-gate kernel.
+for a bond triple), and a diagonal block is a single in-place multiply.  A
+gate on more than two qubits runs alone through :func:`rotate_batch`, the
+single-gate kernel.
+
+A generator with an even count of X and Y letters commutes with the
+parity ``Z...Z``, so its rotation keeps a state's parity sector, the Z2
+symmetry that qubit tapering removes (Bravyi, Gambetta, Mezzacapo and
+Temme, arXiv 1701.08213); every spin-ring generator after the Neel
+prefix is one.  Given the exact parity of the chunk's start state,
+:func:`_compile_blocks` runs each stretch of blocks off the top qubit on
+the ``(2**(n-1), V)`` half state without that qubit, whose bit is the
+parity of the others.  The kernel is the same and reads the same nonzero
+amplitudes in the same order, so the bits do not change.  One add of the
+top qubit's two halves (compress) enters a stretch, a multiply by a 0/1
+parity mask and a subtract (expand) leave it, and a stretch takes the half
+only where that counts fewer amplitude updates (:func:`_amp_updates`).  On
+the ring the bonds ``(n-2, n-1)`` and ``(n-1, 0)`` are adjacent in the
+plan, so a layer makes one round trip: 17 full-state passes against 24 at
+8 qubits, none saved at 3.  The half and its spare live in the chunk's two
+buffers, and a program ends with the full state.  :func:`run_batch`
+compiles with no parity.
 """
 
 from __future__ import annotations
@@ -268,14 +287,35 @@ def rotate_batch(
     allocated in the layout of ``amps`` when not given.  Returns ``out``.
     """
     _check_compatible(generator, amps.shape[1])
-    half = 0.5 * np.asarray(angles, dtype=np.float64)
+    cos, sin = _half_cos_sin(angles)
     if out is None:
         out = np.empty_like(amps)
     work = _apply_pauli(amps, generator, out=np.empty_like(amps))
-    np.multiply(amps, np.cos(half)[:, None], out=out)
-    work *= (-1j * np.sin(half))[:, None]
+    np.multiply(amps, cos[:, None], out=out)
+    work *= (-1j * sin)[:, None]
     out += work
     return out
+
+
+_QUARTER_COS = np.array([1.0, 0.0, -1.0, 0.0])
+_QUARTER_SIN = np.array([0.0, 1.0, 0.0, -1.0])
+
+
+def _half_cos_sin(angles) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of half of each channel angle, exactly 0 or +-1
+    where the angle is an exact float multiple of pi: ``cos(pi / 2)`` is
+    6.1e-17, which an X at pi would leave in the other parity sector.
+    Block tables keep ``np.cos`` and ``np.sin``: their gates preserve the
+    sector, and snapping them would move output bytes."""
+    angles = np.asarray(angles, dtype=np.float64)
+    cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+    k = np.round(angles / np.pi)
+    exact = (k * np.pi == angles) & np.isfinite(angles)
+    if exact.any():
+        quarter = (k[exact] % 4).astype(np.intp)
+        cos[exact] = _QUARTER_COS[quarter]
+        sin[exact] = _QUARTER_SIN[quarter]
+    return cos, sin
 
 
 _PAULI_2X2 = {
@@ -451,15 +491,18 @@ class _BlockProgram:
     """A gate sequence and its ``(nu, S)`` setting-angle table compiled into
     fused blocks by :func:`_compile_blocks`, ready to run on any chunk.
 
-    ``steps`` holds ``(kernel, entries)`` per block in run order:
+    ``steps`` holds ``(kernel, entries, half)`` per block in run order:
     ``kernel`` is the :func:`_block_kernel` and ``entries`` the looked-up
     :func:`_block_table`, or, for a gate on more than two qubits, ``kernel``
     is ``None`` and ``entries`` is ``(generator, angles)``, the gate and its
-    ``S`` setting angles.  ``order`` lists the gates block by block,
-    ``starts`` the offset of each block's first gate in ``order`` and
-    ``weights`` the code weight ``S**i`` of the ``i``-th gate of its block,
-    as a column, so a variant's setting indices sum to one combination code
-    per block.  ``rows`` is the most table rows of a block.
+    ``S`` setting angles.  ``half`` says the block runs on the parity
+    sector's half state, and its kernel is then that of the half.
+    ``order`` lists the gates block by block, ``starts`` the offset of each
+    block's first gate in ``order`` and ``weights`` the code weight
+    ``S**i`` of the ``i``-th gate of its block, as a column, so a variant's
+    setting indices sum to one combination code per block.  ``rows`` is the
+    most table rows of a block.  ``sector`` is the parity of the half
+    state's sector, or ``None`` when no block runs on the half.
     """
 
     num_qubits: int
@@ -469,12 +512,55 @@ class _BlockProgram:
     starts: np.ndarray
     weights: np.ndarray
     rows: int
+    sector: int | None = None
 
 
-def _compile_blocks(generators, table: np.ndarray) -> _BlockProgram:
+def _preserves_parity(generators) -> bool:
+    """Whether every generator commutes with ``Z...Z``: an even count of X
+    and Y letters, so each rotation keeps a state's parity sector."""
+    return all((g.letters.count("X") + g.letters.count("Y")) % 2 == 0 for g in generators)
+
+
+def _index_parities(num_qubits: int) -> np.ndarray:
+    """The parity of every basis index on ``num_qubits`` qubits."""
+    return np.bitwise_count(np.arange(1 << num_qubits, dtype=np.uint32)) & 1
+
+
+def _parity(amps: np.ndarray) -> int | None:
+    """The index parity shared by every nonzero amplitude of the state
+    ``amps``; ``None`` when both parities hold one, or neither does."""
+    odd = _index_parities(amps.shape[0].bit_length() - 1)
+    # np.unique would do, but its first call maps about 1.6 MiB of code
+    held = odd[amps != 0]
+    return int(held[0]) if held.size and (held == held[0]).all() else None
+
+
+def _passes(kernel) -> int:
+    """Amplitude passes of one block over its state: one multiply for a
+    diagonal block, a multiply and an add per further flip otherwise, four
+    for a gate on more than two qubits (:func:`rotate_batch`)."""
+    if kernel is None:
+        return 4
+    return 1 if kernel[3] else 2 * len(kernel[1]) - 1
+
+
+# a half stretch pays one compress (an add that reads the full state) and
+# one expand (a multiply and a subtract that write it): four passes of the
+# half
+_ROUND_TRIP_HALF_PASSES = 4
+
+
+def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) -> _BlockProgram:
     """Plan the blocks of ``generators`` at the ``(nu, S)`` setting angles
     ``table`` and look up every block's table, once per circuit; chunks
-    then run through :func:`_run_program`."""
+    then run through :func:`_run_program`.
+
+    ``parity`` is the exact index parity of every chunk's start state
+    (:func:`_parity`), or ``None``.  When it is known and every generator
+    preserves it, each stretch of consecutive blocks off the top qubit runs
+    on the sector's half state if that counts fewer amplitude updates,
+    round trip included (see the module docstring).
+    """
     nu = len(generators)
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] != nu or not 1 <= table.shape[1] <= _MAX_SETTINGS:
@@ -483,34 +569,73 @@ def _compile_blocks(generators, table: np.ndarray) -> _BlockProgram:
     if not nu:
         empty = np.zeros(0, dtype=np.intp)
         return _BlockProgram(0, n_settings, (), empty, empty, empty, 0)
+    n = generators[0].num_qubits
     blocks, rows = _plan(tuple(g.letters for g in generators))
+    kernels = [kernel for _, _, kernel in blocks]
+    half = [False] * len(blocks)
+    if parity is not None and _preserves_parity(generators):
+        # a kernel's leading axis spans the qubits above its support, so it
+        # has length 1 exactly when the block touches the top qubit
+        off_top = [k is not None and k[0][0] > 1 for k in kernels]
+        for off, run in groupby(range(len(blocks)), key=off_top.__getitem__):
+            run = list(run)
+            if off and sum(_passes(kernels[i]) for i in run) > _ROUND_TRIP_HALF_PASSES:
+                for i in run:
+                    half[i] = True
     angles = table.tolist()
     steps, order, starts, weights = [], [], [], []
-    for gates, local, kernel in blocks:
+    for (gates, local, kernel), on_half in zip(blocks, half):
         starts.append(len(order))
         order += gates
         weights += [n_settings**i for i in range(len(gates))]
         if kernel is None:  # a gate on more than two qubits
-            steps.append((None, (generators[gates[0]], table[gates[0]])))
-        else:
-            entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
-            steps.append((kernel, entries))
+            steps.append((None, (generators[gates[0]], table[gates[0]]), False))
+            continue
+        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
+        if on_half:  # the same block with the top qubit's axis dropped
+            shape, *rest = kernel
+            kernel = ((shape[0] >> 1, *shape[1:]), *rest)
+        steps.append((kernel, entries, on_half))
     return _BlockProgram(
-        generators[0].num_qubits,
+        n,
         n_settings,
         tuple(steps),
         np.array(order, dtype=np.intp),
         np.array(starts, dtype=np.intp),
         np.array(weights, dtype=np.intp)[:, None],
         rows,
+        parity if any(half) else None,
     )
+
+
+def _amp_updates(program: _BlockProgram) -> int:
+    """Amplitude updates of one column through ``program``: every pass of
+    a block over its state, full or half, and every compress and expand,
+    each counted as one pass of the full state."""
+    dim = 1 << program.num_qubits
+    total = 0
+    in_half = False
+    for kernel, _, half in program.steps:
+        if half != in_half:
+            total += dim
+            in_half = half
+        total += _passes(kernel) * (dim >> half)
+    return total + dim * in_half
 
 
 def _run_program(
     program: _BlockProgram, state: np.ndarray, settings: np.ndarray, spare: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`run_batch` of a compiled program: per chunk it only sums the
-    combination codes, takes each block's columns and multiplies."""
+    combination codes, takes each block's columns and multiplies.
+
+    A program with half blocks needs every column of ``state`` in the
+    parity sector it was compiled for.  Before a half stretch one add
+    folds the top qubit's two halves into the first (the other sector is
+    zero there); after it :func:`_expand` writes the full state into the
+    other buffer.  The half state and its spare are the first halves of
+    the two buffers.
+    """
     dim, n_rows = state.shape
     nu = program.order.size
     settings = np.asarray(settings)
@@ -536,7 +661,21 @@ def _run_program(
     )
     table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
     work = None
-    for (kernel, entries), code in zip(program.steps, codes):
+    size = dim  # rows of the state the next block reads: dim, or dim / 2
+    h = dim >> 1
+    if program.sector is not None:
+        # 1 where a half-state index with the top bit 0 is in the sector
+        low = (_index_parities(program.num_qubits - 1) == program.sector)[:, None]
+        low = low.astype(np.complex128)
+    for (kernel, entries, half), code in zip(program.steps, codes):
+        if half != (size < dim):
+            if half:  # compress
+                np.add(state[:h], state[h:], out=state[:h])
+                size = h
+            else:
+                _expand(state, spare, low)
+                state, spare = spare, state
+                size = dim
         if kernel is None:  # a gate on more than two qubits
             generator, angles = entries
             rotate_batch(state.T, generator, angles[code], out=spare.T)
@@ -548,16 +687,16 @@ def _run_program(
         tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]], mode="clip")
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
-        src = state.reshape(shape)
+        src = state[:size].reshape(shape)
         if diagonal:  # one multiply in place
             np.multiply(src, tables[0], out=src)
             continue
-        out = spare.reshape(shape)
+        out = spare[:size].reshape(shape)
         np.multiply(src, tables[0], out=out)  # the identity flip comes first
         for f in range(1, len(flips) - 1):
             if work is None:
                 work = np.empty_like(state)
-            tmp = work.reshape(shape)
+            tmp = work[:size].reshape(shape)
             np.multiply(src[flips[f]], tables[f], out=tmp)
             out += tmp
         # the block no longer reads src, so the last flip scales it in
@@ -565,7 +704,21 @@ def _run_program(
         np.multiply(src, tables[-1][flips[-1][1:]], out=src)
         out += src[flips[-1]]
         state, spare = spare, state
+    if size < dim:
+        _expand(state, spare, low)
+        state, spare = spare, state
     return state, spare
+
+
+def _expand(state: np.ndarray, full: np.ndarray, low: np.ndarray) -> None:
+    """Write the full state of the half state ``state[:dim / 2]`` into
+    ``full``.  An amplitude's top bit is the sector's parity of the
+    others, so the lower half of ``full`` is the half state times the 0/1
+    mask ``low`` and the upper half is the rest, exactly: ``x - x * 1`` is
+    0 and ``x - x * 0`` is ``x``."""
+    h = state.shape[0] >> 1
+    np.multiply(state[:h], low, out=full[:h])
+    np.subtract(state[:h], full[:h], out=full[h:])
 
 
 def run_batch(
@@ -586,9 +739,10 @@ def run_batch(
     must not overlap ``state``.  The blocks overwrite both in turn; returns
     ``(result, free)``, the buffer that holds the final state and the other
     one.  A third ``(dim, V)`` buffer is allocated only for a block with
-    more than two bit-flip patterns.  Compiles the blocks on every call;
-    a caller that runs one circuit over many chunks compiles it once with
-    :func:`_compile_blocks` and runs each chunk through :func:`_run_program`.
+    more than two bit-flip patterns.  Compiles the blocks on every call,
+    with no parity sector; a caller that runs one circuit over many chunks
+    compiles it once with :func:`_compile_blocks` and runs each chunk
+    through :func:`_run_program`.
     """
     return _run_program(_compile_blocks(generators, table), state, settings, spare)
 

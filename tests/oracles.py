@@ -113,7 +113,8 @@ def gather_rotate_batch(amps: np.ndarray, letters: str, angles) -> np.ndarray:
     """Reference rotation kernel: an index gather of ``G psi`` through the
     tables above, with the package kernel's per-element arithmetic in the
     same order (phase product, cos scaling, -1j*sin scaling, add), so the
-    two must agree bit for bit."""
+    two must agree bit for bit, except at an exact float multiple of pi,
+    where the kernel takes cos and sin as exactly 0 or +-1."""
     src, phase = pauli_gather_tables(letters)
     half = 0.5 * np.asarray(angles, dtype=np.float64)
     g = amps[:, src]

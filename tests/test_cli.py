@@ -574,6 +574,14 @@ def test_vqe_modes_start_from_the_same_energy(tmp_path, capsys):
     assert rows["exact"] == rows["pai"]
 
 
+def test_vqe_negative_iterations_exit_2_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "vn"
+    assert run_cli("vqe", *_VQE_TINY, "--n-iters", "-1", "--output", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_iters" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_vqe_bad_mode_exits_2(tmp_path, capsys):
     assert (
         run_cli("vqe", *_VQE_TINY, "--mode", "magic", "--output", tmp_path / "x") == 2

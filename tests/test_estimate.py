@@ -247,6 +247,58 @@ def test_simulate_variants_matches_gate_by_gate_reference(rng):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def _quench(n, model_seed, total_time, layers):
+    from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
+
+    model = spin_ring(n, 0.3, model_seed)
+    return neel_prep_circuit(n) + trotter_circuit(model, TrotterSpec(total_time, layers))
+
+
+def _two_notch_circuit(grid, circuit, cps):
+    """The profile's :class:`_SettingCircuit`, as the profile builds it."""
+    from pai.notch import locate
+
+    pos = locate(grid, np.array([angle for _, angle in circuit]))
+    table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
+    n = circuit[0][0].num_qubits
+    return _setting_circuit([g for g, _ in circuit], table, 1.0 - pos.lam >= 1.0, n, cuts=cps)
+
+
+@pytest.mark.parametrize(
+    "workload, n, bits, total_time, layers",
+    [("trotter", 8, 5, 2.0, 12), ("rms", 4, 5, 0.5, 2), ("fidelity", 12, 7, 1.0, 37)],
+)
+def test_workload_prefix_states_are_exact(workload, n, bits, total_time, layers):
+    # the Neel X at pi leaves exactly one nonzero amplitude, so every
+    # segment is compiled for that parity and runs blocks on the half
+    grid = NotchGrid.uniform(bits)
+    circuit = _quench(n, 11, total_time, layers)
+    if workload == "fidelity":
+        cps = sorted(set(int(round(c)) for c in np.linspace(0, len(circuit), 13)))
+        variants = _two_notch_circuit(grid, circuit, cps)
+        assert len(variants.shared) == 1  # checkpoint 0, inside the prefix
+    else:
+        variants = pai.estimate._pai_circuit(decompose_circuit(grid, circuit), n)
+    assert variants.start == n // 2
+    assert np.count_nonzero(variants.initial) == 1
+    assert all(program.sector == 0 for _, _, program in variants.segments)
+
+
+def test_checkpoints_inside_the_prefix_read_the_shared_row():
+    # the Neel prefix runs once across checkpoints 0 to 3, which read 1
+    # with no spread, as when each variant ran the prefix; the later
+    # points are those of a profile without them, at any thread count
+    grid = NotchGrid.uniform(5)
+    circuit = _quench(6, 5, 1.0, 2)
+    cps = [0, 1, 2, 3, 20, len(circuit)]
+    variants = _two_notch_circuit(grid, circuit, cps)
+    assert variants.start == 3 and len(variants.shared) == 4
+    points = two_notch_fidelity_profile(grid, circuit, cps, 30, 4)
+    assert [(p.fidelity, p.std_error) for p in points[:4]] == [(1.0, 0.0)] * 4
+    assert points[4:] == two_notch_fidelity_profile(grid, circuit, cps[4:], 30, 4)
+    assert points == two_notch_fidelity_profile(grid, circuit, cps, 30, 4, threads=2)
+
+
 def test_bank_keys_reject_words_that_would_alias():
     # a key word of 2**32 would name the same stream as two 32-bit words
     grid, obs = NotchGrid.uniform(4), PauliString("ZII")

@@ -406,6 +406,8 @@ def test_vqe_zero_iterations_reports_the_initial_energy():
     assert res.energies[0] == pytest.approx(want, abs=1e-12)
     assert res.best_energy == res.energies[0]
     np.testing.assert_array_equal(res.init_params, res.final_params)
+    with pytest.raises(ValueError, match="n_iters must be non-negative"):
+        vqe_run(model, 1, 0.05, -1, EstimatorConfig(mode="exact"), init_seed=3)
 
 
 def test_vqe_exact_descent_lowers_the_energy():

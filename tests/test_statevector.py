@@ -326,6 +326,179 @@ def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, n_settings, 
         lo = cp
 
 
+# ----------------------------------------------------------- parity sector
+
+_EVEN_PAIRS = ["XX", "XY", "YX", "YY", "ZZ"]
+
+
+def _bits(a):
+    # + 0.0 turns -0.0 into +0.0: the other sector holds zeros on both
+    # paths, and only their sign may differ, which no reader can see
+    return np.ascontiguousarray(a + 0.0).view(np.uint64)
+
+
+def _gates(n, items):
+    """Letters of ``(support, local letters)`` items on ``n`` qubits."""
+    out = []
+    for support, local in items:
+        row = ["I"] * n
+        for q, c in zip(support, local):
+            row[q] = c
+        out.append("".join(row))
+    return out
+
+
+def _ring_layers(n, layers=1):
+    from pai.models import TrotterSpec, spin_ring, trotter_circuit
+
+    circuit = trotter_circuit(spin_ring(n, 0.3, 11), TrotterSpec(1.0, layers))
+    return [g.letters for g, _ in circuit]
+
+
+@st.composite
+def sector_circuits(draw):
+    """``(n, letters)``: gates of an even count of X and Y letters on 2 to 7
+    qubits, so every gate keeps the parity sector: bond triples, on-site
+    Zs, gates on the top qubit, alone or in runs, and gates on three
+    qubits or more."""
+    n = draw(st.integers(2, 7))
+    top = n - 1
+    # bonds off the top qubit come most often, so that many circuits hold
+    # a stretch worth running on the half
+    kinds = ["bonds"] * 3 + ["z", "top"] + (["wide"] if n >= 3 else [])
+    items = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "bonds" and n < 3:
+            kind = "top"
+        if kind == "z":
+            items.append(((draw(st.integers(0, top)),), "Z"))
+        elif kind == "wide":
+            support = sorted(draw(st.sets(st.integers(0, top), min_size=3, max_size=n)))
+            local = draw(
+                st.text(alphabet="XYZ", min_size=len(support), max_size=len(support)).filter(
+                    lambda s: (s.count("X") + s.count("Y")) % 2 == 0
+                )
+            )
+            items.append((support, local))
+        else:
+            a = draw(st.integers(0, top - (1 if kind == "top" else 2)))
+            b = top if kind == "top" else draw(st.integers(a + 1, top - 1))
+            for _ in range(draw(st.integers(1, 3))):
+                items.append(((a, b), draw(st.sampled_from(_EVEN_PAIRS))))
+    return n, _gates(n, items)
+
+
+@example(circuit=(4, _ring_layers(4, 2)), n_rows=3, n_settings=3, parity=0, seed=1)
+@example(circuit=(5, _ring_layers(5)), n_rows=9, n_settings=2, parity=1, seed=2)
+@example(  # a wide gate off the top qubit between two half stretches
+    circuit=(5, _gates(5, [((0, 1), "XX"), ((1, 2), "YY"), ((0, 1, 2, 3), "XZYZ"),
+                           ((1, 2), "ZZ"), ((2, 3), "XY")])),
+    n_rows=1, n_settings=1, parity=0, seed=3,
+)
+@given(
+    circuit=sector_circuits(),
+    n_rows=st.integers(1, 9),
+    n_settings=st.integers(1, 3),
+    parity=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150)
+def test_sector_program_matches_the_full_program_and_the_oracle(
+    circuit, n_rows, n_settings, parity, seed
+):
+    # the program compiled for the start state's parity gives the bits of
+    # the same circuit compiled with parity None, the path every other
+    # input takes, and both follow the gate-by-gate gather oracle
+    n, letters = circuit
+    r = np.random.default_rng(seed)
+    dim = 1 << n
+    table = r.uniform(-4 * np.pi, 4 * np.pi, (len(letters), n_settings))
+    idx = r.integers(0, n_settings, (n_rows, len(letters))).astype(np.int8)
+    in_sector = (np.bitwise_count(np.arange(dim)) & 1) == parity
+    noise = r.standard_normal((dim, n_rows)) + 1j * r.standard_normal((dim, n_rows))
+    start = np.where(in_sector[:, None], noise, 0.0)
+    assert statevector._parity(start[:, 0]) == parity
+    generators = [PauliString(g) for g in letters]
+    sector = statevector._compile_blocks(generators, table, parity)
+    full = statevector._compile_blocks(generators, table, None)
+    assert full.sector is None
+    halves = [half for _, _, half in sector.steps]
+    assert sector.sector == (parity if any(halves) else None)
+    # the sector is taken only where it counts fewer amplitude updates
+    if any(halves):
+        assert statevector._amp_updates(sector) < statevector._amp_updates(full)
+    else:
+        assert statevector._amp_updates(sector) == statevector._amp_updates(full)
+    results = []
+    for program in (sector, full):
+        state, spare = start.copy(), np.empty_like(start)
+        # the half state lives in the chunk's two buffers, which come back
+        got, free = statevector._run_program(program, state, idx, spare)
+        assert {id(got), id(free)} == {id(state), id(spare)}
+        results.append(got)
+    assert np.array_equal(_bits(results[0]), _bits(results[1]))
+    want = start.T.copy()
+    for j, g in enumerate(letters):
+        want = oracles.gather_rotate_batch(want, g, table[j, idx[:, j]])
+    np.testing.assert_allclose(results[0].T, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, sector, full", [(4, 11, 12), (8, 17, 24), (12, 23, 36)])
+def test_ring_layers_count_one_round_trip_each(n, sector, full):
+    # per ring layer, n - 2 bond blocks run on the half (3 half passes
+    # each) and the bonds (n-2, n-1) and (n-1, 0), adjacent in the plan,
+    # run on the full state between one compress and one expand
+    letters = _ring_layers(n, 2)
+    generators = [PauliString(g) for g in letters]
+    table = np.full((len(letters), 1), 0.1)
+    dim = 1 << n
+    program = statevector._compile_blocks(generators, table, 0)
+    assert [half for _, _, half in program.steps] == ([True] * (n - 2) + [False] * 2) * 2
+    assert statevector._amp_updates(program) == 2 * sector * dim
+    none = statevector._compile_blocks(generators, table, None)
+    assert statevector._amp_updates(none) == 2 * full * dim
+
+
+def test_sector_is_refused_where_it_cannot_hold_or_help():
+    # an odd gate after the prefix: the sector would not hold
+    letters = _ring_layers(4) + ["IXII"]
+    generators = [PauliString(g) for g in letters]
+    table = np.full((len(letters), 2), 0.3)
+    assert statevector._compile_blocks(generators[:-1], table[:-1], 0).sector == 0
+    odd = statevector._compile_blocks(generators, table, 0)
+    assert odd.sector is None and not any(half for _, _, half in odd.steps)
+    # one nonzero amplitude in the other sector: no parity to compile for
+    amps = np.zeros(16, dtype=np.complex128)
+    amps[[0, 3, 5]] = 0.5
+    assert statevector._parity(amps) == 0
+    amps[7] = 1e-300
+    assert statevector._parity(amps) is None
+    assert statevector._parity(np.zeros(16)) is None
+    # three qubits: the one bond off the top qubit makes 3 half passes
+    # against a round trip of 4, so the count does not fall
+    letters = _ring_layers(3, 2)
+    generators = [PauliString(g) for g in letters]
+    table = np.full((len(letters), 3), 0.2)
+    three = statevector._compile_blocks(generators, table, 1)
+    assert three.sector is None
+    none = statevector._compile_blocks(generators, table, None)
+    assert statevector._amp_updates(three) == statevector._amp_updates(none) == 2 * 9 * 8
+
+
+@pytest.mark.parametrize("letters", ["X", "ZY", "XIZ", "YXZY"])
+def test_rotate_batch_at_multiples_of_pi_is_exact(letters, rng):
+    # the half angle k * pi / 2 has cos and sin 0 or +-1 exactly, so the
+    # result is +-psi or +-i G psi with no 6.1e-17 residue
+    dim = 1 << len(letters)
+    amps = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    g_amps = amps @ oracles.dense_pauli(letters).T
+    for k in range(-2, 4):
+        got = rotate_batch(amps, PauliString(letters), np.full(3, k * np.pi))
+        want = {0: amps, 1: -1j * g_amps, 2: -amps, 3: 1j * g_amps}[k % 4]
+        assert np.array_equal(got, want), k
+
+
 def test_run_batch_rejects_strided_buffers():
     state = np.zeros((4, 6), dtype=np.complex128)[:, ::2]
     table = np.zeros((1, 1))
