@@ -29,8 +29,9 @@ looked up included, so a chunk only sums its variants' combination codes
 and runs the blocks.  The leading gates that take setting 0 in every
 variant, such as the Neel X at pi, run once on one row, checkpoints inside
 them included, and their state starts every chunk.  That state is exact,
-so when every later gate keeps its parity sector the blocks off the top
-qubit run on half the amplitudes (see :mod:`pai.statevector`).
+so when every later gate keeps its parity sector the chunk runs on half
+the amplitudes, in the parity frame, from its start to the end of the
+segment (see :mod:`pai.statevector`).
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -59,8 +60,8 @@ from .statevector import (
     Statevector,
     _as_observable,
     _compile_blocks,
+    _enter_frame,
     _parity,
-    _preserves_parity,
     _run_program,
     batch_expectation,
     rotate_batch,
@@ -185,11 +186,8 @@ def _auto_chunk(dim: int) -> int:
     # circuit a row costs 95-125 us at 128 rows against 144-165 us at 2,048,
     # where each buffer is 8 MiB.  A chunk's blocks are compiled once per
     # circuit, so a narrow chunk pays only a few numpy calls per block.
-    # The budget is unchanged by the parity sector: a program that runs
-    # blocks on the half state without the top qubit keeps that half and
-    # its spare in the first halves of these two buffers, expands back
-    # into them and ends with the full state, so the sector only halves
-    # what those blocks touch
+    # A program in the parity frame runs in the first halves of these two
+    # buffers and leaves the frame into one of them, so the budget holds
     return max(1, min(2048, (1 << 15) // dim))
 
 
@@ -208,15 +206,13 @@ def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> lis
         return list(pool.map(lambda bound: worker(*bound), bounds))
 
 
-def _chunk_buffers(n_rows: int, initial: np.ndarray):
-    """``(state, spare)`` for one chunk of ``n_rows`` variants.
-
-    Each is a C-contiguous ``(dim, V)`` buffer, so the kernel's inner loops
-    run over the variants; the blocks swap the state and the spare as
-    they need.  The state starts as ``initial`` in every column.
-    """
-    state = np.empty((initial.shape[0], n_rows), dtype=np.complex128)
-    state[...] = initial[:, None]
+def _chunk_buffers(n_rows: int, circuit: "_SettingCircuit"):
+    """``(state, spare)`` for one chunk of ``n_rows`` variants of
+    ``circuit``: C-contiguous ``(dim, V)`` buffers, so the kernel's inner
+    loops run over the variants, every column of the state starting as
+    ``circuit.initial`` in its first rows."""
+    state = np.empty((1 << circuit.num_qubits, n_rows), dtype=np.complex128)
+    state[: circuit.initial.shape[0]] = circuit.initial[:, None]
     return state, np.empty_like(state)
 
 
@@ -240,14 +236,17 @@ def _row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _SettingCircuit:
-    """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
-    variant that draws setting ``s``.  Its first ``start`` gates take
-    setting 0 in every variant, so they run once: ``initial`` is the state
-    they make from ``|0...0>``, and ``shared`` holds the state at each cut
-    inside that prefix, in cut order, which every variant shares.  The rest run in ``segments``, ``(lo,
-    hi, program)`` per later cut: gates ``lo`` to ``hi - 1`` compiled once
-    by :func:`pai.statevector._compile_blocks`."""
+    """A circuit on ``num_qubits`` qubits whose gate ``j`` runs at angle
+    ``table[j, s]`` in a variant that draws setting ``s``.  Its first
+    ``start`` gates take setting 0 in every variant, so they run once:
+    ``initial`` is the state they make from ``|0...0>``, in the parity
+    frame when the first segment runs in one, and ``shared`` holds the
+    state at each cut inside that prefix, in cut order, which every variant
+    shares.  The rest run in ``segments``, ``(lo, hi, program)`` per later
+    cut: gates ``lo`` to ``hi - 1`` compiled once by
+    :func:`pai.statevector._compile_blocks`."""
 
+    num_qubits: int
     start: int
     initial: np.ndarray
     shared: tuple
@@ -267,9 +266,9 @@ def _setting_circuit(
     multiple of pi exactly, so the Neel state has one nonzero amplitude.
     The prefix runs across cuts: a cut inside it is read once, on that
     row.  Each segment is compiled with the exact parity of the prefix
-    state (:func:`pai.statevector._parity`) while every gate before it
-    preserves parity, so its blocks off the top qubit may run on the
-    sector's half state.
+    state (:func:`pai.statevector._parity`) while every segment before it
+    runs in that parity's frame, so no gate that flips the parity has run;
+    the prefix state enters the first segment's frame here, once.
     """
     cuts = [len(generators)] if cuts is None else list(cuts)
     amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
@@ -285,13 +284,13 @@ def _setting_circuit(
         shared.append(amps[0])
     parity = _parity(amps[0])
     segments = []
-    lo = start
-    for hi in cuts[len(shared) :]:
+    for lo, hi in zip([start, *cuts[len(shared) :]], cuts[len(shared) :]):
         segments.append((lo, hi, _compile_blocks(generators[lo:hi], table[lo:hi], parity)))
-        if not _preserves_parity(generators[lo:hi]):
-            parity = None
-        lo = hi
-    return _SettingCircuit(start, amps[0], tuple(shared), tuple(segments))
+        parity = segments[-1][2].sector
+    initial = amps[0]
+    if segments and segments[0][2].sector is not None:
+        initial = _enter_frame(segments[0][2].sector, initial)
+    return _SettingCircuit(num_qubits, start, initial, tuple(shared), tuple(segments))
 
 
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
@@ -301,14 +300,31 @@ def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
     return _setting_circuit(dec.generators, dec.setting_angles, fixed, num_qubits)
 
 
+def _segment_states(circuit: _SettingCircuit, settings: np.ndarray):
+    """Run one chunk of ``circuit`` at the ``(V, nu)`` setting indices
+    ``settings`` in the buffers of :func:`_chunk_buffers`, yielding
+    ``(state, free)`` after each segment (or once, at the start, when there
+    is none): the full ``(dim, V)`` state and the other buffer, free for the
+    caller.  A segment in the parity frame after the first enters it from
+    the full state."""
+    state, spare = _chunk_buffers(settings.shape[0], circuit)
+    if not circuit.segments:
+        yield state, spare
+    for i, (lo, hi, program) in enumerate(circuit.segments):
+        if i and program.sector is not None:
+            _enter_frame(program.sector, state, out=spare[: state.shape[0] >> 1])
+            state, spare = spare, state
+        state, spare = _run_program(program, state, settings[:, lo:hi], spare)
+        yield state, spare
+
+
 def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarray:
     """Run one realized circuit per row of ``angles``, the ``(V, nu)``
     setting indices: variant ``v`` runs gate ``j`` at its setting
     ``angles[v, j]``.  Returns the C-ordered ``(V, dim)`` amplitude
     batch."""
-    state, spare = _chunk_buffers(angles.shape[0], circuit.initial)
-    for lo, hi, program in circuit.segments:
-        state, spare = _run_program(program, state, angles[:, lo:hi], spare)
+    for state, spare in _segment_states(circuit, angles):
+        pass
     return _as_rows(state, spare)
 
 
@@ -587,12 +603,11 @@ def two_notch_fidelity_profile(
         count = hi_v - lo_v
         u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
         settings = (u >= thresholds).astype(np.int8)
-        state, spare = _chunk_buffers(count, variants.initial)
         fid = np.empty((count, len(cps)))
         for m, value in enumerate(shared):
             fid[:, m] = value
-        for m, (lo, cp, program) in enumerate(variants.segments, len(shared)):
-            state, spare = _run_program(program, state, settings[:, lo:cp], spare)
+        states = zip(variants.segments, _segment_states(variants, settings))
+        for m, ((_, cp, _), (state, spare)) in enumerate(states, len(shared)):
             # spare is free between segments; it holds the checkpoint rows
             fid[:, m] = np.abs(_row_dots(_as_rows(state, spare), np.conj(ideal[cp]))) ** 2
         return fid

@@ -55,22 +55,23 @@ gate on more than two qubits runs alone through :func:`rotate_batch`, the
 single-gate kernel.
 
 A generator with an even count of X and Y letters commutes with the
-parity ``Z...Z``, so its rotation keeps a state's parity sector, the Z2
-symmetry that qubit tapering removes (Bravyi, Gambetta, Mezzacapo and
-Temme, arXiv 1701.08213); every spin-ring generator after the Neel
-prefix is one.  Given the exact parity of the chunk's start state,
-:func:`_compile_blocks` runs each stretch of blocks off the top qubit on
-the ``(2**(n-1), V)`` half state without that qubit, whose bit is the
-parity of the others.  The kernel is the same and reads the same nonzero
-amplitudes in the same order, so the bits do not change.  One add of the
-top qubit's two halves (compress) enters a stretch, a multiply by a 0/1
-parity mask and a subtract (expand) leave it, and a stretch takes the half
-only where that counts fewer amplitude updates (:func:`_amp_updates`).  On
-the ring the bonds ``(n-2, n-1)`` and ``(n-1, 0)`` are adjacent in the
-plan, so a layer makes one round trip: 17 full-state passes against 24 at
-8 qubits, none saved at 3.  The half and its spare live in the chunk's two
-buffers, and a program ends with the full state.  :func:`run_batch`
-compiles with no parity.
+parity ``Z...Z``, so it keeps a state's parity sector, the Z2 symmetry of
+qubit tapering (Bravyi, Gambetta, Mezzacapo and Temme, arXiv 1701.08213),
+as every spin-ring gate after the Neel prefix does.  Given the exact
+parity ``s`` of the start state, :func:`_compile_blocks` runs the whole
+program on the ``(2**(n-1), V)`` half state of the parity frame ``b'_j =
+b_0 ^ ... ^ b_j`` (Seeley, Richard and Love, JCP 137, 224109 (2012)),
+whose top bit ``b'_{n-1}`` is ``s``.  A block on qubits ``a < b`` flips
+frame bits ``a`` to ``b - 1``, one reversed axis, and reads its entries
+at frame bits ``a-1, a, b-1, b``; its table is the block's table with the
+rows gathered, the same numbers in the same products, so the amplitudes
+keep their bits.  The full state is the identity frame of the same
+builder, :func:`_block_kernel`.  The start state enters the frame by one
+gather (:func:`_enter_frame`), and the program leaves it by one gather
+that writes the full state, the other sector +0.0: a ring layer makes 12
+full-state passes against 24 at 8 qubits.  A circuit with a gate that
+flips the parity or acts on three qubits or more runs on the full state,
+as :func:`run_batch` does.
 """
 
 from __future__ import annotations
@@ -326,43 +327,70 @@ _PAULI_2X2 = {
 }
 
 # a block's table has one column per setting combination, at most 3**6 =
-# 729 for six gates at three settings, so a table takes at most 16 rows *
-# 729 * 16 B = 182 KiB and the 128-entry table cache at most 23 MiB; kernel
-# and Pauli-stack entries take under 2 KiB.  Plans of longer circuits are
-# rebuilt on every call, so the 64-entry plan cache holds at most 64 *
-# 2,048 blocks (a few MiB)
+# 729 for six gates at three settings, so a table takes at most 32 rows (two
+# flips over four frame bits) * 729 * 16 B = 364 KiB and the 128-entry table
+# cache, which blocks that repeat share, at most 46 MiB; kernel and
+# Pauli-stack entries take under 2 KiB.  Plans of longer circuits are rebuilt
+# on every call, so the 64-entry plan cache holds at most 64 * 2,048 blocks
 _MAX_BLOCK_GATES = 6
 _MAX_SETTINGS = 3
 _CACHED_PLAN_GATES = 2048
 
 
-@lru_cache(maxsize=256)
-def _block_kernel(num_qubits: int, support: tuple[int, ...], flips: tuple[int, ...]):
-    """``(shape, index, table_shape, diagonal)`` of a block on ``support``
-    (one or two qubits, ascending) whose unitary makes the bit ``flips``.
+@lru_cache(maxsize=512)
+def _block_kernel(
+    num_qubits: int, support: tuple[int, ...], flips: tuple[int, ...], sector: int | None = None
+):
+    """``(shape, index, table_shape, diagonal, rows)`` of a block on
+    ``support`` (one or two qubits, ascending) whose unitary makes the
+    local bit flips ``flips``, in the frame of ``sector``; ``None`` where a
+    flip would leave that sector.  Sector ``None`` is the identity frame.
+    Else qubit ``q``'s bit is ``b'_{q-1} ^ b'_q`` (``b'_{-1} = 0``,
+    ``b'_{n-1} = sector``), and flipping it flips ``b'_q`` and above.
 
-    A chunk reshaped to ``shape + (V,)`` has one length-2 axis per support
-    qubit, highest first.  ``index[i]`` reverses the axes that ``flips[i]``
-    flips, so the view reads ``psi[c ^ f]`` at ``c``.  A block's looked-up
-    ``(rows, V)`` table reshaped to ``table_shape + (V,)`` is one table per
-    flip that broadcasts against the reshaped chunk.  ``diagonal`` says the
-    identity is the only flip.
+    A chunk reshaped to ``shape + (V,)`` has one axis per run of frame
+    bits, highest first: a bit the entries depend on is an axis of its
+    own, and the rest merge where every flip moves them alike.
+    ``index[i]`` reverses the axes ``flips[i]`` moves, so the view reads
+    ``psi[c ^ f]`` at ``c``.  A :func:`_block_table` gathered by the
+    tuple ``rows`` (``None`` for no gather) and reshaped to ``table_shape
+    + (V,)`` is one table per flip, broadcast against the view.
+    ``diagonal`` says the identity is the only flip.
     """
-    w = len(support)
-    shape: tuple[int, ...] = ()
-    above = num_qubits
-    for q in reversed(support):
-        shape += (1 << (above - 1 - q), 2)
-        above = q
-    shape += (1 << above,)
-    index = []
-    for f in flips:
-        axes = [slice(None)] * (2 * w)
-        for i in range(w):  # axis 2 * i + 1 holds support qubit w - 1 - i
-            if f >> (w - 1 - i) & 1:
-                axes[2 * i + 1] = slice(None, None, -1)
-        index.append(tuple(axes))
-    return shape, tuple(index), (len(flips), *(2, 1) * w), flips == (0,)
+    w, bits = len(support), num_qubits - (sector is not None)
+    if sector is None:
+        reads, moves = [(q,) for q in support], [1 << q for q in support]
+    elif any(bin(f).count("1") % 2 for f in flips):
+        return None
+    else:
+        reads = [tuple(j for j in (q - 1, q) if 0 <= j < bits) for q in support]
+        moves = [(1 << bits) - (1 << q) for q in support]  # b'_q and above
+    masks = [np.bitwise_xor.reduce([0] + [moves[i] for i in range(w) if f >> i & 1])
+             for f in flips]
+    entry = sorted({j for r in reads for j in r})
+    def key(j):  # a bit the entries depend on, or -1; the flips that move it
+        return j if j in entry else -1, tuple(m >> j & 1 for m in masks)
+
+    axes = [(k, len(list(run))) for k, run in groupby(range(bits - 1, -1, -1), key=key)]
+    shape = tuple(1 << k for _, k in axes)
+    index = tuple(
+        tuple(slice(None, None, -1 if moved[i] else 1) for (_, moved), _ in axes)
+        for i in range(len(flips))
+    )
+    table_shape = (len(flips), *(2 if j >= 0 else 1 for (j, _), _ in axes))
+    # row i * 2**|entry| + e of the frame table is row i * 2**w + r of the
+    # block's table, r the local index at the frame bits e, whose bit t is
+    # frame bit entry[t], as the table's axes hold them
+    e = np.arange(1 << len(entry))
+    r = np.zeros_like(e)
+    for i, (q, read) in enumerate(zip(support, reads)):
+        local = np.full_like(e, sector if q == bits else 0)
+        for j in read:
+            local ^= e >> entry.index(j) & 1
+        r |= local << i
+    rows = tuple(((np.arange(len(flips))[:, None] << w) + r).ravel().tolist())
+    rows = None if rows == tuple(range(len(flips) << w)) else rows
+    return shape, index, table_shape, flips == (0,), rows
 
 
 @lru_cache(maxsize=256)
@@ -391,10 +419,11 @@ def _block_paulis(local: tuple[str, ...]):
 
 @lru_cache(maxsize=128)
 def _block_table(
-    local: tuple[str, ...], angles: tuple[tuple[float, ...], ...]
+    local: tuple[str, ...], angles: tuple[tuple[float, ...], ...], gather=None
 ) -> np.ndarray:
     """Structurally nonzero entries of a block's unitary for every setting
-    combination, as a read-only ``(rows, S**m)`` array.
+    combination, as a read-only ``(rows, S**m)`` array, its rows gathered
+    by the tuple ``gather`` of a frame's :func:`_block_kernel` if given.
 
     Gate ``i`` of the block's ``m`` has letters ``local[i]`` on the support
     and runs at angle ``angles[i][s]`` at setting ``s``.  Column ``sum_i
@@ -411,7 +440,8 @@ def _block_table(
     for i in range(1, len(local)):
         # gate i's setting becomes the leading, most significant axis
         unitary = np.matmul(gates[i].reshape(-1, *(1,) * i, k, k), unitary)
-    out = np.ascontiguousarray(unitary.reshape(-1, k, k)[:, rows, cols].T)
+    out = unitary.reshape(-1, k, k)[:, rows, cols].T
+    out = np.ascontiguousarray(out if gather is None else out[list(gather)])
     out.flags.writeable = False
     return out
 
@@ -426,19 +456,16 @@ def _plan(letters: tuple[str, ...]) -> tuple:
 
 @lru_cache(maxsize=64)
 def _block_plan(letters: tuple[str, ...]) -> tuple:
-    """``(blocks, rows)`` of a gate sequence.
-
-    ``blocks`` holds ``(gates, local, kernel)`` per block in run order:
-    the block applies gates ``gates`` in that order, ``local`` holds their
-    letters on the support and ``kernel`` is the :func:`_block_kernel`.
-    Consecutive gates on one support of at most two qubits share a block,
-    up to six.
+    """The blocks of a gate sequence, ``(gates, local, support, flips)``
+    per block in run order: the block applies gates ``gates`` in that
+    order on the qubits ``support``, ``local`` holds their letters there
+    and ``flips`` the bit flips of :func:`_block_paulis`.  Consecutive
+    gates on one support of at most two qubits share a block, up to six.
     A single-qubit Z waits, past gates off its qubit, and joins the block
     of the next gate on its qubit, right before that gate; Zs still waiting
     at the end, or before a wider gate, run as blocks of their own, one
     qubit each.  A gate on more than two qubits is a block of its own with
-    ``kernel`` ``None``, for :func:`rotate_batch`.  ``rows`` is the most
-    table rows of a block, which sizes the scratch of :func:`run_batch`.
+    ``local`` and ``flips`` ``None``, for :func:`rotate_batch`.
     """
     n = len(letters[0])
     runs: list[tuple[list[int], tuple[int, ...]]] = []
@@ -474,16 +501,13 @@ def _block_plan(letters: tuple[str, ...]) -> tuple:
         runs.append((current, support))
     place(sorted(z for zs in waiting.values() for z in zs))
     blocks = []
-    rows = 1
     for gates, on in runs:
         if len(on) > 2:
-            blocks.append((tuple(gates), None, None))
+            blocks.append((tuple(gates), None, on, None))
             continue
         local = tuple("".join(letters[j][q] for q in on) for j in gates)
-        flips = _block_paulis(local)[0]
-        blocks.append((tuple(gates), local, _block_kernel(n, on, flips)))
-        rows = max(rows, len(flips) << len(on))
-    return tuple(blocks), rows
+        blocks.append((tuple(gates), local, on, _block_paulis(local)[0]))
+    return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -491,18 +515,17 @@ class _BlockProgram:
     """A gate sequence and its ``(nu, S)`` setting-angle table compiled into
     fused blocks by :func:`_compile_blocks`, ready to run on any chunk.
 
-    ``steps`` holds ``(kernel, entries, half)`` per block in run order:
+    ``steps`` holds ``(kernel, entries)`` per block in run order:
     ``kernel`` is the :func:`_block_kernel` and ``entries`` the looked-up
-    :func:`_block_table`, or, for a gate on more than two qubits, ``kernel``
-    is ``None`` and ``entries`` is ``(generator, angles)``, the gate and its
-    ``S`` setting angles.  ``half`` says the block runs on the parity
-    sector's half state, and its kernel is then that of the half.
+    :func:`_block_table`, gathered into the kernel's frame, or, for a gate
+    on more than two qubits, ``kernel`` is ``None`` and ``entries`` is
+    ``(generator, angles)``, the gate and its ``S`` setting angles.
     ``order`` lists the gates block by block, ``starts`` the offset of each
     block's first gate in ``order`` and ``weights`` the code weight
     ``S**i`` of the ``i``-th gate of its block, as a column, so a variant's
     setting indices sum to one combination code per block.  ``rows`` is the
-    most table rows of a block.  ``sector`` is the parity of the half
-    state's sector, or ``None`` when no block runs on the half.
+    most table rows of a block.  ``sector`` is the parity sector whose
+    frame the program runs in, or ``None`` for the full state.
     """
 
     num_qubits: int
@@ -515,39 +538,37 @@ class _BlockProgram:
     sector: int | None = None
 
 
-def _preserves_parity(generators) -> bool:
-    """Whether every generator commutes with ``Z...Z``: an even count of X
-    and Y letters, so each rotation keeps a state's parity sector."""
-    return all((g.letters.count("X") + g.letters.count("Y")) % 2 == 0 for g in generators)
-
-
-def _index_parities(num_qubits: int) -> np.ndarray:
-    """The parity of every basis index on ``num_qubits`` qubits."""
-    return np.bitwise_count(np.arange(1 << num_qubits, dtype=np.uint32)) & 1
-
-
 def _parity(amps: np.ndarray) -> int | None:
     """The index parity shared by every nonzero amplitude of the state
     ``amps``; ``None`` when both parities hold one, or neither does."""
-    odd = _index_parities(amps.shape[0].bit_length() - 1)
+    odd = np.bitwise_count(np.arange(amps.shape[0], dtype=np.uint32)) & 1
     # np.unique would do, but its first call maps about 1.6 MiB of code
     held = odd[amps != 0]
     return int(held[0]) if held.size and (held == held[0]).all() else None
 
 
-def _passes(kernel) -> int:
-    """Amplitude passes of one block over its state: one multiply for a
-    diagonal block, a multiply and an add per further flip otherwise, four
-    for a gate on more than two qubits (:func:`rotate_batch`)."""
-    if kernel is None:
-        return 4
-    return 1 if kernel[3] else 2 * len(kernel[1]) - 1
+@lru_cache(maxsize=8)
+def _frame_index(num_qubits: int, sector: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(enter, leave)`` of the parity frame of ``sector``: ``enter[x]``
+    is the full index of half-state index ``x``, and ``leave[c]`` the
+    half-state index of full index ``c``, or ``dim / 2`` in the other
+    sector.  Read-only; 192 MiB at 24 qubits, so the cache holds few."""
+    bits = num_qubits - 1
+    y = np.arange(1 << bits) | sector << bits
+    enter = (y ^ y << 1) & ((2 << bits) - 1)  # b_q = b'_{q-1} ^ b'_q
+    x = np.arange(2 << bits)
+    for k in (1, 2, 4, 8, 16):  # b'_j = b_0 ^ ... ^ b_j
+        x ^= x << k
+    leave = np.where(x >> bits & 1 == sector, x & ((1 << bits) - 1), 1 << bits)
+    enter.flags.writeable = leave.flags.writeable = False
+    return enter, leave
 
 
-# a half stretch pays one compress (an add that reads the full state) and
-# one expand (a multiply and a subtract that write it): four passes of the
-# half
-_ROUND_TRIP_HALF_PASSES = 4
+def _enter_frame(sector: int, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``(dim,)`` state or ``(dim, V)`` chunk ``amps`` in the parity
+    frame of its ``sector``, written to ``out`` when given."""
+    enter, _ = _frame_index(amps.shape[0].bit_length() - 1, sector)
+    return np.take(amps, enter, axis=0, out=out, mode="clip")
 
 
 def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) -> _BlockProgram:
@@ -556,10 +577,9 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
     then run through :func:`_run_program`.
 
     ``parity`` is the exact index parity of every chunk's start state
-    (:func:`_parity`), or ``None``.  When it is known and every generator
-    preserves it, each stretch of consecutive blocks off the top qubit runs
-    on the sector's half state if that counts fewer amplitude updates,
-    round trip included (see the module docstring).
+    (:func:`_parity`), or ``None``.  Where every gate keeps it and acts on
+    at most two qubits, the program runs in its parity frame (see the
+    module docstring), else on the full state.
     """
     nu = len(generators)
     table = np.asarray(table, dtype=np.float64)
@@ -570,57 +590,44 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
         empty = np.zeros(0, dtype=np.intp)
         return _BlockProgram(0, n_settings, (), empty, empty, empty, 0)
     n = generators[0].num_qubits
-    blocks, rows = _plan(tuple(g.letters for g in generators))
-    kernels = [kernel for _, _, kernel in blocks]
-    half = [False] * len(blocks)
-    if parity is not None and _preserves_parity(generators):
-        # a kernel's leading axis spans the qubits above its support, so it
-        # has length 1 exactly when the block touches the top qubit
-        off_top = [k is not None and k[0][0] > 1 for k in kernels]
-        for off, run in groupby(range(len(blocks)), key=off_top.__getitem__):
-            run = list(run)
-            if off and sum(_passes(kernels[i]) for i in run) > _ROUND_TRIP_HALF_PASSES:
-                for i in run:
-                    half[i] = True
+    blocks = _plan(tuple(g.letters for g in generators))
+    kernels = [local and _block_kernel(n, on, flips, parity) for _, local, on, flips in blocks]
+    if parity is not None and not all(kernels):  # an odd gate or a wide one (local None)
+        parity = None
+        kernels = [local and _block_kernel(n, on, flips) for _, local, on, flips in blocks]
     angles = table.tolist()
     steps, order, starts, weights = [], [], [], []
-    for (gates, local, kernel), on_half in zip(blocks, half):
+    rows = 1
+    for (gates, local, _, _), kernel in zip(blocks, kernels):
         starts.append(len(order))
         order += gates
         weights += [n_settings**i for i in range(len(gates))]
         if kernel is None:  # a gate on more than two qubits
-            steps.append((None, (generators[gates[0]], table[gates[0]]), False))
+            steps.append((None, (generators[gates[0]], table[gates[0]])))
             continue
-        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates))
-        if on_half:  # the same block with the top qubit's axis dropped
-            shape, *rest = kernel
-            kernel = ((shape[0] >> 1, *shape[1:]), *rest)
-        steps.append((kernel, entries, on_half))
-    return _BlockProgram(
-        n,
-        n_settings,
-        tuple(steps),
-        np.array(order, dtype=np.intp),
-        np.array(starts, dtype=np.intp),
-        np.array(weights, dtype=np.intp)[:, None],
-        rows,
-        parity if any(half) else None,
-    )
+        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates), kernel[4])
+        rows = max(rows, entries.shape[0])
+        steps.append((kernel, entries))
+    order, starts = np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
+    weights = np.array(weights, dtype=np.intp)[:, None]
+    return _BlockProgram(n, n_settings, tuple(steps), order, starts, weights, rows, parity)
+
+
+def _passes(kernel) -> int:
+    """Amplitude passes of one block over its state: one multiply for a
+    diagonal block, a multiply and an add per further flip otherwise, four
+    for a gate on more than two qubits (:func:`rotate_batch`)."""
+    return 4 if kernel is None else 1 if kernel[3] else 2 * len(kernel[1]) - 1
 
 
 def _amp_updates(program: _BlockProgram) -> int:
     """Amplitude updates of one column through ``program``: every pass of
-    a block over its state, full or half, and every compress and expand,
-    each counted as one pass of the full state."""
+    a block over its state, and in the parity frame the start state's
+    entry, a pass of the half state, and the exit, a pass of the full
+    state."""
     dim = 1 << program.num_qubits
-    total = 0
-    in_half = False
-    for kernel, _, half in program.steps:
-        if half != in_half:
-            total += dim
-            in_half = half
-        total += _passes(kernel) * (dim >> half)
-    return total + dim * in_half
+    passes = sum(_passes(kernel) for kernel, _ in program.steps)
+    return passes * dim if program.sector is None else (1 + passes) * (dim >> 1) + dim
 
 
 def _run_program(
@@ -629,12 +636,10 @@ def _run_program(
     """:func:`run_batch` of a compiled program: per chunk it only sums the
     combination codes, takes each block's columns and multiplies.
 
-    A program with half blocks needs every column of ``state`` in the
-    parity sector it was compiled for.  Before a half stretch one add
-    folds the top qubit's two halves into the first (the other sector is
-    zero there); after it :func:`_expand` writes the full state into the
-    other buffer.  The half state and its spare are the first halves of
-    the two buffers.
+    A program in a parity frame reads its start state, in the frame
+    (:func:`_enter_frame`), from the first ``dim / 2`` rows of ``state``,
+    runs every block on the first halves of the buffers and leaves the
+    frame by one gather that writes the full state, the other sector +0.0.
     """
     dim, n_rows = state.shape
     nu = program.order.size
@@ -656,32 +661,17 @@ def _run_program(
     if dim != 1 << program.num_qubits:
         raise ValueError("circuit generators do not match the state dimension")
     # one combination code per block and variant, one contiguous row per block
-    codes = np.add.reduceat(
-        settings.T[program.order] * program.weights, program.starts, axis=0
-    )
+    codes = np.add.reduceat(settings.T[program.order] * program.weights, program.starts, axis=0)
     table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
     work = None
-    size = dim  # rows of the state the next block reads: dim, or dim / 2
-    h = dim >> 1
-    if program.sector is not None:
-        # 1 where a half-state index with the top bit 0 is in the sector
-        low = (_index_parities(program.num_qubits - 1) == program.sector)[:, None]
-        low = low.astype(np.complex128)
-    for (kernel, entries, half), code in zip(program.steps, codes):
-        if half != (size < dim):
-            if half:  # compress
-                np.add(state[:h], state[h:], out=state[:h])
-                size = h
-            else:
-                _expand(state, spare, low)
-                state, spare = spare, state
-                size = dim
+    size = dim if program.sector is None else dim >> 1
+    for (kernel, entries), code in zip(program.steps, codes):
         if kernel is None:  # a gate on more than two qubits
             generator, angles = entries
             rotate_batch(state.T, generator, angles[code], out=spare.T)
             state, spare = spare, state
             continue
-        shape, flips, table_shape, diagonal = kernel
+        shape, flips, table_shape, diagonal, _ = kernel
         # the range check above keeps every code in [0, S**m), so "clip" only
         # skips the per-index check and the copy of out that "raise" makes
         tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]], mode="clip")
@@ -701,24 +691,15 @@ def _run_program(
             out += tmp
         # the block no longer reads src, so the last flip scales it in
         # place: src * t[x ^ f], read at x ^ f, is t[x] * src[x ^ f]
-        np.multiply(src, tables[-1][flips[-1][1:]], out=src)
+        np.multiply(src, tables[-1][flips[-1]], out=src)
         out += src[flips[-1]]
         state, spare = spare, state
-    if size < dim:
-        _expand(state, spare, low)
+    if program.sector is not None:  # row dim / 2 is free: the zero row
+        state[size] = 0.0
+        _, leave = _frame_index(program.num_qubits, program.sector)
+        np.take(state[: size + 1], leave, axis=0, out=spare, mode="clip")
         state, spare = spare, state
     return state, spare
-
-
-def _expand(state: np.ndarray, full: np.ndarray, low: np.ndarray) -> None:
-    """Write the full state of the half state ``state[:dim / 2]`` into
-    ``full``.  An amplitude's top bit is the sector's parity of the
-    others, so the lower half of ``full`` is the half state times the 0/1
-    mask ``low`` and the upper half is the rest, exactly: ``x - x * 1`` is
-    0 and ``x - x * 0`` is ``x``."""
-    h = state.shape[0] >> 1
-    np.multiply(state[:h], low, out=full[:h])
-    np.subtract(state[:h], full[:h], out=full[h:])
 
 
 def run_batch(
@@ -740,7 +721,7 @@ def run_batch(
     ``(result, free)``, the buffer that holds the final state and the other
     one.  A third ``(dim, V)`` buffer is allocated only for a block with
     more than two bit-flip patterns.  Compiles the blocks on every call,
-    with no parity sector; a caller that runs one circuit over many chunks
+    on the full state; a caller that runs one circuit over many chunks
     compiles it once with :func:`_compile_blocks` and runs each chunk
     through :func:`_run_program`.
     """

@@ -207,9 +207,9 @@ def test_block_tables_are_looked_up_once_per_circuit(monkeypatch):
     calls = []
     lookup = statevector._block_table
 
-    def spy(local, angles):
+    def spy(local, angles, *gather):
         calls.append(local)
-        return lookup(local, angles)
+        return lookup(local, angles, *gather)
 
     monkeypatch.setattr(statevector, "_block_table", spy)
     grid, circuit = NotchGrid.uniform(4), _fixed_circuit()
@@ -282,6 +282,32 @@ def test_workload_prefix_states_are_exact(workload, n, bits, total_time, layers)
     assert variants.start == n // 2
     assert np.count_nonzero(variants.initial) == 1
     assert all(program.sector == 0 for _, _, program in variants.segments)
+
+
+def test_segments_stay_in_the_frame_until_a_gate_flips_the_parity(rng):
+    # each segment re-enters the frame from the full state its predecessor
+    # left; a segment with an X on one qubit runs on the full state, and so
+    # does every later one; each segment's state follows the gather oracle
+    grid = NotchGrid.uniform(5)
+    circuit = _quench(4, 5, 1.0, 3)
+    circuit = circuit[:20] + [(PauliString("IXII"), 0.4)] + circuit[20:]
+    cps = [8, 14, 25, 32, len(circuit)]
+    variants = _two_notch_circuit(grid, circuit, cps)
+    assert [program.sector for _, _, program in variants.segments] == [0, 0, None, None, None]
+    assert variants.initial.shape == (8,)
+    settings = rng.integers(0, 2, (5, len(circuit))).astype(np.int8)
+    settings[:, : variants.start] = 0
+    pos = pai.estimate.locate(grid, np.array([angle for _, angle in circuit]))
+    table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
+    want = np.zeros((5, 16), dtype=np.complex128)
+    want[:, 0] = 1.0
+    lo = 0
+    states = pai.estimate._segment_states(variants, settings)
+    for (_, cp, _), (state, _) in zip(variants.segments, states):
+        for j in range(lo, cp):
+            want = oracles.gather_rotate_batch(want, circuit[j][0].letters, table[j, settings[:, j]])
+        np.testing.assert_allclose(state.T, want, rtol=0, atol=1e-12)
+        lo = cp
 
 
 def test_checkpoints_inside_the_prefix_read_the_shared_row():

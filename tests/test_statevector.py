@@ -355,25 +355,43 @@ def _ring_layers(n, layers=1):
     return [g.letters for g, _ in circuit]
 
 
+def _sector_start(r, n, n_rows, parity):
+    """Random ``(dim, V)`` columns with every amplitude in the sector."""
+    dim = 1 << n
+    in_sector = (np.bitwise_count(np.arange(dim)) & 1) == parity
+    noise = r.standard_normal((dim, n_rows)) + 1j * r.standard_normal((dim, n_rows))
+    return np.where(in_sector[:, None], noise, 0.0)
+
+
+def _run_in_frame(program, start, idx):
+    """``(result, free, buffers)``: ``start`` entered into the program's
+    frame, run and left."""
+    state, spare = start.copy(), np.empty_like(start)
+    if program.sector is not None:
+        statevector._enter_frame(program.sector, state, out=spare[: len(state) >> 1])
+        state, spare = spare, state
+    got, free = statevector._run_program(program, state, idx, spare)
+    return got, free, (state, spare)
+
+
 @st.composite
 def sector_circuits(draw):
     """``(n, letters)``: gates of an even count of X and Y letters on 2 to 7
-    qubits, so every gate keeps the parity sector: bond triples, on-site
-    Zs, gates on the top qubit, alone or in runs, and gates on three
-    qubits or more."""
+    qubits, so every gate keeps the parity sector: bonds on adjacent and
+    non-adjacent qubits, runs on the top bond, the wrap bond ``(0, n-1)``,
+    on-site Zs, and now and then a gate on three qubits or more."""
     n = draw(st.integers(2, 7))
     top = n - 1
-    # bonds off the top qubit come most often, so that many circuits hold
-    # a stretch worth running on the half
-    kinds = ["bonds"] * 3 + ["z", "top"] + (["wide"] if n >= 3 else [])
+    kinds = ["bonds"] * 3 + ["z", "top", "wrap"] + (["wide"] if n >= 3 else [])
     items = []
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(kinds))
         if kind == "bonds" and n < 3:
             kind = "top"
         if kind == "z":
-            items.append(((draw(st.integers(0, top)),), "Z"))
-        elif kind == "wide":
+            items.append(((draw(st.sampled_from([0, top, draw(st.integers(0, top))])),), "Z"))
+            continue
+        if kind == "wide":
             support = sorted(draw(st.sets(st.integers(0, top), min_size=3, max_size=n)))
             local = draw(
                 st.text(alphabet="XYZ", min_size=len(support), max_size=len(support)).filter(
@@ -381,20 +399,28 @@ def sector_circuits(draw):
                 )
             )
             items.append((support, local))
+            continue
+        if kind == "wrap":
+            a, b = 0, top
         else:
             a = draw(st.integers(0, top - (1 if kind == "top" else 2)))
             b = top if kind == "top" else draw(st.integers(a + 1, top - 1))
-            for _ in range(draw(st.integers(1, 3))):
-                items.append(((a, b), draw(st.sampled_from(_EVEN_PAIRS))))
+        for _ in range(draw(st.integers(1, 3))):
+            items.append(((a, b), draw(st.sampled_from(_EVEN_PAIRS))))
     return n, _gates(n, items)
 
 
 @example(circuit=(4, _ring_layers(4, 2)), n_rows=3, n_settings=3, parity=0, seed=1)
 @example(circuit=(5, _ring_layers(5)), n_rows=9, n_settings=2, parity=1, seed=2)
-@example(  # a wide gate off the top qubit between two half stretches
+@example(  # on-site Zs on qubits 0 and n-1 alone, the wrap and top bonds, a non-adjacent bond
+    circuit=(5, _gates(5, [((0,), "Z"), ((4,), "Z"), ((0, 4), "XY"), ((0, 4), "YY"),
+                           ((3, 4), "ZZ"), ((3, 4), "YX"), ((1, 3), "XX"), ((4,), "Z")])),
+    n_rows=1, n_settings=1, parity=1, seed=3,
+)
+@example(  # a wide gate between bonds: the circuit runs on the full state
     circuit=(5, _gates(5, [((0, 1), "XX"), ((1, 2), "YY"), ((0, 1, 2, 3), "XZYZ"),
                            ((1, 2), "ZZ"), ((2, 3), "XY")])),
-    n_rows=1, n_settings=1, parity=0, seed=3,
+    n_rows=2, n_settings=1, parity=0, seed=4,
 )
 @given(
     circuit=sector_circuits(),
@@ -407,55 +433,97 @@ def sector_circuits(draw):
 def test_sector_program_matches_the_full_program_and_the_oracle(
     circuit, n_rows, n_settings, parity, seed
 ):
-    # the program compiled for the start state's parity gives the bits of
-    # the same circuit compiled with parity None, the path every other
-    # input takes, and both follow the gate-by-gate gather oracle
+    # the program compiled for the start state's parity runs every block
+    # in the parity frame and gives the bits of the same circuit compiled
+    # with parity None, the path every other input takes; both follow the
+    # gate-by-gate gather oracle
     n, letters = circuit
     r = np.random.default_rng(seed)
     dim = 1 << n
     table = r.uniform(-4 * np.pi, 4 * np.pi, (len(letters), n_settings))
     idx = r.integers(0, n_settings, (n_rows, len(letters))).astype(np.int8)
-    in_sector = (np.bitwise_count(np.arange(dim)) & 1) == parity
-    noise = r.standard_normal((dim, n_rows)) + 1j * r.standard_normal((dim, n_rows))
-    start = np.where(in_sector[:, None], noise, 0.0)
+    start = _sector_start(r, n, n_rows, parity)
     assert statevector._parity(start[:, 0]) == parity
     generators = [PauliString(g) for g in letters]
     sector = statevector._compile_blocks(generators, table, parity)
     full = statevector._compile_blocks(generators, table, None)
     assert full.sector is None
-    halves = [half for _, _, half in sector.steps]
-    assert sector.sector == (parity if any(halves) else None)
-    # the sector is taken only where it counts fewer amplitude updates
-    if any(halves):
-        assert statevector._amp_updates(sector) < statevector._amp_updates(full)
-    else:
-        assert statevector._amp_updates(sector) == statevector._amp_updates(full)
+    wide = any(len(g) - g.count("I") > 2 for g in letters)
+    assert sector.sector == (None if wide else parity)
+    # a gate on three qubits or more sends the circuit to the full state;
+    # otherwise the same blocks run on the half, between one entry pass of
+    # the half and one exit pass of the full state
+    passes = sum(statevector._passes(kernel) for kernel, _ in full.steps)
+    want_updates = passes * dim if wide else (1 + passes) * (dim >> 1) + dim
+    assert statevector._amp_updates(sector) == want_updates
     results = []
     for program in (sector, full):
-        state, spare = start.copy(), np.empty_like(start)
+        got, free, buffers = _run_in_frame(program, start, idx)
         # the half state lives in the chunk's two buffers, which come back
-        got, free = statevector._run_program(program, state, idx, spare)
-        assert {id(got), id(free)} == {id(state), id(spare)}
+        assert {id(got), id(free)} == {id(b) for b in buffers}
         results.append(got)
     assert np.array_equal(_bits(results[0]), _bits(results[1]))
+    if sector.sector is not None:  # the other sector is +0.0
+        assert not _bits(results[0])[(np.bitwise_count(np.arange(dim)) & 1) != parity].any()
     want = start.T.copy()
     for j, g in enumerate(letters):
         want = oracles.gather_rotate_batch(want, g, table[j, idx[:, j]])
     np.testing.assert_allclose(results[0].T, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n, sector, full", [(4, 11, 12), (8, 17, 24), (12, 23, 36)])
-def test_ring_layers_count_one_round_trip_each(n, sector, full):
-    # per ring layer, n - 2 bond blocks run on the half (3 half passes
-    # each) and the bonds (n-2, n-1) and (n-1, 0), adjacent in the plan,
-    # run on the full state between one compress and one expand
+@given(
+    n=st.integers(2, 7),
+    sector=st.integers(0, 1),
+    n_settings=st.integers(1, 3),
+    n_rows=st.integers(1, 5),
+    data=st.data(),
+)
+@settings(max_examples=100)
+def test_frame_map_is_a_bijection_and_frame_kernels_apply_the_block(
+    n, sector, n_settings, n_rows, data
+):
+    # the frame index map is a bijection from the half state onto the
+    # sector, and a random block of even X/Y weight, run in the frame,
+    # applies its dense unitary to every in-sector column
+    dim, half = 1 << n, 1 << (n - 1)
+    enter, leave = statevector._frame_index(n, sector)
+    parities = np.bitwise_count(np.arange(dim)) & 1
+    assert np.array_equal(np.sort(enter), np.flatnonzero(parities == sector))
+    assert np.array_equal(leave[enter], np.arange(half))
+    assert (leave[parities != sector] == half).all()
+    a = data.draw(st.integers(0, n - 1))
+    b = data.draw(st.sampled_from([None, *range(a + 1, n)]))
+    support = (a,) if b is None else (a, b)
+    local = st.just("Z") if b is None else st.sampled_from(_EVEN_PAIRS)
+    items = [(support, data.draw(local)) for _ in range(data.draw(st.integers(1, 6)))]
+    letters = _gates(n, items)
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = r.uniform(-4 * np.pi, 4 * np.pi, (len(letters), n_settings))
+    idx = r.integers(0, n_settings, (n_rows, len(letters))).astype(np.int8)
+    program = statevector._compile_blocks([PauliString(g) for g in letters], table, sector)
+    assert program.sector == sector and len(program.steps) == 1
+    start = _sector_start(r, n, n_rows, sector)
+    got, _, _ = _run_in_frame(program, start, idx)
+    for v in range(n_rows):
+        unitary = np.eye(dim)
+        for j, g in enumerate(letters):
+            unitary = oracles.rotation_matrix(g, table[j, idx[v, j]]) @ unitary
+        np.testing.assert_allclose(got[:, v], unitary @ start[:, v], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, half, full", [(4, 6, 12), (8, 12, 24), (12, 18, 36)])
+def test_ring_layers_run_every_block_on_the_half(n, half, full):
+    # per ring layer, the n bond blocks, the wrap and top bonds included,
+    # make 3 passes each over the half state: 3n/2 full-state passes
+    # against 3n; the program adds one entry pass of the half and one exit
+    # pass of the full state
     letters = _ring_layers(n, 2)
     generators = [PauliString(g) for g in letters]
     table = np.full((len(letters), 1), 0.1)
     dim = 1 << n
     program = statevector._compile_blocks(generators, table, 0)
-    assert [half for _, _, half in program.steps] == ([True] * (n - 2) + [False] * 2) * 2
-    assert statevector._amp_updates(program) == 2 * sector * dim
+    assert program.sector == 0 and len(program.steps) == 2 * n
+    assert statevector._amp_updates(program) == 2 * half * dim + dim // 2 + dim
     none = statevector._compile_blocks(generators, table, None)
     assert statevector._amp_updates(none) == 2 * full * dim
 
@@ -467,7 +535,7 @@ def test_sector_is_refused_where_it_cannot_hold_or_help():
     table = np.full((len(letters), 2), 0.3)
     assert statevector._compile_blocks(generators[:-1], table[:-1], 0).sector == 0
     odd = statevector._compile_blocks(generators, table, 0)
-    assert odd.sector is None and not any(half for _, _, half in odd.steps)
+    assert odd.sector is None
     # one nonzero amplitude in the other sector: no parity to compile for
     amps = np.zeros(16, dtype=np.complex128)
     amps[[0, 3, 5]] = 0.5
@@ -475,15 +543,20 @@ def test_sector_is_refused_where_it_cannot_hold_or_help():
     amps[7] = 1e-300
     assert statevector._parity(amps) is None
     assert statevector._parity(np.zeros(16)) is None
-    # three qubits: the one bond off the top qubit makes 3 half passes
-    # against a round trip of 4, so the count does not fall
+    # a gate on three qubits keeps the sector, but the frame has no kernel
+    # for it, so the whole circuit runs on the full state; the three-qubit
+    # ring alone runs in the frame, 3 * 3 half passes per layer and the
+    # entry and exit against 9 full passes
     letters = _ring_layers(3, 2)
     generators = [PauliString(g) for g in letters]
     table = np.full((len(letters), 3), 0.2)
     three = statevector._compile_blocks(generators, table, 1)
-    assert three.sector is None
-    none = statevector._compile_blocks(generators, table, None)
-    assert statevector._amp_updates(three) == statevector._amp_updates(none) == 2 * 9 * 8
+    assert three.sector == 1
+    assert statevector._amp_updates(three) == (2 * 9 + 1) * 4 + 8 < 2 * 9 * 8
+    wide = statevector._compile_blocks(generators + [PauliString("XYZ")], np.full((len(letters) + 1, 3), 0.2), 1)
+    none = statevector._compile_blocks(generators + [PauliString("XYZ")], np.full((len(letters) + 1, 3), 0.2), None)
+    assert wide.sector is None
+    assert statevector._amp_updates(wide) == statevector._amp_updates(none) == (2 * 9 + 4) * 8
 
 
 @pytest.mark.parametrize("letters", ["X", "ZY", "XIZ", "YXZY"])
@@ -565,7 +638,7 @@ def test_spin_ring_blocks_are_sites_and_bond_triples():
         circuit = neel_prep_circuit(n) + trotter_circuit(
             spin_ring(n, 0.3, 11), TrotterSpec(1.0, layers)
         )
-        plan, _ = statevector._block_plan(tuple(g.letters for g, _ in circuit))
+        plan = statevector._block_plan(tuple(g.letters for g, _ in circuit))
         return len(circuit), len(plan), plan
 
     # the trotter, fidelity and rms workloads' circuits: each on-site Z
@@ -577,11 +650,11 @@ def test_spin_ring_blocks_are_sites_and_bond_triples():
     _, _, plan = blocks(4, 1)
     # two Neel X, then the bonds (0, 1), (1, 2), (2, 3) and (3, 0), the
     # first with the Z of qubits 0 and 1 before it
-    assert [len(gates) for gates, _, _ in plan] == [1, 1, 5, 4, 4, 3]
+    assert [len(gates) for gates, _, _, _ in plan] == [1, 1, 5, 4, 4, 3]
     assert plan[2][0] == (2, 3, 6, 7, 8)
     assert plan[2][1] == ("ZI", "IZ", "XX", "YY", "ZZ")
     # a bond block touches 8 of its 16 entries: two flips of 4 rows each
-    _, flips, table_shape, diagonal = plan[2][2]
+    _, flips, table_shape, diagonal, _ = statevector._block_kernel(4, *plan[2][2:])
     assert table_shape[0] == 2 and len(flips) == 2 and not diagonal
     # the 27 combinations of a bond triple at three settings per gate
     entries = statevector._block_table(plan[-1][1], ((0.1, 0.2, 0.3),) * 3)
@@ -602,7 +675,7 @@ def test_long_plans_are_not_cached():
     short = ("XI", "ZZ") * 1024
     assert statevector._plan(short) is statevector._plan(short)
     long = short + ("IY",)
-    assert len(statevector._plan(long)[0]) == 2049
+    assert len(statevector._plan(long)) == 2049
     assert statevector._block_plan.cache_info().currsize == 1
 
 
