@@ -29,9 +29,9 @@ looked up included, so a chunk only sums its variants' combination codes
 and runs the blocks.  The leading gates that take setting 0 in every
 variant, such as the Neel X at pi, run once on one row, checkpoints inside
 them included, and their state starts every chunk.  That state is exact,
-so when every later gate keeps its parity sector the chunk runs on half
-the amplitudes, in the parity frame, from its start to the end of the
-segment (see :mod:`pai.statevector`).
+so when every later gate keeps its parity sector the circuit runs, and its
+terms and overlaps are read, on half the amplitudes, in the parity frame
+(see :mod:`pai.statevector`), in chunks of twice the rows.
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -57,10 +57,11 @@ from .rng import chunk_uniforms, stream
 from .statevector import (
     Observable,
     PauliString,
-    Statevector,
     _as_observable,
+    _column_sums,
     _compile_blocks,
-    _enter_frame,
+    _frame_expectations,
+    _frame_index,
     _parity,
     _run_program,
     batch_expectation,
@@ -178,28 +179,25 @@ def _require_pauli(observable) -> PauliString:
     return observable
 
 
-def _auto_chunk(dim: int) -> int:
-    # a chunk's (dim, V) complex buffer holds at most 2^15 amplitudes
-    # (512 KiB), so the state, the spare and the block tables stay in a
-    # 2 MiB L2 through every block: 2,048 rows at 4 qubits or fewer, 128 at
-    # 8, 8 at 12 and one row from 15 qubits up.  On trotter's 8-qubit
-    # circuit a row costs 95-125 us at 128 rows against 144-165 us at 2,048,
-    # where each buffer is 8 MiB.  A chunk's blocks are compiled once per
-    # circuit, so a narrow chunk pays only a few numpy calls per block.
-    # A program in the parity frame runs in the first halves of these two
-    # buffers and leaves the frame into one of them, so the budget holds
-    return max(1, min(2048, (1 << 15) // dim))
+def _auto_chunk(size: int) -> int:
+    # a chunk's (size, V) complex buffer, size the length of the state the
+    # circuit runs on, holds at most 2^15 amplitudes (512 KiB), so both
+    # buffers and the block tables stay in a 2 MiB L2 through every block.
+    # In the parity frame, size 2^(n-1), that is 2,048 rows at 4 qubits or
+    # fewer, 256 at 8, 16 at 12 and one from 16 qubits up.  At 2,048 rows
+    # trotter's 8-qubit rows cost 1.2-1.7x more, each buffer 8 MiB
+    return max(1, min(2048, (1 << 15) // size))
 
 
 def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> list:
-    """``worker(lo, hi)`` over the chunks of ``n_variants`` variants on
-    ``num_qubits`` qubits, spread over ``threads`` threads; results keep
-    chunk order, and the chunk bounds never depend on ``threads``."""
-    bounds = _chunk_bounds(n_variants, _auto_chunk(1 << num_qubits))
+def _map_variants(worker, n_variants: int, circuit: "_SettingCircuit", threads: int) -> list:
+    """``worker(lo, hi)`` over the chunks of ``n_variants`` variants of
+    ``circuit``, spread over ``threads`` threads; results keep chunk order,
+    and the chunk bounds never depend on ``threads``."""
+    bounds = _chunk_bounds(n_variants, _auto_chunk(circuit.initial.shape[0]))
     if threads <= 1 or len(bounds) <= 1:
         return [worker(lo, hi) for lo, hi in bounds]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -208,53 +206,34 @@ def _map_variants(worker, n_variants: int, num_qubits: int, threads: int) -> lis
 
 def _chunk_buffers(n_rows: int, circuit: "_SettingCircuit"):
     """``(state, spare)`` for one chunk of ``n_rows`` variants of
-    ``circuit``: C-contiguous ``(dim, V)`` buffers, so the kernel's inner
-    loops run over the variants, every column of the state starting as
-    ``circuit.initial`` in its first rows."""
-    state = np.empty((1 << circuit.num_qubits, n_rows), dtype=np.complex128)
-    state[: circuit.initial.shape[0]] = circuit.initial[:, None]
+    ``circuit``: C-contiguous ``(size, V)`` buffers, ``size`` the length of
+    ``circuit.initial``, so the kernel's inner loops run over the variants,
+    every column of the state starting as ``circuit.initial``."""
+    state = np.repeat(circuit.initial[:, None], n_rows, axis=1)
     return state, np.empty_like(state)
-
-
-def _as_rows(state: np.ndarray, buffer: np.ndarray) -> np.ndarray:
-    """Copy a ``(dim, V)`` state into ``buffer``'s memory as the C-ordered
-    ``(V, dim)`` batch that expectation and overlap code reads."""
-    rows = buffer.reshape(state.shape[::-1])
-    np.copyto(rows, state.T)
-    return rows
-
-
-def _row_dots(rows: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    """``rows @ vector``, each row's bits independent of the row count:
-    numpy hands a one-row product to BLAS dot, whose summation order
-    differs from the gemv that serves two rows or more, so one row goes
-    through as two."""
-    if rows.shape[0] == 1:
-        return (np.concatenate([rows, rows]) @ vector)[:1]
-    return rows @ vector
 
 
 @dataclass(frozen=True)
 class _SettingCircuit:
-    """A circuit on ``num_qubits`` qubits whose gate ``j`` runs at angle
-    ``table[j, s]`` in a variant that draws setting ``s``.  Its first
-    ``start`` gates take setting 0 in every variant, so they run once:
-    ``initial`` is the state they make from ``|0...0>``, in the parity
-    frame when the first segment runs in one, and ``shared`` holds the
-    state at each cut inside that prefix, in cut order, which every variant
-    shares.  The rest run in ``segments``, ``(lo, hi, program)`` per later
-    cut: gates ``lo`` to ``hi - 1`` compiled once by
+    """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
+    variant that draws setting ``s``.  Its first ``start`` gates take
+    setting 0 in every variant, so they run once: ``initial`` is the state
+    they make from ``|0...0>``, in the parity frame of ``sector`` (``None``:
+    the full state), and ``shared`` the full state at each cut inside that
+    prefix, in cut order, which every variant shares.  The rest run in
+    ``segments``, ``(lo, hi, program)`` per later cut: the gates from
+    ``lo`` up to ``hi``, compiled once, in that frame, by
     :func:`pai.statevector._compile_blocks`."""
 
-    num_qubits: int
     start: int
     initial: np.ndarray
     shared: tuple
     segments: tuple
+    sector: int | None
 
 
 def _setting_circuit(
-    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None
+    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None, frame=None
 ) -> _SettingCircuit:
     """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
     setting angles ``table``, in segments that end at each of the ascending
@@ -265,10 +244,10 @@ def _setting_circuit(
     one row, through :func:`rotate_batch`, which takes an angle at a
     multiple of pi exactly, so the Neel state has one nonzero amplitude.
     The prefix runs across cuts: a cut inside it is read once, on that
-    row.  Each segment is compiled with the exact parity of the prefix
-    state (:func:`pai.statevector._parity`) while every segment before it
-    runs in that parity's frame, so no gate that flips the parity has run;
-    the prefix state enters the first segment's frame here, once.
+    row.  Every segment is compiled in the frame of the exact parity of
+    the prefix state (:func:`pai.statevector._parity`), or of the sector of
+    the circuit ``frame`` when given, if all of them can keep it, and on
+    the full state otherwise; the prefix state enters the frame here, once.
     """
     cuts = [len(generators)] if cuts is None else list(cuts)
     amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
@@ -282,15 +261,15 @@ def _setting_circuit(
         if start < cut:
             break
         shared.append(amps[0])
-    parity = _parity(amps[0])
-    segments = []
-    for lo, hi in zip([start, *cuts[len(shared) :]], cuts[len(shared) :]):
-        segments.append((lo, hi, _compile_blocks(generators[lo:hi], table[lo:hi], parity)))
-        parity = segments[-1][2].sector
-    initial = amps[0]
-    if segments and segments[0][2].sector is not None:
-        initial = _enter_frame(segments[0][2].sector, initial)
-    return _SettingCircuit(num_qubits, start, initial, tuple(shared), tuple(segments))
+    sector = _parity(amps[0]) if frame is None else frame.sector
+    bounds = list(zip([start, *cuts[len(shared) :]], cuts[len(shared) :]))
+    programs = [_compile_blocks(generators[lo:hi], table[lo:hi], sector) for lo, hi in bounds]
+    if sector is not None and any(program.sector is None for program in programs):
+        sector = None  # a gate flips the parity or acts on three qubits or more
+        programs = [_compile_blocks(generators[lo:hi], table[lo:hi]) for lo, hi in bounds]
+    initial = amps[0] if sector is None else amps[0][_frame_index(num_qubits, sector)]
+    segments = tuple((lo, hi, program) for (lo, hi), program in zip(bounds, programs))
+    return _SettingCircuit(start, initial, tuple(shared), segments, sector)
 
 
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
@@ -304,28 +283,24 @@ def _segment_states(circuit: _SettingCircuit, settings: np.ndarray):
     """Run one chunk of ``circuit`` at the ``(V, nu)`` setting indices
     ``settings`` in the buffers of :func:`_chunk_buffers`, yielding
     ``(state, free)`` after each segment (or once, at the start, when there
-    is none): the full ``(dim, V)`` state and the other buffer, free for the
-    caller.  A segment in the parity frame after the first enters it from
-    the full state."""
+    is none): the ``(size, V)`` state, in the circuit's frame, and the
+    other buffer, free for the caller."""
     state, spare = _chunk_buffers(settings.shape[0], circuit)
     if not circuit.segments:
         yield state, spare
-    for i, (lo, hi, program) in enumerate(circuit.segments):
-        if i and program.sector is not None:
-            _enter_frame(program.sector, state, out=spare[: state.shape[0] >> 1])
-            state, spare = spare, state
+    for lo, hi, program in circuit.segments:
         state, spare = _run_program(program, state, settings[:, lo:hi], spare)
         yield state, spare
 
 
-def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray) -> np.ndarray:
+def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray, terms) -> np.ndarray:
     """Run one realized circuit per row of ``angles``, the ``(V, nu)``
     setting indices: variant ``v`` runs gate ``j`` at its setting
-    ``angles[v, j]``.  Returns the C-ordered ``(V, dim)`` amplitude
-    batch."""
+    ``angles[v, j]``.  Returns the ``(V, T)`` term expectations of
+    ``terms``, coefficients not applied, read in the circuit's frame."""
     for state, spare in _segment_states(circuit, angles):
         pass
-    return _as_rows(state, spare)
+    return _frame_expectations(state, terms, circuit.sector, spare)
 
 
 def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=None):
@@ -361,11 +336,11 @@ def _pai_draws(dec, num_qubits, terms, n_variants, shots, master_seed, key, thre
     def worker(lo: int, hi: int):
         u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots)
         settings, signs = settings_from_uniforms(dec, u)
-        evs = term_expectations(_simulate_variants(circuit, settings), terms)
+        evs = _simulate_variants(circuit, settings, terms)
         u_shots = u_shots.reshape(hi - lo, n_terms, shots)
         return reduce(lo, hi, signs, _outcomes(u_shots, evs[:, :, None]))
 
-    return _map_variants(worker, n_variants, num_qubits, threads)
+    return _map_variants(worker, n_variants, circuit, threads)
 
 
 def _term_sum(outcomes: np.ndarray, terms) -> np.ndarray:
@@ -516,6 +491,7 @@ def exact_pai_expectation(
     if nu == 0:
         return continuous_expectation([], observable)
     cols = np.arange(nu)
+    terms = _as_observable(observable).terms
     # every variant is enumerated, so no gate is fixed
     variants = _setting_circuit(dec.generators, dec.setting_angles, [False] * nu, n)
 
@@ -524,12 +500,11 @@ def exact_pai_expectation(
         idx = np.stack(np.unravel_index(np.arange(lo, hi), (3,) * nu), axis=-1)
         idx = idx.astype(np.int8)
         weights = dec.gammas[cols, idx].prod(axis=1)
-        amps = _simulate_variants(variants, idx)
-        return float(weights @ batch_expectation(amps, observable))
+        return float(weights @ _term_sum(_simulate_variants(variants, idx, terms), terms))
 
     # a plain loop keeps chunk-order addition; sum() compensates from 3.12
     total = 0.0
-    for part in _map_variants(worker, 3**nu, n, 1):
+    for part in _map_variants(worker, 3**nu, variants, 1):
         total += part
     return total
 
@@ -574,45 +549,39 @@ def two_notch_fidelity_profile(
         if g.num_qubits != n:
             raise ValueError("circuit generators act on differing qubit counts")
 
-    pos = locate(grid, np.array([angle for _, angle in circuit], dtype=np.float64))
+    angles = np.array([angle for _, angle in circuit], dtype=np.float64)
+    pos = locate(grid, angles)
     # setting 0 is the lower notch, taken below the threshold 1 - lam
     table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
     thresholds = 1.0 - pos.lam
     # a gate on a notch always takes its lower one; that prefix runs once,
     # checkpoints inside it included, and each later checkpoint ends a
     # segment, so no block crosses a checkpoint
-    variants = _setting_circuit(generators, table, thresholds >= 1.0, n, cuts=cps)
-
-    # run_circuit never writes to the amplitudes of ``initial``, so the
-    # checkpoint states need no copies
-    ideal = {}
-    state = Statevector.zero(n)
-    lo = 0
-    for cp in cps:
-        state = run_circuit(circuit[lo:cp], n, initial=state)
-        ideal[cp] = state.amps
-        lo = cp
+    fixed = thresholds >= 1.0
+    variants = _setting_circuit(generators, table, fixed, n, cuts=cps)
+    # the ideal states, at the continuous angles, run once on one row with
+    # the same prefix and cuts, in the variants' frame: every gate keeps the
+    # sector, so the frame holds all of an ideal state that a variant sees
+    ideal = _setting_circuit(generators, angles[:, None], fixed, n, cuts=cps, frame=variants)
+    states = zip(ideal.segments, _segment_states(ideal, np.zeros((1, nu), dtype=np.int8)))
+    ideal_conj = [np.conj(state[:, 0]) for _, (state, _) in states]
     # a checkpoint inside the prefix is read once, on the row every
     # variant shares
-    shared = [
-        np.abs(_row_dots(row[None, :], np.conj(ideal[cp]))) ** 2
-        for row, cp in zip(variants.shared, cps)
-    ]
+    shared = [abs(np.vdot(want, row)) ** 2 for want, row in zip(ideal.shared, variants.shared)]
 
     def worker(lo_v: int, hi_v: int):
-        count = hi_v - lo_v
         u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
         settings = (u >= thresholds).astype(np.int8)
-        fid = np.empty((count, len(cps)))
-        for m, value in enumerate(shared):
-            fid[:, m] = value
-        states = zip(variants.segments, _segment_states(variants, settings))
-        for m, ((_, cp, _), (state, spare)) in enumerate(states, len(shared)):
-            # spare is free between segments; it holds the checkpoint rows
-            fid[:, m] = np.abs(_row_dots(_as_rows(state, spare), np.conj(ideal[cp]))) ** 2
+        fid = np.empty((hi_v - lo_v, len(cps)))
+        fid[:, : len(shared)] = shared
+        states = zip(ideal_conj, _segment_states(variants, settings))
+        for m, (want, (state, spare)) in enumerate(states, len(shared)):
+            # spare is free between segments; it holds the products
+            np.multiply(state, want[:, None], out=spare)
+            fid[:, m] = np.abs(_column_sums(spare)) ** 2
         return fid
 
-    fids = np.concatenate(_map_variants(worker, n_variants, n, threads), axis=0)
+    fids = np.concatenate(_map_variants(worker, n_variants, variants, threads), axis=0)
     points = []
     for m, cp in enumerate(cps):
         col = fids[:, m]

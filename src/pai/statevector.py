@@ -67,11 +67,11 @@ at frame bits ``a-1, a, b-1, b``; its table is the block's table with the
 rows gathered, the same numbers in the same products, so the amplitudes
 keep their bits.  The full state is the identity frame of the same
 builder, :func:`_block_kernel`.  The start state enters the frame by one
-gather (:func:`_enter_frame`), and the program leaves it by one gather
-that writes the full state, the other sector +0.0: a ring layer makes 12
-full-state passes against 24 at 8 qubits.  A circuit with a gate that
-flips the parity or acts on three qubits or more runs on the full state,
-as :func:`run_batch` does.
+gather (:func:`_frame_index`) and never leaves it: a ring layer makes 12
+full-state passes against 24 at 8 qubits, and each term is read as its
+frame Pauli string on the half state (:func:`_frame_expectations`).  A
+circuit with a gate that flips the parity or acts on three qubits or more
+runs on the full state, as :func:`run_batch` does.
 """
 
 from __future__ import annotations
@@ -224,10 +224,10 @@ def _apply_pauli(
     return out
 
 
-def _pauli_phase_vector(pauli: PauliString) -> np.ndarray:
-    """All ``2**n`` phases of ``G`` as one contiguous complex vector; for a
-    diagonal ``G`` its real part is the diagonal."""
-    sizes, _, phase = _pauli_view(pauli.letters)
+def _pauli_phase_vector(letters: str) -> np.ndarray:
+    """All ``2**n`` phases of the string ``letters`` as one contiguous
+    complex vector; for a diagonal string its real part is the diagonal."""
+    sizes, _, phase = _pauli_view(letters)
     vec = np.empty(sizes, dtype=np.complex128)
     vec[...] = phase[0]
     return vec.reshape(-1)
@@ -548,27 +548,14 @@ def _parity(amps: np.ndarray) -> int | None:
 
 
 @lru_cache(maxsize=8)
-def _frame_index(num_qubits: int, sector: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(enter, leave)`` of the parity frame of ``sector``: ``enter[x]``
-    is the full index of half-state index ``x``, and ``leave[c]`` the
-    half-state index of full index ``c``, or ``dim / 2`` in the other
-    sector.  Read-only; 192 MiB at 24 qubits, so the cache holds few."""
+def _frame_index(num_qubits: int, sector: int) -> np.ndarray:
+    """Entry ``x`` is the full index of half-state index ``x`` in the parity
+    frame of ``sector``.  Read-only; 64 MiB at 24 qubits, so few fit."""
     bits = num_qubits - 1
     y = np.arange(1 << bits) | sector << bits
     enter = (y ^ y << 1) & ((2 << bits) - 1)  # b_q = b'_{q-1} ^ b'_q
-    x = np.arange(2 << bits)
-    for k in (1, 2, 4, 8, 16):  # b'_j = b_0 ^ ... ^ b_j
-        x ^= x << k
-    leave = np.where(x >> bits & 1 == sector, x & ((1 << bits) - 1), 1 << bits)
-    enter.flags.writeable = leave.flags.writeable = False
-    return enter, leave
-
-
-def _enter_frame(sector: int, amps: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The ``(dim,)`` state or ``(dim, V)`` chunk ``amps`` in the parity
-    frame of its ``sector``, written to ``out`` when given."""
-    enter, _ = _frame_index(amps.shape[0].bit_length() - 1, sector)
-    return np.take(amps, enter, axis=0, out=out, mode="clip")
+    enter.flags.writeable = False
+    return enter
 
 
 def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) -> _BlockProgram:
@@ -609,7 +596,7 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
         rows = max(rows, entries.shape[0])
         steps.append((kernel, entries))
     order, starts = np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
-    weights = np.array(weights, dtype=np.intp)[:, None]
+    weights = np.array(weights, dtype=np.int16)[:, None]  # codes < 3**6 = 729
     return _BlockProgram(n, n_settings, tuple(steps), order, starts, weights, rows, parity)
 
 
@@ -622,12 +609,9 @@ def _passes(kernel) -> int:
 
 def _amp_updates(program: _BlockProgram) -> int:
     """Amplitude updates of one column through ``program``: every pass of
-    a block over its state, and in the parity frame the start state's
-    entry, a pass of the half state, and the exit, a pass of the full
-    state."""
-    dim = 1 << program.num_qubits
+    a block over its state, ``2**n`` amplitudes or half in a frame."""
     passes = sum(_passes(kernel) for kernel, _ in program.steps)
-    return passes * dim if program.sector is None else (1 + passes) * (dim >> 1) + dim
+    return passes << program.num_qubits >> (program.sector is not None)
 
 
 def _run_program(
@@ -636,12 +620,11 @@ def _run_program(
     """:func:`run_batch` of a compiled program: per chunk it only sums the
     combination codes, takes each block's columns and multiplies.
 
-    A program in a parity frame reads its start state, in the frame
-    (:func:`_enter_frame`), from the first ``dim / 2`` rows of ``state``,
-    runs every block on the first halves of the buffers and leaves the
-    frame by one gather that writes the full state, the other sector +0.0.
+    A program in a parity frame runs on ``(2**(n-1), V)`` buffers that
+    hold the half state of its frame (:func:`_frame_index`) and never
+    leaves it; :func:`_frame_expectations` reads the result.
     """
-    dim, n_rows = state.shape
+    size, n_rows = state.shape
     nu = program.order.size
     settings = np.asarray(settings)
     if n_rows < 1 or settings.shape != (n_rows, nu) or settings.dtype.kind not in "iu":
@@ -658,13 +641,13 @@ def _run_program(
         raise ValueError("run_batch needs C-contiguous (dim, V) buffers")
     if not nu:
         return state, spare
-    if dim != 1 << program.num_qubits:
+    if size != 1 << program.num_qubits >> (program.sector is not None):
         raise ValueError("circuit generators do not match the state dimension")
     # one combination code per block and variant, one contiguous row per block
-    codes = np.add.reduceat(settings.T[program.order] * program.weights, program.starts, axis=0)
+    weighted = np.multiply(settings.T[program.order], program.weights, dtype=np.int16)
+    codes = np.add.reduceat(weighted, program.starts, axis=0, dtype=np.int16)
     table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
     work = None
-    size = dim if program.sector is None else dim >> 1
     for (kernel, entries), code in zip(program.steps, codes):
         if kernel is None:  # a gate on more than two qubits
             generator, angles = entries
@@ -677,27 +660,22 @@ def _run_program(
         tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]], mode="clip")
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
-        src = state[:size].reshape(shape)
+        src = state.reshape(shape)
         if diagonal:  # one multiply in place
             np.multiply(src, tables[0], out=src)
             continue
-        out = spare[:size].reshape(shape)
+        out = spare.reshape(shape)
         np.multiply(src, tables[0], out=out)  # the identity flip comes first
         for f in range(1, len(flips) - 1):
             if work is None:
                 work = np.empty_like(state)
-            tmp = work[:size].reshape(shape)
+            tmp = work.reshape(shape)
             np.multiply(src[flips[f]], tables[f], out=tmp)
             out += tmp
         # the block no longer reads src, so the last flip scales it in
         # place: src * t[x ^ f], read at x ^ f, is t[x] * src[x ^ f]
         np.multiply(src, tables[-1][flips[-1]], out=src)
         out += src[flips[-1]]
-        state, spare = spare, state
-    if program.sector is not None:  # row dim / 2 is free: the zero row
-        state[size] = 0.0
-        _, leave = _frame_index(program.num_qubits, program.sector)
-        np.take(state[: size + 1], leave, axis=0, out=spare, mode="clip")
         state, spare = spare, state
     return state, spare
 
@@ -769,10 +747,63 @@ def term_expectations(amps: np.ndarray, terms) -> np.ndarray:
             # diagonal term: expectation is a signed sum of probabilities
             if probs is None:
                 probs = amps.real**2 + amps.imag**2
-            out[:, t] = probs @ _pauli_phase_vector(pauli).real
+            out[:, t] = probs @ _pauli_phase_vector(pauli.letters).real
         else:
             # <row|G|row> for each row
             out[:, t] = np.einsum("vi,vi->v", np.conj(amps), _apply_pauli(amps, pauli)).real
+    return out
+
+
+@lru_cache(maxsize=256)
+def _frame_term(letters: str, sector: int | None) -> tuple[str | None, int]:
+    """``(frame, sign)``: in the parity frame of ``sector`` the string
+    ``letters`` is ``sign`` times ``frame`` on the ``n - 1`` frame bits, or
+    ``frame`` is ``None`` where it flips the parity and reads 0; sector
+    ``None`` maps it to itself.  Flipping qubit ``q`` flips frame bits
+    ``q`` and up, a Z on ``q`` reads frame bits ``q - 1`` and ``q`` (the
+    top one the sector), and ``Y = iXZ`` on both sides: ``YY`` on qubits
+    ``k, k + 1`` becomes ``-Z'X'Z'``."""
+    if sector is None:
+        return letters, 1
+    n = len(letters)
+    flip = z = 0
+    for q, c in enumerate(letters):
+        flip ^= (1 << n) - (1 << q) if c in "XY" else 0
+        z ^= (3 << q >> 1) if c in "YZ" else 0  # frame bits q - 1 and q
+    if flip >> (n - 1) & 1:
+        return None, 0
+    frame = "".join("IXZY"[(flip >> j & 1) | (z >> j & 1) << 1] for j in range(n - 1))
+    turns = 2 * sector * (z >> (n - 1) & 1) + letters.count("Y") - frame.count("Y")
+    return frame, 1 - 2 * (turns // 2 % 2)
+
+
+def _column_sums(cols: np.ndarray) -> np.ndarray:
+    """Sum of each column of a ``(size, V)`` array, added row by row in
+    index order, so a column's bits never depend on ``V``: numpy sums a
+    lone column pairwise, so it is accumulated instead."""
+    return cols.cumsum(axis=0)[-1] if cols.shape[1] == 1 else cols.sum(axis=0)
+
+
+def _frame_expectations(state: np.ndarray, terms, sector, spare: np.ndarray) -> np.ndarray:
+    """:func:`term_expectations` of each column of the ``(size, V)`` state
+    of a program run in the frame of ``sector``, each term read as its
+    :func:`_frame_term`; ``spare``, a free buffer of that shape, is
+    overwritten."""
+    out = np.zeros((state.shape[1], len(terms)))
+    probs = None
+    for t, (_, pauli) in enumerate(terms):
+        letters, sign = _frame_term(pauli.letters, sector)
+        if letters is None:  # the term flips the parity: it reads 0
+            continue
+        if "X" in letters or "Y" in letters:  # <psi|G psi>, G psi in spare
+            _apply_pauli(state.T, PauliString(letters), out=spare.T)
+            spare *= state.conj()
+            cols = spare.real
+        else:  # a signed sum of probabilities
+            if probs is None:
+                probs = state.real**2 + state.imag**2
+            cols = probs * _pauli_phase_vector(letters).real[:, None]
+        out[:, t] = sign * _column_sums(cols)
     return out
 
 

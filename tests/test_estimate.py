@@ -140,11 +140,14 @@ def test_thread_count_never_changes_results():
 
 
 def test_chunk_rows_follow_the_cache_budget():
-    # at most 2**15 amplitudes per chunk buffer, at most 2,048 rows and at
-    # least one, so from 15 qubits up a chunk is one row
-    assert _auto_chunk(1 << 4) == 2048
+    # at most 2**15 amplitudes per chunk buffer of the state a circuit runs
+    # on, at most 2,048 rows and at least one: in the parity frame, on
+    # 2**(n-1) amplitudes, 2,048 rows at 4 qubits, 256 at 8 and 16 at 12;
+    # on the full state 128 at 8 qubits; one row from 2**15 amplitudes up
+    assert _auto_chunk(1 << 3) == _auto_chunk(1 << 4) == 2048
+    assert _auto_chunk(1 << 7) == 256
+    assert _auto_chunk(1 << 11) == 16
     assert _auto_chunk(1 << 8) == 128
-    assert _auto_chunk(1 << 12) == 8
     assert _auto_chunk(1 << 20) == 1
     for n in range(1, 25):
         dim = 1 << n
@@ -164,7 +167,7 @@ def _chunked_runs(threads: int):
     return banks, profile, rms
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 2048])
+@pytest.mark.parametrize("chunk", [1, 2, 7, 16, 2048])
 def test_chunk_size_never_changes_results(chunk, monkeypatch):
     want_banks, want_profile, want_rms = _chunked_runs(1)
     monkeypatch.setattr(pai.estimate, "_auto_chunk", lambda dim: chunk)
@@ -178,20 +181,24 @@ def test_chunk_size_never_changes_results(chunk, monkeypatch):
         assert rms == want_rms
 
 
-def _ring_profile(threads: int):
-    # 12 qubits: the Neel X gates and one Trotter layer, 54 gates; 20
-    # variants make three chunks of the auto chunk, 8 + 8 + 4 rows
+def _ring_circuit():
+    # 12 qubits: the Neel X gates and one Trotter layer, 54 gates
     from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
 
-    circuit = neel_prep_circuit(12) + trotter_circuit(
-        spin_ring(12, 0.3, 11), TrotterSpec(1.0, 1)
-    )
+    return neel_prep_circuit(12) + trotter_circuit(spin_ring(12, 0.3, 11), TrotterSpec(1.0, 1))
+
+
+def _ring_profile(threads: int):
     grid = NotchGrid.uniform(7)
-    return two_notch_fidelity_profile(grid, circuit, [6, 30, 54], 20, 7, threads=threads)
+    return two_notch_fidelity_profile(grid, _ring_circuit(), [6, 30, 54], 20, 7, threads=threads)
 
 
 def test_twelve_qubit_profile_never_depends_on_chunks_or_threads(monkeypatch):
-    assert _n_chunks(20, 12) == 3
+    # the profile runs in the parity frame, on 2**11 amplitudes, so 20
+    # variants make two chunks of the auto chunk, 16 + 4 rows
+    variants = _two_notch_circuit(NotchGrid.uniform(7), _ring_circuit(), [6, 30, 54])
+    assert variants.sector == 0 and variants.initial.shape == (2048,)
+    assert len(_chunk_bounds(20, _auto_chunk(2048))) == 2
     want = _ring_profile(1)
     assert [p.n_gates for p in want] == [6, 30, 54]
     assert _ring_profile(3) == want
@@ -237,14 +244,14 @@ def test_simulate_variants_matches_gate_by_gate_reference(rng):
     fixed = [True, True, False, True] + [False] * 8
     variants = _setting_circuit([g for g, _ in circuit], table, fixed, 4)
     assert variants.start == 2
-    got = _simulate_variants(variants, settings)
+    terms = tuple((1.0, PauliString(p)) for p in ("ZIII", "IXYI", "YZIX", "XXXX", "IIZZ"))
+    got = _simulate_variants(variants, settings, terms)
     want = np.zeros((37, 16), dtype=np.complex128)
     want[:, 0] = 1.0
     for j, (generator, _) in enumerate(circuit):
         angles = table[j, settings[:, j]]
         want = oracles.gather_rotate_batch(want, generator.letters, angles)
-    assert got.flags.c_contiguous
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, statevector.term_expectations(want, terms), rtol=0, atol=1e-12)
 
 
 def _quench(n, model_seed, total_time, layers):
@@ -284,17 +291,19 @@ def test_workload_prefix_states_are_exact(workload, n, bits, total_time, layers)
     assert all(program.sector == 0 for _, _, program in variants.segments)
 
 
-def test_segments_stay_in_the_frame_until_a_gate_flips_the_parity(rng):
-    # each segment re-enters the frame from the full state its predecessor
-    # left; a segment with an X on one qubit runs on the full state, and so
-    # does every later one; each segment's state follows the gather oracle
+def test_a_circuit_with_a_parity_flipping_gate_runs_every_segment_on_the_full_state(rng):
+    # one frame per circuit: an X on one qubit in the third segment sends
+    # every segment, the first two included, to the full state; each
+    # segment's state follows the gather oracle
     grid = NotchGrid.uniform(5)
     circuit = _quench(4, 5, 1.0, 3)
+    cps = [8, 14, 25, 32, len(circuit) + 1]
+    assert _two_notch_circuit(grid, circuit, cps[:-1] + [len(circuit)]).sector == 0
     circuit = circuit[:20] + [(PauliString("IXII"), 0.4)] + circuit[20:]
-    cps = [8, 14, 25, 32, len(circuit)]
     variants = _two_notch_circuit(grid, circuit, cps)
-    assert [program.sector for _, _, program in variants.segments] == [0, 0, None, None, None]
-    assert variants.initial.shape == (8,)
+    assert variants.sector is None
+    assert [program.sector for _, _, program in variants.segments] == [None] * 5
+    assert variants.initial.shape == (16,)
     settings = rng.integers(0, 2, (5, len(circuit))).astype(np.int8)
     settings[:, : variants.start] = 0
     pos = pai.estimate.locate(grid, np.array([angle for _, angle in circuit]))
@@ -308,6 +317,26 @@ def test_segments_stay_in_the_frame_until_a_gate_flips_the_parity(rng):
             want = oracles.gather_rotate_batch(want, circuit[j][0].letters, table[j, settings[:, j]])
         np.testing.assert_allclose(state.T, want, rtol=0, atol=1e-12)
         lo = cp
+
+
+def test_pauli_sum_banks_read_in_the_frame_match_the_full_state(monkeypatch):
+    # the vqe pai path: the ring Hamiltonian's Z, XX, YY and ZZ terms read
+    # on the half state of the parity frame give the outcomes of the same
+    # bank run and read on the full state, where each term is itself
+    from pai.models import spin_ring
+
+    grid = NotchGrid.uniform(5)
+    circuit = _quench(4, 3, 0.7, 2)
+    obs = spin_ring(4, 0.3, 3).observable()
+    assert {p.letters for _, p in obs.terms} >= {"XXII", "YYII", "ZZII", "ZIII", "XIIX"}
+    dec = decompose_circuit(grid, circuit)
+    assert pai.estimate._pai_circuit(dec, 4).sector == 0
+    frame = pai_shot_bank(grid, circuit, obs, 300, 4, 5, key=(3,))
+    monkeypatch.setattr(pai.estimate, "_parity", lambda amps: None)
+    assert pai.estimate._pai_circuit(dec, 4).sector is None
+    full = pai_shot_bank(grid, circuit, obs, 300, 4, 5, key=(3,))
+    np.testing.assert_array_equal(frame.outcomes, full.outcomes)
+    np.testing.assert_array_equal(frame.variant_signs, full.variant_signs)
 
 
 def test_checkpoints_inside_the_prefix_read_the_shared_row():

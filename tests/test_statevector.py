@@ -364,14 +364,26 @@ def _sector_start(r, n, n_rows, parity):
 
 
 def _run_in_frame(program, start, idx):
-    """``(result, free, buffers)``: ``start`` entered into the program's
-    frame, run and left."""
-    state, spare = start.copy(), np.empty_like(start)
-    if program.sector is not None:
-        statevector._enter_frame(program.sector, state, out=spare[: len(state) >> 1])
-        state, spare = spare, state
+    """``(result, free, buffers)``: the ``(dim, V)`` columns ``start``
+    entered into the program's frame and run there."""
+    state = start if program.sector is None else start[_enter(len(start), program.sector)]
+    state, spare = state.copy(), np.empty_like(state)
     got, free = statevector._run_program(program, state, idx, spare)
     return got, free, (state, spare)
+
+
+def _enter(dim, sector):
+    return statevector._frame_index(dim.bit_length() - 1, sector)
+
+
+def _full_state(program, got):
+    """The full ``(dim, V)`` state of a program's result, its other sector
+    +0.0."""
+    if program.sector is None:
+        return got
+    full = np.zeros((2 * len(got), got.shape[1]), dtype=np.complex128)
+    full[_enter(len(full), program.sector)] = got
+    return full
 
 
 @st.composite
@@ -451,20 +463,17 @@ def test_sector_program_matches_the_full_program_and_the_oracle(
     wide = any(len(g) - g.count("I") > 2 for g in letters)
     assert sector.sector == (None if wide else parity)
     # a gate on three qubits or more sends the circuit to the full state;
-    # otherwise the same blocks run on the half, between one entry pass of
-    # the half and one exit pass of the full state
+    # otherwise the same blocks run on the half
     passes = sum(statevector._passes(kernel) for kernel, _ in full.steps)
-    want_updates = passes * dim if wide else (1 + passes) * (dim >> 1) + dim
-    assert statevector._amp_updates(sector) == want_updates
+    assert statevector._amp_updates(sector) == passes * (dim if wide else dim >> 1)
     results = []
     for program in (sector, full):
         got, free, buffers = _run_in_frame(program, start, idx)
-        # the half state lives in the chunk's two buffers, which come back
+        # the state lives in the chunk's two buffers, which come back
         assert {id(got), id(free)} == {id(b) for b in buffers}
-        results.append(got)
+        assert got.shape == (dim >> (program.sector is not None), n_rows)
+        results.append(_full_state(program, got))
     assert np.array_equal(_bits(results[0]), _bits(results[1]))
-    if sector.sector is not None:  # the other sector is +0.0
-        assert not _bits(results[0])[(np.bitwise_count(np.arange(dim)) & 1) != parity].any()
     want = start.T.copy()
     for j, g in enumerate(letters):
         want = oracles.gather_rotate_batch(want, g, table[j, idx[:, j]])
@@ -485,12 +494,10 @@ def test_frame_map_is_a_bijection_and_frame_kernels_apply_the_block(
     # the frame index map is a bijection from the half state onto the
     # sector, and a random block of even X/Y weight, run in the frame,
     # applies its dense unitary to every in-sector column
-    dim, half = 1 << n, 1 << (n - 1)
-    enter, leave = statevector._frame_index(n, sector)
+    dim = 1 << n
+    enter = statevector._frame_index(n, sector)
     parities = np.bitwise_count(np.arange(dim)) & 1
     assert np.array_equal(np.sort(enter), np.flatnonzero(parities == sector))
-    assert np.array_equal(leave[enter], np.arange(half))
-    assert (leave[parities != sector] == half).all()
     a = data.draw(st.integers(0, n - 1))
     b = data.draw(st.sampled_from([None, *range(a + 1, n)]))
     support = (a,) if b is None else (a, b)
@@ -504,6 +511,7 @@ def test_frame_map_is_a_bijection_and_frame_kernels_apply_the_block(
     assert program.sector == sector and len(program.steps) == 1
     start = _sector_start(r, n, n_rows, sector)
     got, _, _ = _run_in_frame(program, start, idx)
+    got = _full_state(program, got)
     for v in range(n_rows):
         unitary = np.eye(dim)
         for j, g in enumerate(letters):
@@ -511,19 +519,69 @@ def test_frame_map_is_a_bijection_and_frame_kernels_apply_the_block(
         np.testing.assert_allclose(got[:, v], unitary @ start[:, v], rtol=0, atol=1e-12)
 
 
+@given(
+    letters=st.integers(2, 7).flatmap(lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)),
+    sector=st.integers(0, 1),
+    n_rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+def test_frame_terms_are_the_dense_conjugation_in_the_sector(letters, sector, n_rows, seed):
+    # conjugated by the frame permutation and restricted to the sector, a
+    # Pauli string is its frame string times its sign, and a string that
+    # flips the parity has no entry there and reads exactly 0; on the half
+    # state the frame reader gives the full-state expectations
+    n = len(letters)
+    enter = statevector._frame_index(n, sector)
+    in_frame = oracles.dense_pauli(letters)[np.ix_(enter, enter)]
+    frame, sign = statevector._frame_term(letters, sector)
+    assert statevector._frame_term(letters, None) == (letters, 1)
+    r = np.random.default_rng(seed)
+    start = _sector_start(r, n, n_rows, sector)
+    start /= np.linalg.norm(start, axis=0)
+    half = start[enter]
+    terms = ((0.5, PauliString(letters)),)
+    got = statevector._frame_expectations(half, terms, sector, np.empty_like(half))
+    if frame is None:
+        assert (letters.count("X") + letters.count("Y")) % 2
+        assert not in_frame.any()
+        assert np.array_equal(got, np.zeros((n_rows, 1)))
+        return
+    assert len(frame) == n - 1 and sign in (1, -1)
+    assert np.array_equal(in_frame, sign * oracles.dense_pauli(frame))
+    want = term_expectations(np.ascontiguousarray(start.T), terms)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    # each column's bits never depend on the other columns
+    for v in range(n_rows):
+        alone = statevector._frame_expectations(half[:, v : v + 1].copy(), terms, sector, half[:, :1].copy())
+        assert np.array_equal(alone, got[v : v + 1])
+
+
+@pytest.mark.parametrize("sector", [0, 1])
+def test_ring_terms_map_to_their_frame_strings(sector):
+    # Y_k Y_{k+1} -> -Z'_{k-1} X'_k Z'_{k+1}; at the top bond Z'_{n-1} is
+    # the sector, and the wrap bond flips every frame bit
+    assert statevector._frame_term("IYYI", sector) == ("ZXZ", -1)
+    assert statevector._frame_term("IIYY", sector) == ("IZX", -(-1) ** sector)
+    assert statevector._frame_term("XIIX", sector) == ("XXX", 1)
+    assert statevector._frame_term("ZIII", sector) == ("ZII", 1)
+    assert statevector._frame_term("IIIZ", sector) == ("IIZ", (-1) ** sector)
+    assert statevector._frame_term("ZZZZ", sector) == ("III", (-1) ** sector)
+    assert statevector._frame_term("IXII", sector) == (None, 0)
+
+
 @pytest.mark.parametrize("n, half, full", [(4, 6, 12), (8, 12, 24), (12, 18, 36)])
 def test_ring_layers_run_every_block_on_the_half(n, half, full):
     # per ring layer, the n bond blocks, the wrap and top bonds included,
     # make 3 passes each over the half state: 3n/2 full-state passes
-    # against 3n; the program adds one entry pass of the half and one exit
-    # pass of the full state
+    # against 3n, and the program never leaves the frame
     letters = _ring_layers(n, 2)
     generators = [PauliString(g) for g in letters]
     table = np.full((len(letters), 1), 0.1)
     dim = 1 << n
     program = statevector._compile_blocks(generators, table, 0)
     assert program.sector == 0 and len(program.steps) == 2 * n
-    assert statevector._amp_updates(program) == 2 * half * dim + dim // 2 + dim
+    assert statevector._amp_updates(program) == 2 * half * dim
     none = statevector._compile_blocks(generators, table, None)
     assert statevector._amp_updates(none) == 2 * full * dim
 
@@ -545,14 +603,14 @@ def test_sector_is_refused_where_it_cannot_hold_or_help():
     assert statevector._parity(np.zeros(16)) is None
     # a gate on three qubits keeps the sector, but the frame has no kernel
     # for it, so the whole circuit runs on the full state; the three-qubit
-    # ring alone runs in the frame, 3 * 3 half passes per layer and the
-    # entry and exit against 9 full passes
+    # ring alone runs in the frame, 3 * 3 half passes per layer against 9
+    # full passes
     letters = _ring_layers(3, 2)
     generators = [PauliString(g) for g in letters]
     table = np.full((len(letters), 3), 0.2)
     three = statevector._compile_blocks(generators, table, 1)
     assert three.sector == 1
-    assert statevector._amp_updates(three) == (2 * 9 + 1) * 4 + 8 < 2 * 9 * 8
+    assert statevector._amp_updates(three) == 2 * 9 * 4
     wide = statevector._compile_blocks(generators + [PauliString("XYZ")], np.full((len(letters) + 1, 3), 0.2), 1)
     none = statevector._compile_blocks(generators + [PauliString("XYZ")], np.full((len(letters) + 1, 3), 0.2), None)
     assert wide.sector is None
