@@ -517,6 +517,8 @@ def _cmd_fidelity(cfg: FidelityConfig, threads: int) -> int:
 
 
 def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
+    if len(set(cfg.shot_grid)) < 2:  # the log-log slope is fitted through them
+        raise ConfigError("need at least 2 distinct shot budgets")
     circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", 0, cfg.num_qubits)
     grid = _grid_from(cfg.bits)

@@ -60,11 +60,11 @@ from .statevector import (
     _as_observable,
     _column_sums,
     _compile_blocks,
-    _frame_expectations,
     _frame_index,
     _parity,
     _run_program,
-    batch_expectation,
+    _term_sum,
+    expectation,
     rotate_batch,
     run_circuit,
     term_expectations,
@@ -300,7 +300,7 @@ def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray, terms) -> n
     ``terms``, coefficients not applied, read in the circuit's frame."""
     for state, spare in _segment_states(circuit, angles):
         pass
-    return _frame_expectations(state, terms, circuit.sector, spare)
+    return term_expectations(state, terms, circuit.sector, spare)
 
 
 def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=None):
@@ -341,16 +341,6 @@ def _pai_draws(dec, num_qubits, terms, n_variants, shots, master_seed, key, thre
         return reduce(lo, hi, signs, _outcomes(u_shots, evs[:, :, None]))
 
     return _map_variants(worker, n_variants, circuit, threads)
-
-
-def _term_sum(outcomes: np.ndarray, terms) -> np.ndarray:
-    """``sum_t c_t * outcomes[:, t]`` over the ``(c_t, pauli)`` terms, added
-    in term order, so a shot's value never depends on its chunk."""
-    coeffs = [float(coeff) for coeff, _ in terms]
-    total = coeffs[0] * outcomes[:, 0]
-    for t in range(1, len(coeffs)):
-        total += coeffs[t] * outcomes[:, t]
-    return total
 
 
 def _circuit_qubits(circuit, observable) -> tuple[list, int]:
@@ -417,7 +407,7 @@ def _reference_bank(
         raise ValueError("n_shots must be positive")
     terms = _as_observable(observable).terms
     state = run_circuit(circuit, observable.num_qubits)
-    evs = term_expectations(state.amps[None, :], terms)
+    evs = term_expectations(state.amps[:, None], terms)
     u = stream(seed, *key).random((1, len(terms), n_shots))
     return ShotBank(
         outcomes=_term_sum(_outcomes(u, evs[:, :, None]), terms),
@@ -465,8 +455,7 @@ def continuous_expectation(
     circuit: Sequence[tuple[PauliString, float]], observable
 ) -> float:
     """Noise-free continuous-angle expectation (statevector evaluation)."""
-    state = run_circuit(list(circuit), observable.num_qubits)
-    return float(batch_expectation(state.amps[None, :], observable)[0])
+    return expectation(run_circuit(list(circuit), observable.num_qubits), observable)
 
 
 def exact_pai_expectation(

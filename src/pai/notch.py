@@ -27,6 +27,7 @@ scalars.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -97,11 +98,15 @@ class NotchGrid:
     def explicit(cls, angles) -> "NotchGrid":
         """Grid from a sorted list of angles in ``[0, 2*pi)``.
 
-        Requires at least 4 notches, strictly increasing, with every gap
-        (including the wrap-around gap) positive and at most ``pi/2``.
+        Requires at least 4 notches, each a real number (not a bool),
+        strictly increasing, with every gap (including the wrap-around gap)
+        positive and at most ``pi/2``.
         """
+        angles = list(angles)
+        if any(isinstance(a, bool) or not isinstance(a, numbers.Real) for a in angles):
+            raise ValueError("grid angles must be real numbers")
         arr = np.asarray(angles, dtype=np.float64)
-        if arr.ndim != 1 or arr.shape[0] < 4:
+        if arr.shape[0] < 4:
             raise ValueError("explicit grid needs at least 4 angles")
         if not np.all(np.isfinite(arr)):
             raise ValueError("grid angles must be finite")
@@ -113,7 +118,7 @@ class NotchGrid:
             raise ValueError("grid angles must be strictly increasing")
         if np.any(gaps > _MAX_SPACING) or wrap > _MAX_SPACING or wrap <= 0.0:
             raise ValueError("every notch spacing must be in (0, pi/2]")
-        return cls(bits=None, angles=arr.copy())
+        return cls(bits=None, angles=arr)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "NotchGrid":

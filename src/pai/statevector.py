@@ -23,14 +23,17 @@ a table of at most ``2**weight`` entries broadcast over the rest.  Adjacent
 qubits of the same kind share one longer axis, which keeps the view to a
 few dimensions.
 
-Batch kernels take ``(V, dim)`` arrays: row ``v`` is the state of variant
-``v``.  Any strides work; the transpose of a C-contiguous ``(dim, V)``
-buffer runs fastest, because every inner loop then runs over ``V``
-contiguous variants.  Expectation values are taken per term of an
-:class:`Observable` (:func:`term_expectations`); a lone Pauli string is
-the one-term observable ``1.0 * G``.
+The single-gate kernel :func:`rotate_batch` takes ``(V, dim)`` rows: row
+``v`` is the state of variant ``v``.  Any strides work; the transpose of a
+C-contiguous ``(dim, V)`` buffer runs fastest, because every inner loop
+then runs over ``V`` contiguous variants.  The circuit engine
+:func:`_run_program` and the term reader :func:`term_expectations` take
+that buffer itself, ``(size, V)`` columns, ``size`` the length of the
+state a program runs on.  Expectation values are read per term of an
+:class:`Observable`; a lone Pauli string is the one-term observable ``1.0
+* G``.
 
-Circuits run as fused blocks (:func:`run_batch`), in the manner of qsim's
+Circuits run as fused blocks (:func:`_run_program`), in the manner of qsim's
 gate fusion (Isakov et al., arXiv 2111.02396) with qulacs-style small-gate
 kernels (Suzuki et al., arXiv 2011.13524).  Each gate takes one of ``S``
 settings per variant: a ``(V, nu)`` array of setting indices picks each
@@ -68,10 +71,11 @@ rows gathered, the same numbers in the same products, so the amplitudes
 keep their bits.  The full state is the identity frame of the same
 builder, :func:`_block_kernel`.  The start state enters the frame by one
 gather (:func:`_frame_index`) and never leaves it: a ring layer makes 12
-full-state passes against 24 at 8 qubits, and each term is read as its
-frame Pauli string on the half state (:func:`_frame_expectations`).  A
-circuit with a gate that flips the parity or acts on three qubits or more
-runs on the full state, as :func:`run_batch` does.
+full-state passes against 24 at 8 qubits.  :func:`term_expectations` reads
+in either frame: a term as its frame Pauli string on the half state, or as
+itself on the full state.  A circuit with a gate that flips the parity or
+acts on three qubits or more runs on the full state, as
+:func:`run_circuit` does.
 """
 
 from __future__ import annotations
@@ -88,11 +92,9 @@ __all__ = [
     "Observable",
     "Statevector",
     "rotate_batch",
-    "run_batch",
     "run_circuit",
     "term_expectations",
     "expectation",
-    "batch_expectation",
     "fidelity",
 ]
 
@@ -617,12 +619,22 @@ def _amp_updates(program: _BlockProgram) -> int:
 def _run_program(
     program: _BlockProgram, state: np.ndarray, settings: np.ndarray, spare: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`run_batch` of a compiled program: per chunk it only sums the
-    combination codes, takes each block's columns and multiplies.
+    """Apply gate ``j`` of ``program`` at angle ``table[j, settings[v,
+    j]]``, ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
+    C-contiguous ``(size, V)`` chunk ``state``, in the fused blocks that
+    :func:`_compile_blocks` planned from ``generators`` and ``table`` (see
+    the module docstring).  Per chunk it only sums the combination codes,
+    takes each block's columns and multiplies.
 
-    A program in a parity frame runs on ``(2**(n-1), V)`` buffers that
-    hold the half state of its frame (:func:`_frame_index`) and never
-    leaves it; :func:`_frame_expectations` reads the result.
+    ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
+    1`` and entries in ``[0, S)``.  ``spare`` is a C-contiguous ``(size,
+    V)`` buffer that must not overlap ``state``.  The blocks overwrite both
+    in turn; returns ``(result, free)``, the buffer that holds the final
+    state and the other one.  A third ``(size, V)`` buffer is allocated
+    only for a block with more than two bit-flip patterns.  A program in a
+    parity frame runs on buffers that hold the ``2**(n-1)`` amplitudes of
+    its frame (:func:`_frame_index`) and never leaves it;
+    :func:`term_expectations` reads the result in that frame.
     """
     size, n_rows = state.shape
     nu = program.order.size
@@ -638,7 +650,7 @@ def _run_program(
     if spare.shape != state.shape:
         raise ValueError("state and spare buffers differ in shape")
     if not (state.flags.c_contiguous and spare.flags.c_contiguous):
-        raise ValueError("run_batch needs C-contiguous (dim, V) buffers")
+        raise ValueError("state and spare must be C-contiguous (size, V) buffers")
     if not nu:
         return state, spare
     if size != 1 << program.num_qubits >> (program.sector is not None):
@@ -680,32 +692,6 @@ def _run_program(
     return state, spare
 
 
-def run_batch(
-    state: np.ndarray,
-    generators,
-    settings: np.ndarray,
-    table: np.ndarray,
-    spare: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply gate ``j`` at angle ``table[j, settings[v, j]]``,
-    ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
-    C-contiguous ``(dim, V)`` chunk ``state``, in fused blocks (see the
-    module docstring).
-
-    ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
-    1`` and entries in ``[0, S)``; ``table`` holds the ``S`` setting angles
-    of each gate, one to three.  ``spare`` is a C-contiguous ``(dim, V)`` buffer that
-    must not overlap ``state``.  The blocks overwrite both in turn; returns
-    ``(result, free)``, the buffer that holds the final state and the other
-    one.  A third ``(dim, V)`` buffer is allocated only for a block with
-    more than two bit-flip patterns.  Compiles the blocks on every call,
-    on the full state; a caller that runs one circuit over many chunks
-    compiles it once with :func:`_compile_blocks` and runs each chunk
-    through :func:`_run_program`.
-    """
-    return _run_program(_compile_blocks(generators, table), state, settings, spare)
-
-
 def run_circuit(
     circuit: list[tuple[PauliString, float]],
     num_qubits: int,
@@ -725,7 +711,8 @@ def run_circuit(
         raise ValueError("channel angle must be finite")
     amps = state.amps.reshape(-1, 1).copy()
     settings = np.zeros((1, len(circuit)), dtype=np.int8)
-    amps, _ = run_batch(amps, generators, settings, table, np.empty_like(amps))
+    program = _compile_blocks(generators, table)
+    amps, _ = _run_program(program, amps, settings, np.empty_like(amps))
     return Statevector(amps[:, 0])
 
 
@@ -734,24 +721,6 @@ def _as_observable(observable) -> Observable:
     if isinstance(observable, PauliString):
         return Observable(terms=((1.0, observable),))
     return observable
-
-
-def term_expectations(amps: np.ndarray, terms) -> np.ndarray:
-    """``(V, T)`` expectation of every ``(coeff, pauli)`` term for every row
-    of a ``(V, dim)`` batch; the coefficients are not applied."""
-    out = np.empty((amps.shape[0], len(terms)))
-    probs = None
-    for t, (_, pauli) in enumerate(terms):
-        _check_compatible(pauli, amps.shape[1])
-        if "X" not in pauli.letters and "Y" not in pauli.letters:
-            # diagonal term: expectation is a signed sum of probabilities
-            if probs is None:
-                probs = amps.real**2 + amps.imag**2
-            out[:, t] = probs @ _pauli_phase_vector(pauli.letters).real
-        else:
-            # <row|G|row> for each row
-            out[:, t] = np.einsum("vi,vi->v", np.conj(amps), _apply_pauli(amps, pauli)).real
-    return out
 
 
 @lru_cache(maxsize=256)
@@ -784,18 +753,29 @@ def _column_sums(cols: np.ndarray) -> np.ndarray:
     return cols.cumsum(axis=0)[-1] if cols.shape[1] == 1 else cols.sum(axis=0)
 
 
-def _frame_expectations(state: np.ndarray, terms, sector, spare: np.ndarray) -> np.ndarray:
-    """:func:`term_expectations` of each column of the ``(size, V)`` state
-    of a program run in the frame of ``sector``, each term read as its
-    :func:`_frame_term`; ``spare``, a free buffer of that shape, is
-    overwritten."""
+def term_expectations(
+    state: np.ndarray, terms, sector: int | None = None, spare: np.ndarray | None = None
+) -> np.ndarray:
+    """``(V, T)`` expectation of every ``(coeff, pauli)`` term of ``terms``
+    for each column of the ``(size, V)`` state, coefficients not applied.
+
+    The state is in the parity frame of ``sector``, the half state a
+    program compiled for it runs on, or on the full state for ``None``;
+    each term is read as its :func:`_frame_term`.  A term on the wrong
+    qubit count for ``size`` raises ``ValueError``.  ``spare``, a free
+    buffer of the state's shape, is overwritten; one is allocated when it
+    is not given and a term has an X or Y.
+    """
     out = np.zeros((state.shape[1], len(terms)))
     probs = None
     for t, (_, pauli) in enumerate(terms):
+        _check_compatible(pauli, state.shape[0] << (sector is not None))
         letters, sign = _frame_term(pauli.letters, sector)
         if letters is None:  # the term flips the parity: it reads 0
             continue
         if "X" in letters or "Y" in letters:  # <psi|G psi>, G psi in spare
+            if spare is None:
+                spare = np.empty_like(state)
             _apply_pauli(state.T, PauliString(letters), out=spare.T)
             spare *= state.conj()
             cols = spare.real
@@ -807,21 +787,21 @@ def _frame_expectations(state: np.ndarray, terms, sector, spare: np.ndarray) -> 
     return out
 
 
-def batch_expectation(amps: np.ndarray, observable: PauliString | Observable) -> np.ndarray:
-    """Expectation of an :class:`Observable`, or of a Pauli string as a
-    one-term observable, for each row of a ``(V, dim)`` batch."""
-    terms = _as_observable(observable).terms
-    evs = term_expectations(amps, terms)
-    out = np.zeros(amps.shape[0])
-    for t, (coeff, _) in enumerate(terms):
-        out += coeff * evs[:, t]
-    return out
+def _term_sum(values: np.ndarray, terms) -> np.ndarray:
+    """``sum_t c_t * values[:, t]`` over the ``(c_t, pauli)`` terms, added
+    in term order, so a row's value never depends on its chunk."""
+    coeffs = [float(coeff) for coeff, _ in terms]
+    total = coeffs[0] * values[:, 0]
+    for t in range(1, len(coeffs)):
+        total += coeffs[t] * values[:, t]
+    return total
 
 
 def expectation(state: Statevector, observable: PauliString | Observable) -> float:
     """Expectation value of a real Pauli-sum observable or a Pauli string;
     a real number in [-1, 1] for a string and a normalized state."""
-    return float(batch_expectation(state.amps[None, :], observable)[0])
+    terms = _as_observable(observable).terms
+    return float(_term_sum(term_expectations(state.amps[:, None], terms), terms)[0])
 
 
 def fidelity(a: Statevector, b: Statevector) -> float:

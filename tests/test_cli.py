@@ -79,6 +79,17 @@ def test_decompose_accepts_an_explicit_grid_file(tmp_path, capsys):
     assert payload["gap_fraction"] == pytest.approx(0.4 / 0.7)
 
 
+@pytest.mark.parametrize(
+    "entry", [{}, [0.5], True, "0.5"], ids=["object", "nested-list", "bool", "string"]
+)
+def test_grid_file_entries_must_be_real_numbers(entry, tmp_path, capsys):
+    grid_file = tmp_path / "grid.json"
+    grid_file.write_text(json.dumps([0.0, entry, 1.2, 1.8, 2.4, 3.0, 3.6, 4.2, 4.8, 5.4, 6.0]))
+    assert run_cli("decompose", "--angle", "0.9", "--grid-file", grid_file) == 2
+    err = capsys.readouterr().err
+    assert "config error: invalid notch grid: grid angles must be real numbers" in err
+
+
 @pytest.mark.parametrize("explicit", [False, True], ids=["uniform", "explicit"])
 def test_decompose_payload_is_the_one_gate_row(explicit, tmp_path, capsys):
     if explicit:
@@ -663,6 +674,16 @@ def test_rms_curve_output(tmp_path, capsys):
     payload = json.loads(out.with_suffix(".json").read_text())
     assert payload["loglog_slope"] < 0.0
     assert len(payload["points"]) == 2
+
+
+@pytest.mark.parametrize("shot_grid", [",", "100", "100,100"], ids=["none", "one", "repeated"])
+def test_rms_needs_two_distinct_budgets(shot_grid, tmp_path, monkeypatch, capsys):
+    # the log-log slope is fitted through the budgets, so fewer than two
+    # distinct ones exit 2 before any bank is drawn or file written
+    monkeypatch.setattr(cli, "rms_vs_shots", lambda *a, **k: pytest.fail("a bank was drawn"))
+    assert run_cli("rms", "--shot-grid", shot_grid, "--output", tmp_path / "rms") == 2
+    assert "need at least 2 distinct shot budgets" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # -------------------------------------------------------------- stream keys

@@ -251,7 +251,7 @@ def test_simulate_variants_matches_gate_by_gate_reference(rng):
     for j, (generator, _) in enumerate(circuit):
         angles = table[j, settings[:, j]]
         want = oracles.gather_rotate_batch(want, generator.letters, angles)
-    np.testing.assert_allclose(got, statevector.term_expectations(want, terms), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, statevector.term_expectations(want.T, terms), rtol=0, atol=1e-12)
 
 
 def _quench(n, model_seed, total_time, layers):
@@ -739,6 +739,8 @@ def test_rms_validation():
         rms_vs_shots(grid, _fixed_circuit(), PauliString("ZII"), [16], 1, 7)
     with pytest.raises(ValueError):
         rms_vs_shots(grid, _fixed_circuit(), PauliString("ZII"), [0], 4, 7)
+    # the library takes one budget; only the CLI's slope fit needs two
+    assert len(rms_vs_shots(grid, _fixed_circuit(), PauliString("ZII"), [16], 2, 7)) == 1
 
 
 # ------------------------------------------------------- estimator checks

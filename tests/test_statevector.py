@@ -14,11 +14,12 @@ from pai.statevector import (
     Observable,
     PauliString,
     Statevector,
-    batch_expectation,
+    _compile_blocks,
+    _run_program,
+    _term_sum,
     expectation,
     fidelity,
     rotate_batch,
-    run_batch,
     run_circuit,
     term_expectations,
 )
@@ -303,7 +304,7 @@ def _with_z_cases(test):
 )
 @settings(max_examples=200)
 def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, n_settings, seed):
-    # run_batch segment by segment, as the fidelity profile does, against
+    # the blocks segment by segment, as the fidelity profile runs them, against
     # the gather oracle gate by gate at the angles the setting indices pick;
     # each checkpoint state agrees
     n, letters, cuts = circuit
@@ -317,9 +318,8 @@ def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, n_settings, 
     want = state.T.copy()
     lo = 0
     for cp in [*cuts, len(letters)]:
-        state, spare = run_batch(
-            state, generators[lo:cp], idx[:, lo:cp], table[lo:cp], spare
-        )
+        program = _compile_blocks(generators[lo:cp], table[lo:cp])
+        state, spare = _run_program(program, state, idx[:, lo:cp], spare)
         for j in range(lo, cp):
             want = oracles.gather_rotate_batch(want, letters[j], table[j, idx[:, j]])
         np.testing.assert_allclose(state.T, want, rtol=0, atol=1e-12)
@@ -356,10 +356,13 @@ def _ring_layers(n, layers=1):
 
 
 def _sector_start(r, n, n_rows, parity):
-    """Random ``(dim, V)`` columns with every amplitude in the sector."""
+    """Random ``(dim, V)`` columns with every amplitude in the sector, or
+    anywhere for parity ``None``."""
     dim = 1 << n
-    in_sector = (np.bitwise_count(np.arange(dim)) & 1) == parity
     noise = r.standard_normal((dim, n_rows)) + 1j * r.standard_normal((dim, n_rows))
+    if parity is None:
+        return noise
+    in_sector = (np.bitwise_count(np.arange(dim)) & 1) == parity
     return np.where(in_sector[:, None], noise, 0.0)
 
 
@@ -521,7 +524,7 @@ def test_frame_map_is_a_bijection_and_frame_kernels_apply_the_block(
 
 @given(
     letters=st.integers(2, 7).flatmap(lambda n: st.text(alphabet="IXYZ", min_size=n, max_size=n)),
-    sector=st.integers(0, 1),
+    sector=st.sampled_from([None, 0, 1]),
     n_rows=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -529,10 +532,11 @@ def test_frame_map_is_a_bijection_and_frame_kernels_apply_the_block(
 def test_frame_terms_are_the_dense_conjugation_in_the_sector(letters, sector, n_rows, seed):
     # conjugated by the frame permutation and restricted to the sector, a
     # Pauli string is its frame string times its sign, and a string that
-    # flips the parity has no entry there and reads exactly 0; on the half
-    # state the frame reader gives the full-state expectations
+    # flips the parity has no entry there and reads exactly 0; sector None
+    # is the full state, where every string is its own frame string.  In
+    # either frame the reader gives the dense oracle's expectations
     n = len(letters)
-    enter = statevector._frame_index(n, sector)
+    enter = np.arange(1 << n) if sector is None else statevector._frame_index(n, sector)
     in_frame = oracles.dense_pauli(letters)[np.ix_(enter, enter)]
     frame, sign = statevector._frame_term(letters, sector)
     assert statevector._frame_term(letters, None) == (letters, 1)
@@ -541,20 +545,35 @@ def test_frame_terms_are_the_dense_conjugation_in_the_sector(letters, sector, n_
     start /= np.linalg.norm(start, axis=0)
     half = start[enter]
     terms = ((0.5, PauliString(letters)),)
-    got = statevector._frame_expectations(half, terms, sector, np.empty_like(half))
+    got = term_expectations(half, terms, sector, np.empty_like(half))
     if frame is None:
         assert (letters.count("X") + letters.count("Y")) % 2
         assert not in_frame.any()
         assert np.array_equal(got, np.zeros((n_rows, 1)))
         return
-    assert len(frame) == n - 1 and sign in (1, -1)
+    assert len(frame) == len(half).bit_length() - 1 and sign in (1, -1)
     assert np.array_equal(in_frame, sign * oracles.dense_pauli(frame))
-    want = term_expectations(np.ascontiguousarray(start.T), terms)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-    # each column's bits never depend on the other columns
+    dense = oracles.dense_pauli(letters)
+    want = np.einsum("iv,ij,jv->v", start.conj(), dense, start).real
+    np.testing.assert_allclose(got, want[:, None], rtol=0, atol=1e-12)
+    # each column's bits never depend on the other columns; without a
+    # spare the reader allocates its own
     for v in range(n_rows):
-        alone = statevector._frame_expectations(half[:, v : v + 1].copy(), terms, sector, half[:, :1].copy())
+        alone = term_expectations(half[:, v : v + 1].copy(), terms, sector)
         assert np.array_equal(alone, got[v : v + 1])
+
+
+@pytest.mark.parametrize("sector", [None, 0, 1])
+def test_term_reader_rejects_a_term_on_another_qubit_count(sector):
+    # eight amplitudes are three qubits on the full state and four in a
+    # parity frame; a term on any other count is refused, not read
+    state = np.full((8, 2), 0.25, dtype=np.complex128)
+    n = 3 if sector is None else 4
+    for letters in ("Z" * (n - 1), "XX" + "I" * (n - 1), "ZZ" + "I" * (n - 1)):
+        with pytest.raises(ValueError, match="qubits applied to a dimension"):
+            term_expectations(state, ((1.0, PauliString(letters)),), sector)
+    terms = ((1.0, PauliString("Z" * n)), (1.0, PauliString("XX" + "I" * (n - 2))))
+    assert term_expectations(state, terms, sector).shape == (2, 2)
 
 
 @pytest.mark.parametrize("sector", [0, 1])
@@ -632,9 +651,9 @@ def test_rotate_batch_at_multiples_of_pi_is_exact(letters, rng):
 
 def test_run_batch_rejects_strided_buffers():
     state = np.zeros((4, 6), dtype=np.complex128)[:, ::2]
-    table = np.zeros((1, 1))
+    program = _compile_blocks([PauliString("XZ")], np.zeros((1, 1)))
     with pytest.raises(ValueError, match="C-contiguous"):
-        run_batch(state, [PauliString("XZ")], np.zeros((3, 1), np.int8), table, np.empty((4, 3), complex))
+        _run_program(program, state, np.zeros((3, 1), np.int8), np.empty((4, 3), complex))
 
 
 @pytest.mark.parametrize("angles_shape", [(3, 1), (3, 3), (2, 2), (3,), (0, 2)])
@@ -646,19 +665,19 @@ def test_run_batch_rejects_angles_that_do_not_cover_every_gate(angles_shape):
     state[0] = 1.0
     generators = [PauliString("XX"), PauliString("YY")]
     table = np.zeros((2, 3))
+    program = _compile_blocks(generators, table)
     with pytest.raises(ValueError, match="settings must be"):
-        run_batch(state, generators, np.zeros(angles_shape, np.int8), table, np.empty_like(state))
+        _run_program(program, state, np.zeros(angles_shape, np.int8), np.empty_like(state))
     state = np.zeros((4, 3), dtype=np.complex128)
     for bad in (-1, 3):
         settings = np.zeros((3, 2), dtype=np.int8)
         settings[1, 1] = bad
         with pytest.raises(ValueError, match=r"settings must lie in \[0, 3\)"):
-            run_batch(state, generators, settings, table, np.empty_like(state))
+            _run_program(program, state, settings, np.empty_like(state))
     with pytest.raises(ValueError, match="settings must be"):  # not integers
-        run_batch(state, generators, np.zeros((3, 2)), table, np.empty_like(state))
-    settings = np.zeros((3, 2), dtype=np.int8)
+        _run_program(program, state, np.zeros((3, 2)), np.empty_like(state))
     with pytest.raises(ValueError, match="table must be"):  # four settings
-        run_batch(state, generators, settings, np.zeros((2, 4)), np.empty_like(state))
+        _compile_blocks(generators, np.zeros((2, 4)))
 
 
 @given(letters=wide_letters_st, n_rows=st.sampled_from([1, 2, 7, 64]), seed=st.integers(0, 2**32 - 1))
@@ -684,7 +703,7 @@ def test_diagonal_blocks_multiply_the_state_in_place(letters, n_rows, seed):
         want = oracles.gather_rotate_batch(want, g, table[j, idx[:, j]])
     spare = np.zeros_like(state)
     generators = [PauliString(g) for g in diagonal]
-    got, free = run_batch(state, generators, idx, table, spare)
+    got, free = _run_program(_compile_blocks(generators, table), state, idx, spare)
     assert got is state and free is spare and not spare.any()
     np.testing.assert_allclose(got.T, want, rtol=0, atol=1e-12)
 
@@ -786,17 +805,18 @@ def test_a_pauli_string_is_a_one_term_observable(letters, rng):
     one_term = Observable(terms=((1.0, p),))
     state = Statevector(amps[0])
     assert expectation(state, p) == expectation(state, one_term)
-    assert np.array_equal(batch_expectation(amps, p), batch_expectation(amps, one_term))
+    for row in amps[1:]:
+        assert expectation(Statevector(row), p) == expectation(Statevector(row), one_term)
 
 
 def test_batch_expectation_matches_per_row(rng):
     amps = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
     amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     obs = Observable(terms=((1.0, PauliString("ZZI")), (0.3, PauliString("IXY"))))
-    got = batch_expectation(amps, obs)
+    got = _term_sum(term_expectations(amps.T, obs.terms), obs.terms)
     want = [expectation(Statevector(a), obs) for a in amps]
     np.testing.assert_allclose(got, want, atol=1e-12)
-    single = batch_expectation(amps, PauliString("ZZI"))
+    single = term_expectations(amps.T, ((1.0, PauliString("ZZI")),))[:, 0]
     np.testing.assert_allclose(
         single, [expectation(Statevector(a), PauliString("ZZI")) for a in amps]
     )
@@ -810,17 +830,17 @@ def test_term_expectations_match_the_dense_oracle(rng):
         (-1.5, PauliString("XYI")),
         (2.0, PauliString("IIZ")),
     )
-    evs = term_expectations(amps, terms)
+    evs = term_expectations(amps.T, terms)
     assert evs.shape == (5, 3)
     for t, (_, pauli) in enumerate(terms):
         dense = oracles.dense_pauli(pauli.letters)
         want = np.einsum("vi,ij,vj->v", amps.conj(), dense, amps).real
         np.testing.assert_allclose(evs[:, t], want, atol=1e-12)
-    # batch_expectation sums the columns in term order, bit for bit
+    # _term_sum sums the columns in term order, bit for bit
     total = np.zeros(5)
     for t, (coeff, _) in enumerate(terms):
         total += coeff * evs[:, t]
-    assert np.array_equal(batch_expectation(amps, Observable(terms=terms)), total)
+    assert np.array_equal(_term_sum(evs, terms), total)
 
 
 # -------------------------------------------------------------- sampling
