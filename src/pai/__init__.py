@@ -20,7 +20,7 @@ from .quasiprob import *  # noqa: F403
 from .rng import *  # noqa: F403
 from .statevector import *  # noqa: F403
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 # each public name is declared once, in its module's __all__
 __all__ = [

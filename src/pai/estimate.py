@@ -57,6 +57,7 @@ from .rng import chunk_uniforms, stream
 from .statevector import (
     Observable,
     PauliString,
+    Statevector,
     _as_observable,
     _column_sums,
     _compile_blocks,
@@ -250,8 +251,7 @@ def _setting_circuit(
     the full state otherwise; the prefix state enters the frame here, once.
     """
     cuts = [len(generators)] if cuts is None else list(cuts)
-    amps = np.zeros((1, 1 << num_qubits), dtype=np.complex128)
-    amps[0, 0] = 1.0
+    amps = Statevector.zero(num_qubits).amps[None]
     start = 0
     shared = []
     for cut in cuts:

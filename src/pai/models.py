@@ -54,11 +54,7 @@ __all__ = [
 _INIT_KEY = (0, 0)  # aux stream for drawing initial variational parameters
 
 
-def _single_site(letter: str, q: int, n: int) -> PauliString:
-    return PauliString("".join(letter if i == q else "I" for i in range(n)))
-
-
-def _bond(letter: str, a: int, b: int, n: int) -> PauliString:
+def _sites(letter: str, a: int, b: int, n: int) -> PauliString:
     return PauliString(
         "".join(letter if i in (a, b) else "I" for i in range(n))
     )
@@ -87,11 +83,11 @@ class SpinRingModel:
         n = self.num_qubits
         out: list[tuple[float, PauliString]] = []
         for q in range(n):
-            out.append((self.omega[q], _single_site("Z", q, n)))
+            out.append((self.omega[q], _sites("Z", q, q, n)))
         for k in range(n):
             a, b = k, (k + 1) % n
             for letter in "XYZ":
-                out.append((self.coupling, _bond(letter, a, b, n)))
+                out.append((self.coupling, _sites(letter, a, b, n)))
         return tuple(out)
 
     def observable(self) -> Observable:
@@ -164,7 +160,7 @@ def neel_prep_circuit(num_qubits: int) -> list[tuple[PauliString, float]]:
     n = int(num_qubits)
     if n < 1:
         raise ValueError("num_qubits must be positive")
-    return [(_single_site("X", q, n), math.pi) for q in range(1, n, 2)]
+    return [(_sites("X", q, q, n), math.pi) for q in range(1, n, 2)]
 
 
 def hva_circuit(
@@ -192,44 +188,45 @@ def energy(model: SpinRingModel, state: Statevector) -> float:
     return expectation(state, model.observable())
 
 
+def _apply_hamiltonian(model: SpinRingModel, rows: np.ndarray) -> np.ndarray:
+    """``H psi`` for each row ``psi`` of the ``(V, dim)`` batch ``rows``."""
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    g = np.empty(rows.shape, dtype=np.complex128)
+    for coeff, pauli in model.terms():
+        out += np.multiply(coeff, _apply_pauli(rows, pauli, out=g), out=g)
+    return out
+
+
 def dense_hamiltonian(model: SpinRingModel) -> np.ndarray:
     """Explicit matrix; intended for small systems (dimension <= 2**10)."""
     dim = 1 << model.num_qubits
     if dim > 1 << 10:
         raise ValueError("dense Hamiltonian capped at 10 qubits; use ground_energy")
-    # row c of the identity maps to G e_c, column c of G
-    eye = np.eye(dim, dtype=np.complex128)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for coeff, pauli in model.terms():
-        mat += coeff * _apply_pauli(eye, pauli).T
-    return mat
+    # row c of the identity maps to H e_c, column c of H
+    return _apply_hamiltonian(model, np.eye(dim, dtype=np.complex128)).T
 
 
 def ground_energy(model: SpinRingModel) -> float:
-    """Lowest eigenvalue, dense for small rings and Lanczos with a fixed
-    deterministic start vector otherwise."""
-    n = model.num_qubits
-    if n <= 8:
-        return float(np.linalg.eigvalsh(dense_hamiltonian(model))[0])
-    # imported here: scipy more than doubles the package's import time,
-    # and only this branch uses it
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    dim = 1 << n
-    terms = model.terms()
-    g = np.empty((1, dim), dtype=np.complex128)
-
-    def matvec(vec):
-        psi = np.asarray(vec).reshape(1, dim)
-        out = np.zeros(dim, dtype=np.complex128)
-        for coeff, pauli in terms:
-            out += coeff * _apply_pauli(psi, pauli, out=g)[0]
-        return out
-
-    op = LinearOperator((dim, dim), matvec=matvec, dtype=np.complex128)
-    v0 = np.full(dim, 1.0 / math.sqrt(dim))
-    vals = eigsh(op, k=1, which="SA", v0=v0, return_eigenvectors=False)
-    return float(vals[0])
+    """Lowest eigenvalue by plain Lanczos from the random vector of stream
+    ``(0, 0, 0, 0, 0, 0, 0)``; it stops once the lowest Ritz pair's residual
+    ``beta_k |s_k|`` is below 1e-10 or the Krylov space spans all ``2**n``."""
+    dim = 1 << model.num_qubits
+    v = stream(0, 0, 0, 0, 0, 0, 0).standard_normal(dim).astype(np.complex128)
+    v /= np.linalg.norm(v)
+    prev, beta = np.zeros_like(v), 0.0
+    alphas, betas = [], []
+    for k in range(1, dim + 1):
+        w = _apply_hamiltonian(model, v[None])[0]
+        alphas.append(np.vdot(v, w).real)
+        w -= alphas[-1] * v
+        w -= beta * prev
+        vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        beta = float(np.linalg.norm(w))
+        if beta * abs(vecs[-1, 0]) < 1e-10 or k == dim:
+            return float(vals[0])
+        betas.append(beta)
+        w /= beta
+        prev, v = v, w
 
 
 @dataclass(frozen=True)
@@ -360,6 +357,8 @@ def vqe_run(
     """
     if int(n_iters) < 0:
         raise ValueError(f"n_iters must be non-negative, got {n_iters}")
+    if not math.isfinite(learning_rate):
+        raise ValueError(f"learning_rate must be finite, got {learning_rate}")
     n_params = model.num_terms * int(n_layers)
     if init_params is None:
         params = stream(init_seed, *_INIT_KEY).uniform(-0.1, 0.1, n_params)

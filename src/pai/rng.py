@@ -24,7 +24,9 @@ Addresses after ``master_seed``, per subcommand:
   range of its variants;
 * ``vqe``: window ``(i, j, s, 0)`` in pai mode and ``(i, j, s, 1, 0)`` in
   nearest mode, at iteration ``i``, parameter ``j`` and shift ``s``; the
-  initial parameters come from ``(init_seed, 0, 0)``.
+  initial parameters come from ``(init_seed, 0, 0)``, and
+  ``ground_energy``'s Lanczos start vector from ``(0, 0, 0, 0, 0, 0, 0)``,
+  master seed 0 with a key of six zeros.
 
 Models draw their fields from ``(model_seed,)``.  A bank of a Pauli sum
 draws every term's shot uniforms from its variant's window, in term order.
@@ -33,8 +35,8 @@ length tells them apart, because :func:`stream` rejects a key word of
 2**32 or more, which ``SeedSequence`` would split into 32-bit words.  Model
 fields have no key word, the pai window one (shared only by trotter and
 fidelity-decay, whose pai draws are alike), trotter's reference streams
-and vqe's initial parameters two, rms three, vqe pai four and vqe nearest
-five.
+and vqe's initial parameters two, rms three, vqe pai four, vqe nearest
+five and the Lanczos start vector six.
 """
 
 from __future__ import annotations

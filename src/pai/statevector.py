@@ -549,15 +549,12 @@ def _parity(amps: np.ndarray) -> int | None:
     return int(held[0]) if held.size and (held == held[0]).all() else None
 
 
-@lru_cache(maxsize=8)
 def _frame_index(num_qubits: int, sector: int) -> np.ndarray:
     """Entry ``x`` is the full index of half-state index ``x`` in the parity
-    frame of ``sector``.  Read-only; 64 MiB at 24 qubits, so few fit."""
+    frame of ``sector``."""
     bits = num_qubits - 1
     y = np.arange(1 << bits) | sector << bits
-    enter = (y ^ y << 1) & ((2 << bits) - 1)  # b_q = b'_{q-1} ^ b'_q
-    enter.flags.writeable = False
-    return enter
+    return (y ^ y << 1) & ((2 << bits) - 1)  # b_q = b'_{q-1} ^ b'_q
 
 
 def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) -> _BlockProgram:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pai import __version__, cli, rng
+from pai import __version__, cli, models, rng
 from pai.notch import NotchGrid
 from pai.quasiprob import decompose_circuit
 from pai.statevector import PauliString
@@ -215,15 +215,29 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_cli_import_loads_no_scipy():
-    # only the Lanczos branch of ground_energy needs scipy; the other
-    # subcommands should not pay for importing it
+def test_cli_import_loads_no_scipy(tmp_path):
+    # numpy is the only runtime dependency: importing the CLI loads no
+    # scipy, and a 10-qubit vqe run, whose ground energy takes the Lanczos
+    # path, succeeds with scipy blocked
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     probe = "import sys, pai.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+    blocked = (
+        "import sys; sys.modules['scipy'] = None; from pai.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    argv = ["vqe", "--num-qubits", "10", "--n-iters", "0", "--mode", "exact"]
+    run = subprocess.run(
+        [sys.executable, "-c", blocked, *argv, "--output", str(tmp_path / "vqe")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads((tmp_path / "vqe.json").read_text())["ground_energy"] < 0.0
 
 
 # ----------------------------------------------------------------- overhead
@@ -593,6 +607,20 @@ def test_vqe_negative_iterations_exit_2_naming_the_field(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("n_iters", ["0", "1"])
+@pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+def test_vqe_non_finite_learning_rate_exits_2_naming_the_field(
+    rate, n_iters, tmp_path, monkeypatch, capsys
+):
+    # refused before any gradient is taken, and before a NaN reaches vqe.json
+    monkeypatch.setattr(models, "gradient", lambda *a, **k: pytest.fail("a gradient ran"))
+    argv = ["vqe", *_VQE_TINY, "--mode", "exact", "--n-iters", n_iters]
+    assert run_cli(*argv, f"--learning-rate={rate}", "--output", tmp_path / "v") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "learning_rate" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_vqe_bad_mode_exits_2(tmp_path, capsys):
     assert (
         run_cli("vqe", *_VQE_TINY, "--mode", "magic", "--output", tmp_path / "x") == 2
@@ -629,6 +657,22 @@ def test_fidelity_decay_profile(tmp_path, capsys):
     assert 0.0 < payload["final_fidelity"] <= 1.0
     assert payload["fidelity_drop"] == pytest.approx(1.0 - payload["final_fidelity"])
     assert payload["lam_tilde"] > 0.0
+
+
+def test_fidelity_over_the_qubit_cap_exits_2_before_allocating(tmp_path, capsys):
+    # a 25-qubit state would be 512 MiB; the cap is checked before the
+    # start state is allocated
+    import tracemalloc
+
+    argv = ["--num-qubits", "25", "--n-layers", "1", "--n-variants", "1", "--n-checkpoints", "2"]
+    tracemalloc.start()
+    try:
+        code = run_cli("fidelity-decay", *argv, "--output", tmp_path / "f")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "num_qubits must be in [1, 24]" in capsys.readouterr().err
+    assert peak < 64 << 20
 
 
 def test_fidelity_needs_two_checkpoints(tmp_path, capsys):
@@ -779,5 +823,6 @@ def test_no_stream_key_is_drawn_twice_in_a_run(run, tmp_path, monkeypatch, capsy
             assert (seed, 0, 0, 0, 0) in window_keys
         if run.startswith("vqe"):
             assert (seed, 0, 0) in singles  # the initial parameters
+            assert (0, 0, 0, 0, 0, 0, 0) in singles  # the Lanczos start vector
         if seed == 11:
             assert (seed,) in singles  # the model fields
