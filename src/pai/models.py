@@ -44,7 +44,6 @@ __all__ = [
     "dense_hamiltonian",
     "ground_energy",
     "EstimatorConfig",
-    "estimate_energy",
     "gradient",
     "VqeResult",
     "vqe_run",
@@ -193,7 +192,7 @@ def _apply_hamiltonian(model: SpinRingModel, rows: np.ndarray) -> np.ndarray:
     out = np.zeros(rows.shape, dtype=np.complex128)
     g = np.empty(rows.shape, dtype=np.complex128)
     for coeff, pauli in model.terms():
-        out += np.multiply(coeff, _apply_pauli(rows, pauli, out=g), out=g)
+        out += np.multiply(coeff, _apply_pauli(rows, pauli.letters, g), out=g)
     return out
 
 
@@ -255,44 +254,6 @@ class EstimatorConfig:
                 raise ValueError("sampled modes need positive shot counts")
 
 
-def estimate_energy(
-    model: SpinRingModel,
-    circuit,
-    config: EstimatorConfig,
-    key: tuple[int, ...] = (),
-    threads: int = 1,
-) -> float:
-    """Energy of the circuit's output state under the configured estimator.
-
-    ``key`` addresses the random streams of this evaluation; distinct keys
-    give independent noise (the VQE loop keys every gradient term by
-    iteration, parameter and shift direction).
-    """
-    if config.mode == "exact":
-        return energy(model, run_circuit(list(circuit), model.num_qubits))
-    if config.mode == "nearest":
-        bank = nearest_notch_shot_bank(
-            config.grid,
-            circuit,
-            model.observable(),
-            config.n_variants * config.shots_per_variant,
-            config.master_seed,
-            key=key,
-        )
-    else:
-        bank = pai_shot_bank(
-            config.grid,
-            circuit,
-            model.observable(),
-            config.n_variants,
-            config.shots_per_variant,
-            config.master_seed,
-            key=key,
-            threads=threads,
-        )
-    return bank.result().mean
-
-
 def gradient(
     model: SpinRingModel,
     n_layers: int,
@@ -305,10 +266,16 @@ def gradient(
 
     Every Pauli generator squares to the identity, so the derivative in
     parameter ``j`` is exactly half the difference of energies at shifts
-    of +-pi/2 in that channel angle.  Evaluation ``(j, s)`` uses stream
-    key ``(*key, j, s)`` with ``s`` 0 for the plus shift.
+    of +-pi/2 in that channel angle.  Each shifted energy comes from the
+    source of ``config.mode``: the :func:`energy` of the
+    :func:`run_circuit` state (exact), or the mean of a
+    :func:`nearest_notch_shot_bank` of ``n_variants * shots_per_variant``
+    shots (nearest) or of a :func:`pai_shot_bank` (pai).  Evaluation
+    ``(j, s)`` draws from stream key ``(*key, j, s)`` with ``s`` 0 for the
+    plus shift, so distinct keys give independent noise.
     """
     params = np.asarray(params, dtype=np.float64)
+    grid, seed, observable = config.grid, config.master_seed, model.observable()
     grad = np.empty(params.shape[0])
     for j in range(params.shape[0]):
         shifted = params.copy()
@@ -316,9 +283,20 @@ def gradient(
         for s, shift in enumerate((0.5 * np.pi, -0.5 * np.pi)):
             shifted[j] = params[j] + shift
             circuit = hva_circuit(model, n_layers, shifted)
-            energies.append(
-                estimate_energy(model, circuit, config, key=(*key, j, s), threads=threads)
-            )
+            if config.mode == "exact":
+                energies.append(energy(model, run_circuit(circuit, model.num_qubits)))
+                continue
+            if config.mode == "nearest":
+                shots = config.n_variants * config.shots_per_variant
+                bank = nearest_notch_shot_bank(
+                    grid, circuit, observable, shots, seed, key=(*key, j, s)
+                )
+            else:
+                bank = pai_shot_bank(
+                    grid, circuit, observable, config.n_variants, config.shots_per_variant,
+                    seed, key=(*key, j, s), threads=threads,
+                )
+            energies.append(bank.result().mean)
         grad[j] = 0.5 * (energies[0] - energies[1])
     return grad
 

@@ -40,22 +40,24 @@ settings per variant: a ``(V, nu)`` array of setting indices picks each
 variant's angles from a ``(nu, S)`` table (``S`` is 3 for PAI, 2 for the
 two-notch scheme and 1 for a single circuit).  The plan depends on the
 generator letters alone: each run of consecutive gates on one support of
-at most two qubits is one block, and a single-qubit Z moves forward, past
-gates off its qubit, into the block of the next gate on its qubit.  A
-block holds at most six gates, ``3**6 = 729`` setting combinations; on the
-spin ring it is a bond's XX, YY, ZZ triple with the on-site Z gates that
-precede it.  A block's table holds the structurally nonzero entries of its
-unitary for every combination, built once per block letters and setting
-angles and cached.  :func:`_compile_blocks` plans a circuit's blocks and
-looks up their tables once; per chunk, :func:`_run_program` sums every
-block's combination codes in one ``np.add.reduceat`` over the setting
-indices and each code picks its column in one ``take``.  Grouped by flip,
-the block is ``sum_f D_f * psi[c ^ f]``: one multiply per flip through a
-view of the ``(dim, V)`` chunk whose support axes are reversed where ``f``
-flips them, so only the structurally nonzero entries are touched (8 of 16
-for a bond triple), and a diagonal block is a single in-place multiply.  A
-gate on more than two qubits runs alone through :func:`rotate_batch`, the
-single-gate kernel.
+at most two qubits whose X and Y letters flip the same bits, or none, is
+one block, and a single-qubit Z moves forward, past gates off its qubit,
+into the block of the next gate on its qubit.  A block holds at most six
+gates, ``3**6 = 729`` setting combinations; on the spin ring it is a
+bond's XX, YY, ZZ triple with the on-site Z gates that precede it.  A
+block's table holds the structurally nonzero entries of its unitary for
+every combination, built once per block letters and setting angles and
+cached.  :func:`_compile_blocks` plans a circuit's blocks and looks up
+their tables once; per chunk, :func:`_run_program` sums every block's
+combination codes in one ``np.add.reduceat`` over the setting indices and
+each code picks its column in one ``take``.  So a block is diagonal, a
+single in-place multiply, or makes one bit flip ``f`` and is ``D_0 * psi
++ D_f * psi[c ^ f]``, the second product taken through a view of the
+``(dim, V)`` chunk whose support axes are reversed where ``f`` flips
+them; only the structurally nonzero entries are touched (8 of 16 for a
+bond triple, whose XX and YY both flip the pair).  A gate on more than
+two qubits runs alone through :func:`rotate_batch`, the single-gate
+kernel.
 
 A generator with an even count of X and Y letters commutes with the
 parity ``Z...Z``, so it keeps a state's parity sector, the Z2 symmetry of
@@ -95,7 +97,6 @@ __all__ = [
     "run_circuit",
     "term_expectations",
     "expectation",
-    "fidelity",
 ]
 
 MAX_QUBITS = 24
@@ -207,20 +208,15 @@ def _view_factors(
     return sizes, index, phase
 
 
-def _apply_pauli(
-    amps: np.ndarray, pauli: PauliString, out: np.ndarray | None = None
-) -> np.ndarray:
+def _apply_pauli(amps: np.ndarray, letters: str, out: np.ndarray) -> np.ndarray:
     """Write ``G psi`` for each row ``psi`` of the ``(V, dim)`` batch ``amps``
-    into ``out`` and return it.
+    into ``out`` and return it, ``G`` the Pauli string ``letters``.
 
     Each row is viewed with one axis per run of :func:`_view_factors`, the
     X/Y runs reversed, which moves no data, and multiplied by the broadcast
-    phase table.  ``out`` must not overlap ``amps``; it is allocated
-    C-ordered when not given.
+    phase table.  ``out``, of the shape of ``amps``, must not overlap it.
     """
-    if out is None:
-        out = np.empty(amps.shape, dtype=np.complex128)
-    sizes, index, phase = _pauli_view(pauli.letters)
+    sizes, index, phase = _pauli_view(letters)
     shape = (amps.shape[0], *sizes)
     np.multiply(amps.reshape(shape)[index], phase, out=out.reshape(shape))
     return out
@@ -293,7 +289,7 @@ def rotate_batch(
     cos, sin = _half_cos_sin(angles)
     if out is None:
         out = np.empty_like(amps)
-    work = _apply_pauli(amps, generator, out=np.empty_like(amps))
+    work = _apply_pauli(amps, generator.letters, np.empty_like(amps))
     np.multiply(amps, cos[:, None], out=out)
     work *= (-1j * sin)[:, None]
     out += work
@@ -345,10 +341,11 @@ def _block_kernel(
 ):
     """``(shape, index, table_shape, diagonal, rows)`` of a block on
     ``support`` (one or two qubits, ascending) whose unitary makes the
-    local bit flips ``flips``, in the frame of ``sector``; ``None`` where a
-    flip would leave that sector.  Sector ``None`` is the identity frame.
-    Else qubit ``q``'s bit is ``b'_{q-1} ^ b'_q`` (``b'_{-1} = 0``,
-    ``b'_{n-1} = sector``), and flipping it flips ``b'_q`` and above.
+    local bit flips ``flips``, ``(0,)`` or ``(0, f)``, in the frame of
+    ``sector``; ``None`` where a flip would leave that sector.  Sector
+    ``None`` is the identity frame.  Else qubit ``q``'s bit is ``b'_{q-1}
+    ^ b'_q`` (``b'_{-1} = 0``, ``b'_{n-1} = sector``), and flipping it
+    flips ``b'_q`` and above.
 
     A chunk reshaped to ``shape + (V,)`` has one axis per run of frame
     bits, highest first: a bit the entries depend on is an axis of its
@@ -400,20 +397,20 @@ def _block_paulis(local: tuple[str, ...]):
     """``(flips, paulis, rows, cols)`` of a block's gates ``local``, each
     gate's letters lowest support qubit first, which is the least
     significant bit of a local index ``r``.  ``flips`` holds the bit flips
-    that products of the gates make, ascending, so the identity comes
-    first; ``paulis`` stacks the gates' ``(2**w, 2**w)`` matrices; ``(rows,
-    cols)`` are the entries ``(r, r ^ f)``, flip by flip, that
-    :func:`_block_table` keeps."""
-    flips = {0}
+    that products of the gates make, the identity first: ``(0,)`` for a
+    diagonal block, else ``(0, f)``, as :func:`_block_plan` gives every
+    X/Y gate of a block the one flip ``f``; ``paulis`` stacks the gates'
+    ``(2**w, 2**w)`` matrices; ``(rows, cols)`` are the entries ``(r, r ^
+    f)``, flip by flip, that :func:`_block_table` keeps."""
+    flip = 0
     mats = []
     for letters in local:
-        f = sum(1 << i for i, c in enumerate(letters) if c in "XY")
-        flips |= {x ^ f for x in flips}
+        flip |= sum(1 << i for i, c in enumerate(letters) if c in "XY")
         mat = np.ones((1, 1), dtype=np.complex128)
         for c in letters:  # the lowest qubit ends up the rightmost factor
             mat = np.kron(_PAULI_2X2[c], mat)
         mats.append(mat)
-    flips = tuple(sorted(flips))
+    flips = (0, flip) if flip else (0,)
     r = np.arange(mats[0].shape[0])
     cols = np.concatenate([r ^ f for f in flips])
     return flips, np.array(mats), np.tile(r, len(flips)), cols
@@ -462,11 +459,14 @@ def _block_plan(letters: tuple[str, ...]) -> tuple:
     per block in run order: the block applies gates ``gates`` in that
     order on the qubits ``support``, ``local`` holds their letters there
     and ``flips`` the bit flips of :func:`_block_paulis`.  Consecutive
-    gates on one support of at most two qubits share a block, up to six.
-    A single-qubit Z waits, past gates off its qubit, and joins the block
-    of the next gate on its qubit, right before that gate; Zs still waiting
-    at the end, or before a wider gate, run as blocks of their own, one
-    qubit each.  A gate on more than two qubits is a block of its own with
+    gates on one support of at most two qubits share a block, up to six,
+    while their local X/Y bit flips are 0 or one same flip, so a block is
+    diagonal or makes one flip; a run of mixed flips on one support, say
+    XZ, ZX, XZ on a pair, splits into a block per change of flip.  A
+    single-qubit Z waits, past gates off its qubit, and joins the block of
+    the next gate on its qubit, right before that gate; Zs still waiting at
+    the end, or before a wider gate, run as blocks of their own, one qubit
+    each.  A gate on more than two qubits is a block of its own with
     ``local`` and ``flips`` ``None``, for :func:`rotate_batch`.
     """
     n = len(letters[0])
@@ -474,6 +474,7 @@ def _block_plan(letters: tuple[str, ...]) -> tuple:
     waiting: dict[int, list[int]] = {}  # qubit -> its Zs not yet placed
     current: list[int] = []
     support: tuple[int, ...] = ()
+    flip = 0  # the open block's local bit flip; 0 while it is diagonal
 
     def place(zs):
         for q in sorted({letters[z].index("Z") for z in zs}):
@@ -491,14 +492,17 @@ def _block_plan(letters: tuple[str, ...]) -> tuple:
             waiting.setdefault(on[0], []).append(j)
             continue
         zs = sorted(z for q in on for z in waiting.pop(q, ()))
-        if on != support or len(current) + len(zs) >= _MAX_BLOCK_GATES or len(on) > 2:
+        f = sum(1 << i for i, q in enumerate(on) if g[q] in "XY")
+        clash = f and flip and f != flip
+        if on != support or clash or len(current) + len(zs) >= _MAX_BLOCK_GATES or len(on) > 2:
             if current:
                 runs.append((current, support))
-            current, support = [], on
+            current, support, flip = [], on, 0
             if len(zs) >= _MAX_BLOCK_GATES or len(on) > 2:
                 place(zs)
                 zs = []
         current += [*zs, j]
+        flip |= f
     if current:
         runs.append((current, support))
     place(sorted(z for zs in waiting.values() for z in zs))
@@ -601,9 +605,9 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
 
 def _passes(kernel) -> int:
     """Amplitude passes of one block over its state: one multiply for a
-    diagonal block, a multiply and an add per further flip otherwise, four
-    for a gate on more than two qubits (:func:`rotate_batch`)."""
-    return 4 if kernel is None else 1 if kernel[3] else 2 * len(kernel[1]) - 1
+    diagonal block, two multiplies and an add for a block with one flip,
+    four for a gate on more than two qubits (:func:`rotate_batch`)."""
+    return 4 if kernel is None else 1 if kernel[3] else 3
 
 
 def _amp_updates(program: _BlockProgram) -> int:
@@ -627,8 +631,9 @@ def _run_program(
     1`` and entries in ``[0, S)``.  ``spare`` is a C-contiguous ``(size,
     V)`` buffer that must not overlap ``state``.  The blocks overwrite both
     in turn; returns ``(result, free)``, the buffer that holds the final
-    state and the other one.  A third ``(size, V)`` buffer is allocated
-    only for a block with more than two bit-flip patterns.  A program in a
+    state and the other one.  A block is diagonal, one multiply in place,
+    or makes one bit flip ``f``, ``t_0 * psi + t_f * psi[c ^ f]`` into the
+    other buffer, so no third buffer is needed.  A program in a
     parity frame runs on buffers that hold the ``2**(n-1)`` amplitudes of
     its frame (:func:`_frame_index`) and never leaves it;
     :func:`term_expectations` reads the result in that frame.
@@ -656,7 +661,6 @@ def _run_program(
     weighted = np.multiply(settings.T[program.order], program.weights, dtype=np.int16)
     codes = np.add.reduceat(weighted, program.starts, axis=0, dtype=np.int16)
     table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
-    work = None
     for (kernel, entries), code in zip(program.steps, codes):
         if kernel is None:  # a gate on more than two qubits
             generator, angles = entries
@@ -675,16 +679,10 @@ def _run_program(
             continue
         out = spare.reshape(shape)
         np.multiply(src, tables[0], out=out)  # the identity flip comes first
-        for f in range(1, len(flips) - 1):
-            if work is None:
-                work = np.empty_like(state)
-            tmp = work.reshape(shape)
-            np.multiply(src[flips[f]], tables[f], out=tmp)
-            out += tmp
-        # the block no longer reads src, so the last flip scales it in
-        # place: src * t[x ^ f], read at x ^ f, is t[x] * src[x ^ f]
-        np.multiply(src, tables[-1][flips[-1]], out=src)
-        out += src[flips[-1]]
+        # the block no longer reads src, so the flip scales it in place:
+        # src * t[x ^ f], read at x ^ f, is t[x] * src[x ^ f]
+        np.multiply(src, tables[1][flips[1]], out=src)
+        out += src[flips[1]]
         state, spare = spare, state
     return state, spare
 
@@ -773,7 +771,7 @@ def term_expectations(
         if "X" in letters or "Y" in letters:  # <psi|G psi>, G psi in spare
             if spare is None:
                 spare = np.empty_like(state)
-            _apply_pauli(state.T, PauliString(letters), out=spare.T)
+            _apply_pauli(state.T, letters, spare.T)
             spare *= state.conj()
             cols = spare.real
         else:  # a signed sum of probabilities
@@ -800,9 +798,3 @@ def expectation(state: Statevector, observable: PauliString | Observable) -> flo
     terms = _as_observable(observable).terms
     return float(_term_sum(term_expectations(state.amps[:, None], terms), terms)[0])
 
-
-def fidelity(a: Statevector, b: Statevector) -> float:
-    """Squared overlap ``|<a|b>|**2``."""
-    if a.amps.shape != b.amps.shape:
-        raise ValueError("states have differing dimensions")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)

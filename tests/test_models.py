@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import oracles
-from pai.estimate import _auto_chunk, _chunk_bounds, pai_shot_bank
+from pai.estimate import _auto_chunk, _chunk_bounds, nearest_notch_shot_bank, pai_shot_bank
 from pai.models import (
     EstimatorConfig,
     SpinRingModel,
     TrotterSpec,
     dense_hamiltonian,
     energy,
-    estimate_energy,
     gradient,
     ground_energy,
     hva_circuit,
@@ -323,26 +322,50 @@ def test_estimator_config_validation():
     EstimatorConfig(mode="exact")  # grid optional here
 
 
+def _shifted_circuit(model, params, j, s):
+    """The one-layer ansatz at ``params`` with parameter ``j`` shifted by
+    +pi/2 (``s`` 0) or -pi/2 (``s`` 1), as ``gradient`` evaluates it."""
+    shifted = np.array(params, dtype=np.float64)
+    shifted[j] += (0.5, -0.5)[s] * np.pi
+    return hva_circuit(model, 1, shifted)
+
+
 def test_exact_energy_estimator_matches_statevector():
+    # exact mode takes each shifted energy from the statevector
     model = spin_ring(3, 0.3, 11)
     params = np.random.default_rng(1).uniform(-1.0, 1.0, 12)
-    circ = hva_circuit(model, 1, params)
-    cfg = EstimatorConfig(mode="exact")
-    want = energy(model, run_circuit(circ, 3))
-    assert estimate_energy(model, circ, cfg) == pytest.approx(want, abs=1e-12)
+    got = gradient(model, 1, params, EstimatorConfig(mode="exact"))
+    for j in range(12):
+        plus, minus = (
+            energy(model, run_circuit(_shifted_circuit(model, params, j, s), 3)) for s in (0, 1)
+        )
+        assert got[j] == pytest.approx(0.5 * (plus - minus), abs=1e-12)
 
 
 def test_nearest_energy_estimator_is_deterministic_and_keyed():
     model = spin_ring(3, 0.3, 11)
+    grid = NotchGrid.uniform(5)
     params = np.random.default_rng(1).uniform(-1.0, 1.0, 12)
     circ = hva_circuit(model, 1, params)
+    args = (grid, circ, model.observable(), 20 * 10, 3)
+    a = nearest_notch_shot_bank(*args, key=(0,)).result().mean
+    assert a == nearest_notch_shot_bank(*args, key=(0,)).result().mean
+    assert a != nearest_notch_shot_bank(*args, key=(1,)).result().mean
+    # gradient draws evaluation (j, s) from the bank at key (*key, j, s)
     cfg = EstimatorConfig(
-        mode="nearest", grid=NotchGrid.uniform(5), n_variants=20,
-        shots_per_variant=10, master_seed=3,
+        mode="nearest", grid=grid, n_variants=20, shots_per_variant=10, master_seed=3,
     )
-    a = estimate_energy(model, circ, cfg, key=(0,))
-    assert a == estimate_energy(model, circ, cfg, key=(0,))
-    assert a != estimate_energy(model, circ, cfg, key=(1,))
+    got = gradient(model, 1, params, cfg, key=(0,))
+    np.testing.assert_array_equal(got, gradient(model, 1, params, cfg, key=(0,)))
+    assert (got != gradient(model, 1, params, cfg, key=(1,))).any()
+    plus, minus = (
+        nearest_notch_shot_bank(
+            grid, _shifted_circuit(model, params, 4, s), model.observable(), 200, 3,
+            key=(0, 4, s),
+        ).result().mean
+        for s in (0, 1)
+    )
+    assert got[4] == 0.5 * (plus - minus)
 
 
 def test_sampled_energy_estimators_track_the_exact_value():
@@ -350,34 +373,27 @@ def test_sampled_energy_estimators_track_the_exact_value():
     grid = NotchGrid.uniform(6)
     params = np.random.default_rng(1).uniform(-1.0, 1.0, 12)
     circ = hva_circuit(model, 1, params)
-    exact = estimate_energy(model, circ, EstimatorConfig(mode="exact"))
+    exact = energy(model, run_circuit(circ, 3))
     coeff_l1 = sum(abs(c) for c, _ in model.terms())
     weight = decompose_circuit(grid, circ).norm1_total
     n_variants, shots = 2000, 5
     sigma = coeff_l1 * weight / math.sqrt(n_variants * shots)
 
-    pai_cfg = EstimatorConfig(
-        mode="pai", grid=grid, n_variants=n_variants, shots_per_variant=shots,
-        master_seed=17,
-    )
-    got = estimate_energy(model, circ, pai_cfg, threads=2)
-    assert abs(got - exact) < 5 * sigma
+    bank = pai_shot_bank(grid, circ, model.observable(), n_variants, shots, 17, threads=2)
+    assert abs(bank.result().mean - exact) < 5 * sigma
 
     # nearest mode concentrates on the rounded circuit instead
-    near_cfg = EstimatorConfig(
-        mode="nearest", grid=grid, n_variants=n_variants, shots_per_variant=shots,
-        master_seed=17,
-    )
     rounded_circ = [(g, a) for (g, _), a in zip(circ, round_params_to_grid(grid, params))]
     rounded_energy = energy(model, run_circuit(rounded_circ, 3))
-    near = estimate_energy(model, circ, near_cfg)
-    assert abs(near - rounded_energy) < 5 * coeff_l1 / math.sqrt(n_variants * shots)
+    near = nearest_notch_shot_bank(grid, circ, model.observable(), n_variants * shots, 17)
+    assert abs(near.result().mean - rounded_energy) < 5 * coeff_l1 / math.sqrt(n_variants * shots)
 
 
 def test_pai_energy_threads_and_determinism():
     model = spin_ring(3, 0.3, 11)
     grid = NotchGrid.uniform(5)
-    circ = hva_circuit(model, 1, np.linspace(0.1, 1.2, 12))
+    params = np.linspace(0.1, 1.2, 12)
+    circ = hva_circuit(model, 1, params)
     # three chunks, so the threaded run really splits the variants
     assert len(_chunk_bounds(4200, _auto_chunk(1 << 3))) == 3
     args = (grid, circ, model.observable(), 4200, 2, 9)
@@ -389,12 +405,19 @@ def test_pai_energy_threads_and_determinism():
         cfg = EstimatorConfig(
             mode=mode, grid=grid, n_variants=4200, shots_per_variant=2, master_seed=9
         )
-        one = estimate_energy(model, circ, cfg, key=(1,), threads=1)
-        three = estimate_energy(model, circ, cfg, key=(1,), threads=3)
-        assert one == three
-        assert one == estimate_energy(model, circ, cfg, key=(1,), threads=1)
+        one = gradient(model, 1, params, cfg, key=(1,), threads=1)
+        three = gradient(model, 1, params, cfg, key=(1,), threads=3)
+        np.testing.assert_array_equal(one, three)
+        np.testing.assert_array_equal(one, gradient(model, 1, params, cfg, key=(1,), threads=1))
         if mode == "pai":
-            assert one == bank.result().mean
+            plus, minus = (
+                pai_shot_bank(
+                    grid, _shifted_circuit(model, params, 0, s), model.observable(), 4200, 2, 9,
+                    key=(1, 0, s), threads=3,
+                ).result().mean
+                for s in (0, 1)
+            )
+            assert one[0] == 0.5 * (plus - minus)
 
 
 # ------------------------------------------------------------------- VQE

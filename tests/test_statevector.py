@@ -18,7 +18,6 @@ from pai.statevector import (
     _run_program,
     _term_sum,
     expectation,
-    fidelity,
     rotate_batch,
     run_circuit,
     term_expectations,
@@ -324,6 +323,32 @@ def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, n_settings, 
             want = oracles.gather_rotate_batch(want, letters[j], table[j, idx[:, j]])
         np.testing.assert_allclose(state.T, want, rtol=0, atol=1e-12)
         lo = cp
+
+
+def test_blocks_are_diagonal_or_make_one_flip(rng):
+    # a gate joins the open block only when its X/Y bit flip on the support
+    # is 0 or the block's flip, so a block never needs a third buffer
+    for n in (1, 2, 3):
+        for _ in range(20):
+            letters = tuple(g.letters for g, _ in oracles.random_circuit(rng, n, 30))
+            for _, local, on, flips in statevector._block_plan(letters):
+                assert sum(f != 0 for f in flips) <= 1 if local else len(on) > 2
+    # XZ flips qubit 0 and ZX qubit 1: a block each, which agree with the
+    # gather oracle gate by gate
+    letters = ["XZ", "ZX", "XZ"]
+    plan = statevector._block_plan(tuple(letters))
+    assert [(gates, flips) for gates, _, _, flips in plan] == [
+        ((0,), (0, 1)), ((1,), (0, 2)), ((2,), (0, 1))
+    ]
+    table = rng.uniform(-4 * np.pi, 4 * np.pi, (3, 3))
+    idx = rng.integers(0, 3, (7, 3)).astype(np.int8)
+    state = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
+    want = state.T.copy()
+    for j, g in enumerate(letters):
+        want = oracles.gather_rotate_batch(want, g, table[j, idx[:, j]])
+    program = _compile_blocks([PauliString(g) for g in letters], table)
+    got, _ = _run_program(program, state, idx, np.empty_like(state))
+    np.testing.assert_allclose(got.T, want, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------------- parity sector
@@ -891,16 +916,3 @@ def test_shot_error_scales_as_inverse_sqrt_shots():
     slope = np.polyfit(np.log(budgets), np.log(rms), 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.05)
 
-
-# -------------------------------------------------------------- fidelity
-
-
-def test_fidelity_basics():
-    zero = Statevector.zero(1)
-    one = _rotate(zero, PauliString("X"), np.pi)
-    assert fidelity(zero, zero) == pytest.approx(1.0)
-    assert fidelity(zero, one) == pytest.approx(0.0, abs=1e-15)
-    rotated = _rotate(zero, PauliString("X"), 0.8)
-    assert fidelity(zero, rotated) == pytest.approx(np.cos(0.4) ** 2, abs=1e-12)
-    with pytest.raises(ValueError):
-        fidelity(zero, Statevector.zero(2))
