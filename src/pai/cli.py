@@ -532,8 +532,9 @@ def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
         threads=threads,
     )
     rows = [(p.n_shots, p.rms_error, p.shot_noise, p.worst_case) for p in points]
-    logs = np.log10([p.n_shots for p in points])
-    slope = float(np.polyfit(logs, np.log10([p.rms_error for p in points]), 1)[0])
+    logs, errors = np.log10([p.n_shots for p in points]), [p.rms_error for p in points]
+    # a budget whose repeats were all exact has no log error, so no slope
+    slope = None if 0.0 in errors else float(np.polyfit(logs, np.log10(errors), 1)[0])
     return _write_outputs(
         cfg,
         ["n_shots", "rms_error", "shot_noise", "worst_case"],
@@ -543,7 +544,8 @@ def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
             "repeats": cfg.repeats,
             "points": [dataclasses.asdict(p) for p in points],
         },
-        f"log-log slope of rms error vs shots: {slope:+.4f}",
+        "log-log slope of rms error vs shots: "
+        + ("undefined (an rms error is 0)" if slope is None else f"{slope:+.4f}"),
     )
 
 

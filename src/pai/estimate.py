@@ -23,15 +23,17 @@ and exact enumeration walks all ``3**nu`` settings through the same chunks.
 
 The simulation takes each variant's setting indices, not its angles: gate
 ``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
-(:class:`_SettingCircuit`).  Its fused blocks are compiled once per circuit
-(once per checkpoint segment for the fidelity profile), block tables
-looked up included, so a chunk only sums its variants' combination codes
-and runs the blocks.  The leading gates that take setting 0 in every
-variant, such as the Neel X at pi, run once on one row, checkpoints inside
-them included, and their state starts every chunk.  That state is exact,
-so when every later gate keeps its parity sector the circuit runs, and its
-terms and overlaps are read, on half the amplitudes, in the parity frame
-(see :mod:`pai.statevector`), in chunks of twice the rows.
+(:class:`_SettingCircuit`), built once per run: every budget of an rms
+sweep shares it, and the fidelity profile's ideal states are one more row
+of it, at a third, continuous-angle setting.  Its fused blocks are
+compiled once, block tables looked up included, in one segment per
+checkpoint for the profile, so a chunk only sums its variants'
+combination codes and runs the blocks.  The leading gates that take
+setting 0 in every variant, such as the Neel X at pi, run once on one
+row, and their state starts every chunk.  That state is exact, so when
+every later gate keeps its parity sector the circuit runs, and its terms
+and overlaps are read, on half the amplitudes, in the parity frame (see
+:mod:`pai.statevector`), in chunks of twice the rows.
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -220,56 +222,50 @@ class _SettingCircuit:
     variant that draws setting ``s``.  Its first ``start`` gates take
     setting 0 in every variant, so they run once: ``initial`` is the state
     they make from ``|0...0>``, in the parity frame of ``sector`` (``None``:
-    the full state), and ``shared`` the full state at each cut inside that
-    prefix, in cut order, which every variant shares.  The rest run in
-    ``segments``, ``(lo, hi, program)`` per later cut: the gates from
-    ``lo`` up to ``hi``, compiled once, in that frame, by
+    the full state), which every variant shares.  The rest run in
+    ``segments``, ``(lo, hi, program)`` per cut after ``start``: the gates
+    from ``lo`` up to ``hi``, compiled once, in that frame, by
     :func:`pai.statevector._compile_blocks`."""
 
     start: int
     initial: np.ndarray
-    shared: tuple
     segments: tuple
     sector: int | None
 
 
 def _setting_circuit(
-    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None, frame=None
+    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None
 ) -> _SettingCircuit:
     """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
     setting angles ``table``, in segments that end at each of the ascending
-    ``cuts`` (default: one segment to the last gate).
+    ``cuts`` after its fixed prefix (default: one segment to the last gate).
 
-    Its fixed prefix is the leading gates that ``fixed`` marks as taking
-    setting 0 in every variant, such as the Neel X at pi; it runs once, on
-    one row, through :func:`rotate_batch`, which takes an angle at a
-    multiple of pi exactly, so the Neel state has one nonzero amplitude.
-    The prefix runs across cuts: a cut inside it is read once, on that
-    row.  Every segment is compiled in the frame of the exact parity of
-    the prefix state (:func:`pai.statevector._parity`), or of the sector of
-    the circuit ``frame`` when given, if all of them can keep it, and on
-    the full state otherwise; the prefix state enters the frame here, once.
+    Its fixed prefix is the leading gates, up to the last cut, that
+    ``fixed`` marks as taking setting 0 in every variant, such as the Neel
+    X at pi; it runs once, on one row, through :func:`rotate_batch`, which
+    takes an angle at a multiple of pi exactly, so the Neel state has one
+    nonzero amplitude.  A cut at or before its end starts no segment.
+    Every segment is compiled in the frame of the exact parity of the
+    prefix state (:func:`pai.statevector._parity`) if all of them can keep
+    it, and on the full state otherwise; the prefix state enters the frame
+    here, once.
     """
     cuts = [len(generators)] if cuts is None else list(cuts)
     amps = Statevector.zero(num_qubits).amps[None]
     start = 0
-    shared = []
-    for cut in cuts:
-        while start < cut and fixed[start]:
-            amps = rotate_batch(amps, generators[start], table[start, :1])
-            start += 1
-        if start < cut:
-            break
-        shared.append(amps[0])
-    sector = _parity(amps[0]) if frame is None else frame.sector
-    bounds = list(zip([start, *cuts[len(shared) :]], cuts[len(shared) :]))
+    while start < cuts[-1] and fixed[start]:
+        amps = rotate_batch(amps, generators[start], table[start, :1])
+        start += 1
+    sector = _parity(amps[0])
+    later = [cut for cut in cuts if cut > start]
+    bounds = list(zip([start, *later], later))
     programs = [_compile_blocks(generators[lo:hi], table[lo:hi], sector) for lo, hi in bounds]
     if sector is not None and any(program.sector is None for program in programs):
         sector = None  # a gate flips the parity or acts on three qubits or more
         programs = [_compile_blocks(generators[lo:hi], table[lo:hi]) for lo, hi in bounds]
     initial = amps[0] if sector is None else amps[0][_frame_index(num_qubits, sector)]
     segments = tuple((lo, hi, program) for (lo, hi), program in zip(bounds, programs))
-    return _SettingCircuit(start, initial, tuple(shared), segments, sector)
+    return _SettingCircuit(start, initial, segments, sector)
 
 
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
@@ -320,18 +316,17 @@ def _outcomes(u: np.ndarray, ev) -> np.ndarray:
     return 2 * (u < p_plus).view(np.int8) - 1
 
 
-def _pai_draws(dec, num_qubits, terms, n_variants, shots, master_seed, key, threads, reduce):
+def _pai_draws(dec, circuit, terms, n_variants, shots, master_seed, key, threads, reduce):
     """``reduce(lo, hi, signs, outcomes)`` of every chunk of ``n_variants``
-    variants sampled from the :class:`CircuitDecomposition` ``dec`` on
-    ``num_qubits`` qubits, in chunk order: ``signs`` and ``outcomes`` are
-    int8, and ``outcomes[v - lo, t, i]`` is the +-1 outcome of shot ``i`` of
-    term ``t`` of variant ``v``.  Variant ``v`` draws its setting uniforms
-    and then its ``(T, shots)`` shot uniforms, in term order, from its
-    window of the stream ``(master_seed, *key, 0)``.  Returns the list of
-    ``reduce``'s results."""
+    variants sampled from the :class:`CircuitDecomposition` ``dec`` and run
+    on its :func:`_pai_circuit` ``circuit``, built once by the caller, in
+    chunk order: ``signs`` and ``outcomes`` are int8, and ``outcomes[v - lo,
+    t, i]`` is the +-1 outcome of shot ``i`` of term ``t`` of variant ``v``.
+    Variant ``v`` draws its setting uniforms and then its ``(T, shots)``
+    shot uniforms, in term order, from its window of the stream
+    ``(master_seed, *key, 0)``.  Returns the list of ``reduce``'s results."""
     nu = dec.num_gates
     n_terms = len(terms)
-    circuit = _pai_circuit(dec, num_qubits)
 
     def worker(lo: int, hi: int):
         u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots)
@@ -388,7 +383,8 @@ def pai_shot_bank(
         signs[lo:hi] = chunk_signs
         outcomes[lo:hi] = chunk_outcomes
 
-    _pai_draws(dec, n, terms, n_variants, shots_per_variant, master_seed, key, threads, keep)
+    circuit = _pai_circuit(dec, n)
+    _pai_draws(dec, circuit, terms, n_variants, shots_per_variant, master_seed, key, threads, keep)
     return _PaiBank(
         outcomes=_term_sum(outcomes, terms),
         variant_signs=signs,
@@ -524,6 +520,12 @@ def two_notch_fidelity_profile(
     prefix length the mean squared overlap with the ideal continuous
     prefix state is averaged over ``n_variants`` sampled assignments,
     one stream window per variant as in :func:`pai_shot_bank`.
+
+    The ideal state runs every gate at its continuous angle, except the
+    leading gates on a notch (within the snap tolerance of
+    :func:`pai.notch.locate`), such as the Neel X at pi: variants and ideal
+    alike run those at the notch angle, once, so a checkpoint at or before
+    their end reads fidelity exactly 1.
     """
     if n_variants < 1:
         raise ValueError("n_variants must be positive")
@@ -540,31 +542,27 @@ def two_notch_fidelity_profile(
 
     angles = np.array([angle for _, angle in circuit], dtype=np.float64)
     pos = locate(grid, angles)
-    # setting 0 is the lower notch, taken below the threshold 1 - lam
-    table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
+    # setting 0 is the lower notch, taken below the threshold 1 - lam, and
+    # setting 2, which no variant takes, the continuous angle of the ideal
+    table = np.stack([grid.angle(pos.k), grid.angle(pos.k + 1), angles], axis=1)
     thresholds = 1.0 - pos.lam
     # a gate on a notch always takes its lower one; that prefix runs once,
-    # checkpoints inside it included, and each later checkpoint ends a
-    # segment, so no block crosses a checkpoint
-    fixed = thresholds >= 1.0
-    variants = _setting_circuit(generators, table, fixed, n, cuts=cps)
-    # the ideal states, at the continuous angles, run once on one row with
-    # the same prefix and cuts, in the variants' frame: every gate keeps the
-    # sector, so the frame holds all of an ideal state that a variant sees
-    ideal = _setting_circuit(generators, angles[:, None], fixed, n, cuts=cps, frame=variants)
-    states = zip(ideal.segments, _segment_states(ideal, np.zeros((1, nu), dtype=np.int8)))
+    # and each later checkpoint ends a segment, so no block crosses one
+    variants = _setting_circuit(generators, table, thresholds >= 1.0, n, cuts=cps)
+    # the ideal states are one more row of the same circuit: they share the
+    # prefix, so a checkpoint inside it reads exactly 1
+    n_prefix = sum(cp <= variants.start for cp in cps)
+    ideal = np.full((1, nu), 2, dtype=np.int8)
+    states = zip(variants.segments, _segment_states(variants, ideal))
     ideal_conj = [np.conj(state[:, 0]) for _, (state, _) in states]
-    # a checkpoint inside the prefix is read once, on the row every
-    # variant shares
-    shared = [abs(np.vdot(want, row)) ** 2 for want, row in zip(ideal.shared, variants.shared)]
 
     def worker(lo_v: int, hi_v: int):
         u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
         settings = (u >= thresholds).astype(np.int8)
         fid = np.empty((hi_v - lo_v, len(cps)))
-        fid[:, : len(shared)] = shared
+        fid[:, :n_prefix] = 1.0
         states = zip(ideal_conj, _segment_states(variants, settings))
-        for m, (want, (state, spare)) in enumerate(states, len(shared)):
+        for m, (want, (state, spare)) in enumerate(states, n_prefix):
             # spare is free between segments; it holds the products
             np.multiply(state, want[:, None], out=spare)
             fid[:, m] = np.abs(_column_sums(spare)) ** 2
@@ -619,6 +617,7 @@ def rms_vs_shots(
     dec = decompose_circuit(grid, circuit)
     exact = continuous_expectation(circuit, observable)
     terms = ((1.0, observable),)
+    variants = _pai_circuit(dec, n)  # one build serves every budget
     points = []
     for i, n_shots in enumerate(shot_grid):
 
@@ -634,7 +633,7 @@ def rms_vs_shots(
 
         sums = np.zeros(repeats, dtype=np.int64)
         parts = _pai_draws(
-            dec, n, terms, repeats * n_shots, 1, master_seed, (i, 0), threads, tally
+            dec, variants, terms, repeats * n_shots, 1, master_seed, (i, 0), threads, tally
         )
         for first, part in parts:
             sums[first : first + part.size] += part

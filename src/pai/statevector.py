@@ -37,27 +37,27 @@ Circuits run as fused blocks (:func:`_run_program`), in the manner of qsim's
 gate fusion (Isakov et al., arXiv 2111.02396) with qulacs-style small-gate
 kernels (Suzuki et al., arXiv 2011.13524).  Each gate takes one of ``S``
 settings per variant: a ``(V, nu)`` array of setting indices picks each
-variant's angles from a ``(nu, S)`` table (``S`` is 3 for PAI, 2 for the
-two-notch scheme and 1 for a single circuit).  The plan depends on the
-generator letters alone: each run of consecutive gates on one support of
-at most two qubits whose X and Y letters flip the same bits, or none, is
-one block, and a single-qubit Z moves forward, past gates off its qubit,
-into the block of the next gate on its qubit.  A block holds at most six
-gates, ``3**6 = 729`` setting combinations; on the spin ring it is a
-bond's XX, YY, ZZ triple with the on-site Z gates that precede it.  A
-block's table holds the structurally nonzero entries of its unitary for
-every combination, built once per block letters and setting angles and
-cached.  :func:`_compile_blocks` plans a circuit's blocks and looks up
-their tables once; per chunk, :func:`_run_program` sums every block's
-combination codes in one ``np.add.reduceat`` over the setting indices and
-each code picks its column in one ``take``.  So a block is diagonal, a
-single in-place multiply, or makes one bit flip ``f`` and is ``D_0 * psi
-+ D_f * psi[c ^ f]``, the second product taken through a view of the
-``(dim, V)`` chunk whose support axes are reversed where ``f`` flips
-them; only the structurally nonzero entries are touched (8 of 16 for a
-bond triple, whose XX and YY both flip the pair).  A gate on more than
-two qubits runs alone through :func:`rotate_batch`, the single-gate
-kernel.
+variant's angles from a ``(nu, S)`` table (``S`` is 3 for PAI and for
+the two-notch scheme with its ideal states, and 1 for a single circuit).
+The plan depends on the generator letters alone: each run of consecutive
+gates on one support of at most two qubits whose X and Y letters flip the
+same bits, or none, is one block, and a single-qubit Z moves forward,
+past gates off its qubit, into the block of the next gate on its qubit.
+A block holds at most six gates, ``3**6 = 729`` setting combinations; on
+the spin ring it is a bond's XX, YY, ZZ triple with the on-site Z gates
+that precede it.  A block's table holds the structurally nonzero entries
+of its unitary for every combination, built once per block letters and
+setting angles and cached.  :func:`_compile_blocks` plans a circuit's
+blocks and looks up their tables once; per chunk, :func:`_run_program`
+sums every block's combination codes in one ``np.add.reduceat`` over the
+setting indices and each code picks its column in one ``take``.  So a
+block is diagonal, a single in-place multiply, or makes one bit flip
+``f`` and is ``D_0 * psi + D_f * psi[c ^ f]``, the second product taken
+through a view of the ``(dim, V)`` chunk whose support axes are reversed
+where ``f`` flips them; only the structurally nonzero entries are touched
+(8 of 16 for a bond triple, whose XX and YY both flip the pair).  A gate
+on more than two qubits runs alone through :func:`rotate_batch`, the
+single-gate kernel.
 
 A generator with an even count of X and Y letters commutes with the
 parity ``Z...Z``, so it keeps a state's parity sector, the Z2 symmetry of
@@ -325,11 +325,12 @@ _PAULI_2X2 = {
 }
 
 # a block's table has one column per setting combination, at most 3**6 =
-# 729 for six gates at three settings, so a table takes at most 32 rows (two
-# flips over four frame bits) * 729 * 16 B = 364 KiB and the 128-entry table
-# cache, which blocks that repeat share, at most 46 MiB; kernel and
-# Pauli-stack entries take under 2 KiB.  Plans of longer circuits are rebuilt
-# on every call, so the 64-entry plan cache holds at most 64 * 2,048 blocks
+# 729 for six gates at three settings, so a table takes at most 32 rows (the
+# identity and a flip, over four frame bits) * 729 * 16 B = 364 KiB and the
+# 128-entry table cache, which blocks that repeat share, at most 46 MiB;
+# kernel and Pauli-stack entries take under 2 KiB.  Plans of longer circuits
+# are rebuilt on every call, so the 64-entry plan cache holds at most 64 *
+# 2,048 blocks
 _MAX_BLOCK_GATES = 6
 _MAX_SETTINGS = 3
 _CACHED_PLAN_GATES = 2048
@@ -337,46 +338,42 @@ _CACHED_PLAN_GATES = 2048
 
 @lru_cache(maxsize=512)
 def _block_kernel(
-    num_qubits: int, support: tuple[int, ...], flips: tuple[int, ...], sector: int | None = None
+    num_qubits: int, support: tuple[int, ...], flip: int, sector: int | None = None
 ):
-    """``(shape, index, table_shape, diagonal, rows)`` of a block on
-    ``support`` (one or two qubits, ascending) whose unitary makes the
-    local bit flips ``flips``, ``(0,)`` or ``(0, f)``, in the frame of
-    ``sector``; ``None`` where a flip would leave that sector.  Sector
-    ``None`` is the identity frame.  Else qubit ``q``'s bit is ``b'_{q-1}
-    ^ b'_q`` (``b'_{-1} = 0``, ``b'_{n-1} = sector``), and flipping it
-    flips ``b'_q`` and above.
+    """``(shape, index, table_shape, rows)`` of a block on ``support`` (one
+    or two qubits, ascending) whose unitary makes the local bit flip
+    ``flip``, 0 for a diagonal block, in the frame of ``sector``; ``None``
+    where the flip would leave that sector.  Sector ``None`` is the identity
+    frame.  Else qubit ``q``'s bit is ``b'_{q-1} ^ b'_q`` (``b'_{-1} = 0``,
+    ``b'_{n-1} = sector``), and flipping it flips ``b'_q`` and above.
 
     A chunk reshaped to ``shape + (V,)`` has one axis per run of frame
     bits, highest first: a bit the entries depend on is an axis of its
-    own, and the rest merge where every flip moves them alike.
-    ``index[i]`` reverses the axes ``flips[i]`` moves, so the view reads
-    ``psi[c ^ f]`` at ``c``.  A :func:`_block_table` gathered by the
-    tuple ``rows`` (``None`` for no gather) and reshaped to ``table_shape
-    + (V,)`` is one table per flip, broadcast against the view.
-    ``diagonal`` says the identity is the only flip.
+    own, and the rest merge where the flip moves them alike.  ``index``
+    reverses the axes the flip moves, so the view reads ``psi[c ^ f]`` at
+    ``c``; it is ``None`` for a diagonal block.  A :func:`_block_table`
+    gathered by the tuple ``rows`` (``None`` for no gather) and reshaped
+    to ``table_shape + (V,)`` is one table for the identity and, after it,
+    one for the flip, broadcast against the view.
     """
     w, bits = len(support), num_qubits - (sector is not None)
     if sector is None:
         reads, moves = [(q,) for q in support], [1 << q for q in support]
-    elif any(bin(f).count("1") % 2 for f in flips):
+    elif bin(flip).count("1") % 2:
         return None
     else:
         reads = [tuple(j for j in (q - 1, q) if 0 <= j < bits) for q in support]
         moves = [(1 << bits) - (1 << q) for q in support]  # b'_q and above
-    masks = [np.bitwise_xor.reduce([0] + [moves[i] for i in range(w) if f >> i & 1])
-             for f in flips]
+    mask = int(np.bitwise_xor.reduce([0] + [moves[i] for i in range(w) if flip >> i & 1]))
     entry = sorted({j for r in reads for j in r})
-    def key(j):  # a bit the entries depend on, or -1; the flips that move it
-        return j if j in entry else -1, tuple(m >> j & 1 for m in masks)
+    def key(j):  # a bit the entries depend on, or -1; whether the flip moves it
+        return j if j in entry else -1, mask >> j & 1
 
     axes = [(k, len(list(run))) for k, run in groupby(range(bits - 1, -1, -1), key=key)]
     shape = tuple(1 << k for _, k in axes)
-    index = tuple(
-        tuple(slice(None, None, -1 if moved[i] else 1) for (_, moved), _ in axes)
-        for i in range(len(flips))
-    )
-    table_shape = (len(flips), *(2 if j >= 0 else 1 for (j, _), _ in axes))
+    index = tuple(slice(None, None, -1 if moved else 1) for (_, moved), _ in axes)
+    n_tables = 2 if flip else 1
+    table_shape = (n_tables, *(2 if j >= 0 else 1 for (j, _), _ in axes))
     # row i * 2**|entry| + e of the frame table is row i * 2**w + r of the
     # block's table, r the local index at the frame bits e, whose bit t is
     # frame bit entry[t], as the table's axes hold them
@@ -387,21 +384,21 @@ def _block_kernel(
         for j in read:
             local ^= e >> entry.index(j) & 1
         r |= local << i
-    rows = tuple(((np.arange(len(flips))[:, None] << w) + r).ravel().tolist())
-    rows = None if rows == tuple(range(len(flips) << w)) else rows
-    return shape, index, table_shape, flips == (0,), rows
+    rows = tuple(((np.arange(n_tables)[:, None] << w) + r).ravel().tolist())
+    rows = None if rows == tuple(range(n_tables << w)) else rows
+    return shape, index if flip else None, table_shape, rows
 
 
 @lru_cache(maxsize=256)
 def _block_paulis(local: tuple[str, ...]):
-    """``(flips, paulis, rows, cols)`` of a block's gates ``local``, each
+    """``(flip, paulis, rows, cols)`` of a block's gates ``local``, each
     gate's letters lowest support qubit first, which is the least
-    significant bit of a local index ``r``.  ``flips`` holds the bit flips
-    that products of the gates make, the identity first: ``(0,)`` for a
-    diagonal block, else ``(0, f)``, as :func:`_block_plan` gives every
-    X/Y gate of a block the one flip ``f``; ``paulis`` stacks the gates'
-    ``(2**w, 2**w)`` matrices; ``(rows, cols)`` are the entries ``(r, r ^
-    f)``, flip by flip, that :func:`_block_table` keeps."""
+    significant bit of a local index ``r``.  ``flip`` is the one bit flip
+    that the block's X/Y gates make, as :func:`_block_plan` gives them all
+    the same one, or 0 for a diagonal block; ``paulis`` stacks the gates'
+    ``(2**w, 2**w)`` matrices; ``(rows, cols)`` are the entries ``(r, r)``
+    and, for a flip ``f``, then ``(r, r ^ f)``, that :func:`_block_table`
+    keeps."""
     flip = 0
     mats = []
     for letters in local:
@@ -410,10 +407,9 @@ def _block_paulis(local: tuple[str, ...]):
         for c in letters:  # the lowest qubit ends up the rightmost factor
             mat = np.kron(_PAULI_2X2[c], mat)
         mats.append(mat)
-    flips = (0, flip) if flip else (0,)
     r = np.arange(mats[0].shape[0])
-    cols = np.concatenate([r ^ f for f in flips])
-    return flips, np.array(mats), np.tile(r, len(flips)), cols
+    rows, cols = (np.tile(r, 2), np.concatenate([r, r ^ flip])) if flip else (r, r)
+    return flip, np.array(mats), rows, cols
 
 
 @lru_cache(maxsize=128)
@@ -426,10 +422,11 @@ def _block_table(
 
     Gate ``i`` of the block's ``m`` has letters ``local[i]`` on the support
     and runs at angle ``angles[i][s]`` at setting ``s``.  Column ``sum_i
-    s_i * S**i`` holds the combination ``(s_0, s_1, ...)``; row ``i * 2**w
-    + r`` holds ``U[r, r ^ f]`` for the ``i``-th flip ``f`` of
-    :func:`_block_paulis`.  Keyed on letters and angles, so blocks and
-    calls that repeat them share one entry.
+    s_i * S**i`` holds the combination ``(s_0, s_1, ...)``; row ``r``
+    holds ``U[r, r]`` and, for a block with the flip ``f`` of
+    :func:`_block_paulis`, row ``2**w + r`` holds ``U[r, r ^ f]``.  Keyed on
+    letters and angles, so blocks and calls that repeat them share one
+    entry.
     """
     _, paulis, rows, cols = _block_paulis(local)
     k = paulis.shape[1]
@@ -455,10 +452,10 @@ def _plan(letters: tuple[str, ...]) -> tuple:
 
 @lru_cache(maxsize=64)
 def _block_plan(letters: tuple[str, ...]) -> tuple:
-    """The blocks of a gate sequence, ``(gates, local, support, flips)``
+    """The blocks of a gate sequence, ``(gates, local, support, flip)``
     per block in run order: the block applies gates ``gates`` in that
     order on the qubits ``support``, ``local`` holds their letters there
-    and ``flips`` the bit flips of :func:`_block_paulis`.  Consecutive
+    and ``flip`` the bit flip of :func:`_block_paulis`.  Consecutive
     gates on one support of at most two qubits share a block, up to six,
     while their local X/Y bit flips are 0 or one same flip, so a block is
     diagonal or makes one flip; a run of mixed flips on one support, say
@@ -467,7 +464,7 @@ def _block_plan(letters: tuple[str, ...]) -> tuple:
     the next gate on its qubit, right before that gate; Zs still waiting at
     the end, or before a wider gate, run as blocks of their own, one qubit
     each.  A gate on more than two qubits is a block of its own with
-    ``local`` and ``flips`` ``None``, for :func:`rotate_batch`.
+    ``local`` and ``flip`` ``None``, for :func:`rotate_batch`.
     """
     n = len(letters[0])
     runs: list[tuple[list[int], tuple[int, ...]]] = []
@@ -581,10 +578,10 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
         return _BlockProgram(0, n_settings, (), empty, empty, empty, 0)
     n = generators[0].num_qubits
     blocks = _plan(tuple(g.letters for g in generators))
-    kernels = [local and _block_kernel(n, on, flips, parity) for _, local, on, flips in blocks]
+    kernels = [local and _block_kernel(n, on, flip, parity) for _, local, on, flip in blocks]
     if parity is not None and not all(kernels):  # an odd gate or a wide one (local None)
         parity = None
-        kernels = [local and _block_kernel(n, on, flips) for _, local, on, flips in blocks]
+        kernels = [local and _block_kernel(n, on, flip) for _, local, on, flip in blocks]
     angles = table.tolist()
     steps, order, starts, weights = [], [], [], []
     rows = 1
@@ -595,7 +592,7 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
         if kernel is None:  # a gate on more than two qubits
             steps.append((None, (generators[gates[0]], table[gates[0]])))
             continue
-        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates), kernel[4])
+        entries = _block_table(local, tuple(tuple(angles[j]) for j in gates), kernel[3])
         rows = max(rows, entries.shape[0])
         steps.append((kernel, entries))
     order, starts = np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
@@ -607,7 +604,7 @@ def _passes(kernel) -> int:
     """Amplitude passes of one block over its state: one multiply for a
     diagonal block, two multiplies and an add for a block with one flip,
     four for a gate on more than two qubits (:func:`rotate_batch`)."""
-    return 4 if kernel is None else 1 if kernel[3] else 3
+    return 4 if kernel is None else 1 if kernel[1] is None else 3
 
 
 def _amp_updates(program: _BlockProgram) -> int:
@@ -667,22 +664,22 @@ def _run_program(
             rotate_batch(state.T, generator, angles[code], out=spare.T)
             state, spare = spare, state
             continue
-        shape, flips, table_shape, diagonal, _ = kernel
+        shape, index, table_shape, _ = kernel
         # the range check above keeps every code in [0, S**m), so "clip" only
         # skips the per-index check and the copy of out that "raise" makes
         tables = entries.take(code, axis=1, out=table_buf[: entries.shape[0]], mode="clip")
         tables = tables.reshape(*table_shape, n_rows)
         shape = (*shape, n_rows)
         src = state.reshape(shape)
-        if diagonal:  # one multiply in place
+        if index is None:  # diagonal: one multiply in place
             np.multiply(src, tables[0], out=src)
             continue
         out = spare.reshape(shape)
         np.multiply(src, tables[0], out=out)  # the identity flip comes first
         # the block no longer reads src, so the flip scales it in place:
         # src * t[x ^ f], read at x ^ f, is t[x] * src[x ^ f]
-        np.multiply(src, tables[1][flips[1]], out=src)
-        out += src[flips[1]]
+        np.multiply(src, tables[1][index], out=src)
+        out += src[index]
         state, spare = spare, state
     return state, spare
 

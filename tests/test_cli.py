@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -728,6 +729,25 @@ def test_rms_needs_two_distinct_budgets(shot_grid, tmp_path, monkeypatch, capsys
     assert run_cli("rms", "--shot-grid", shot_grid, "--output", tmp_path / "rms") == 2
     assert "need at least 2 distinct shot budgets" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_rms_with_an_exact_budget_writes_a_null_slope(tmp_path, capsys):
+    # at time 0 every gate is on a notch, so w = 1 and every repeat is
+    # exact: log10 of a zero error has no value, and the artifact stays
+    # strict JSON
+    out = tmp_path / "rms"
+    argv = ["rms", "--num-qubits", "4", "--total-time", "0", "--shot-grid", "1,10"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*argv, "--repeats", "2", "--output", out) == 0
+    assert "slope of rms error vs shots: undefined" in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    payload = json.loads(out.with_suffix(".json").read_text(), parse_constant=refuse)
+    assert payload["loglog_slope"] is None
+    assert [p["rms_error"] for p in payload["points"]] == [0.0, 0.0]
 
 
 # -------------------------------------------------------------- stream keys

@@ -233,6 +233,26 @@ def test_block_tables_are_looked_up_once_per_circuit(monkeypatch):
     assert counts == [counts[0]] * 3
 
 
+@pytest.mark.parametrize("workload", ["fidelity", "rms"])
+def test_a_run_builds_one_setting_circuit(workload, monkeypatch):
+    # the profile's ideal states are a row of the variants' circuit, and
+    # every budget of an rms sweep runs on the one circuit of its bank
+    built = []
+    build = pai.estimate._setting_circuit
+
+    def spy(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pai.estimate, "_setting_circuit", spy)
+    grid, circuit = NotchGrid.uniform(5), _quench(4, 5, 1.0, 2)
+    if workload == "fidelity":
+        two_notch_fidelity_profile(grid, circuit, [0, 2, 9, len(circuit)], 20, 4, threads=2)
+    else:
+        rms_vs_shots(grid, circuit, PauliString("ZIII"), [2, 5, 9], 3, 4, threads=2)
+    assert len(built) == 1
+
+
 def test_simulate_variants_matches_gate_by_gate_reference(rng):
     # the first two gates take setting 0 in every variant, so they run once
     # as the fixed prefix; gate 3 is marked too, but the prefix stops at
@@ -265,8 +285,9 @@ def _two_notch_circuit(grid, circuit, cps):
     """The profile's :class:`_SettingCircuit`, as the profile builds it."""
     from pai.notch import locate
 
-    pos = locate(grid, np.array([angle for _, angle in circuit]))
-    table = grid.angle(np.stack([pos.k, pos.k + 1], axis=1))
+    angles = np.array([angle for _, angle in circuit])
+    pos = locate(grid, angles)
+    table = np.stack([grid.angle(pos.k), grid.angle(pos.k + 1), angles], axis=1)
     n = circuit[0][0].num_qubits
     return _setting_circuit([g for g, _ in circuit], table, 1.0 - pos.lam >= 1.0, n, cuts=cps)
 
@@ -283,7 +304,7 @@ def test_workload_prefix_states_are_exact(workload, n, bits, total_time, layers)
     if workload == "fidelity":
         cps = sorted(set(int(round(c)) for c in np.linspace(0, len(circuit), 13)))
         variants = _two_notch_circuit(grid, circuit, cps)
-        assert len(variants.shared) == 1  # checkpoint 0, inside the prefix
+        assert cps[0] <= variants.start < cps[1]  # checkpoint 0, inside the prefix
     else:
         variants = pai.estimate._pai_circuit(decompose_circuit(grid, circuit), n)
     assert variants.start == n // 2
@@ -340,14 +361,15 @@ def test_pauli_sum_banks_read_in_the_frame_match_the_full_state(monkeypatch):
 
 
 def test_checkpoints_inside_the_prefix_read_the_shared_row():
-    # the Neel prefix runs once across checkpoints 0 to 3, which read 1
-    # with no spread, as when each variant ran the prefix; the later
-    # points are those of a profile without them, at any thread count
+    # the Neel prefix runs once across checkpoints 0 to 3, on the row that
+    # every variant and the ideal share, so they read 1 with no spread; the
+    # later points are those of a profile without them, at any thread count
     grid = NotchGrid.uniform(5)
     circuit = _quench(6, 5, 1.0, 2)
     cps = [0, 1, 2, 3, 20, len(circuit)]
     variants = _two_notch_circuit(grid, circuit, cps)
-    assert variants.start == 3 and len(variants.shared) == 4
+    assert variants.start == 3
+    assert [lo for lo, _, _ in variants.segments] == [3, 20]
     points = two_notch_fidelity_profile(grid, circuit, cps, 30, 4)
     assert [(p.fidelity, p.std_error) for p in points[:4]] == [(1.0, 0.0)] * 4
     assert points[4:] == two_notch_fidelity_profile(grid, circuit, cps[4:], 30, 4)

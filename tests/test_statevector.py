@@ -331,15 +331,17 @@ def test_blocks_are_diagonal_or_make_one_flip(rng):
     for n in (1, 2, 3):
         for _ in range(20):
             letters = tuple(g.letters for g, _ in oracles.random_circuit(rng, n, 30))
-            for _, local, on, flips in statevector._block_plan(letters):
-                assert sum(f != 0 for f in flips) <= 1 if local else len(on) > 2
+            for _, local, on, flip in statevector._block_plan(letters):
+                if local is None:
+                    assert len(on) > 2 and flip is None
+                    continue
+                gate_flips = {sum(1 << i for i, c in enumerate(g) if c in "XY") for g in local}
+                assert gate_flips <= {0, flip}
     # XZ flips qubit 0 and ZX qubit 1: a block each, which agree with the
     # gather oracle gate by gate
     letters = ["XZ", "ZX", "XZ"]
     plan = statevector._block_plan(tuple(letters))
-    assert [(gates, flips) for gates, _, _, flips in plan] == [
-        ((0,), (0, 1)), ((1,), (0, 2)), ((2,), (0, 1))
-    ]
+    assert [(gates, flip) for gates, _, _, flip in plan] == [((0,), 1), ((1,), 2), ((2,), 1)]
     table = rng.uniform(-4 * np.pi, 4 * np.pi, (3, 3))
     idx = rng.integers(0, 3, (7, 3)).astype(np.int8)
     state = rng.standard_normal((4, 7)) + 1j * rng.standard_normal((4, 7))
@@ -755,9 +757,10 @@ def test_spin_ring_blocks_are_sites_and_bond_triples():
     assert [len(gates) for gates, _, _, _ in plan] == [1, 1, 5, 4, 4, 3]
     assert plan[2][0] == (2, 3, 6, 7, 8)
     assert plan[2][1] == ("ZI", "IZ", "XX", "YY", "ZZ")
-    # a bond block touches 8 of its 16 entries: two flips of 4 rows each
-    _, flips, table_shape, diagonal, _ = statevector._block_kernel(4, *plan[2][2:])
-    assert table_shape[0] == 2 and len(flips) == 2 and not diagonal
+    # a bond block touches 8 of its 16 entries: the identity and the flip
+    # of both qubits, 4 rows each
+    _, index, table_shape, _ = statevector._block_kernel(4, *plan[2][2:])
+    assert table_shape[0] == 2 and plan[2][3] == 0b11 and index is not None
     # the 27 combinations of a bond triple at three settings per gate
     entries = statevector._block_table(plan[-1][1], ((0.1, 0.2, 0.3),) * 3)
     assert entries.shape == (8, 27)
