@@ -17,8 +17,7 @@ package version, and is byte-identical for a given config regardless of
 ``--threads`` (default from ``PAI_THREADS``, else 1).
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
-failure (degenerate interpolation settings, enumeration overflow, linear
-algebra breakdown).
+failure (degenerate interpolation settings, linear algebra breakdown).
 """
 
 import argparse
@@ -38,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .estimate import (
-    EnumerationLimitError,
     continuous_expectation,
     continuous_shot_bank,
     nearest_notch_shot_bank,
@@ -604,10 +602,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # the first two are ValueErrors, so this clause comes before the last
+    # DegenerateSettingsError and LinAlgError are ValueErrors, so this
+    # clause comes before the last
     except (
         DegenerateSettingsError,
-        EnumerationLimitError,
         FloatingPointError,
         np.linalg.LinAlgError,
     ) as exc:

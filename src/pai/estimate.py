@@ -21,19 +21,14 @@ regenerated alone.  An rms repeat is a range of variants of one such bank,
 and exact enumeration walks all ``3**nu`` settings through the same chunks.
 :mod:`pai.rng` tables the keys of every subcommand.
 
-The simulation takes each variant's setting indices, not its angles: gate
-``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)`` table
-(:class:`_SettingCircuit`), built once per run: every budget of an rms
-sweep shares it, and the fidelity profile's ideal states are one more row
-of it, at a third, continuous-angle setting.  Its fused blocks are
-compiled once, block tables looked up included, in one segment per
-checkpoint for the profile, so a chunk only sums its variants'
-combination codes and runs the blocks.  The leading gates that take
-setting 0 in every variant, such as the Neel X at pi, run once on one
-row, and their state starts every chunk.  That state is exact, so when
-every later gate keeps its parity sector the circuit runs, and its terms
-and overlaps are read, on half the amplitudes, in the parity frame (see
-:mod:`pai.statevector`), in chunks of twice the rows.
+The simulation takes each variant's setting indices, not its angles:
+gate ``j`` at setting ``s`` runs at ``table[j, s]`` of a ``(nu, S)``
+table, one setting circuit built once per run by
+:func:`pai.statevector._setting_circuit`, which also decides its frame and
+runs its fixed prefix (see :mod:`pai.statevector`).  Every budget of an
+rms sweep shares it, and the fidelity profile's ideal states are one more
+row of it, at a third, continuous-angle setting; terms and overlaps are
+read in the circuit's frame.
 
 Multi-threading only partitions variants into fixed-size chunks; stream
 contents and reduction order are independent of the thread count, so
@@ -59,16 +54,13 @@ from .rng import chunk_uniforms, stream
 from .statevector import (
     Observable,
     PauliString,
-    Statevector,
     _as_observable,
     _column_sums,
-    _compile_blocks,
-    _frame_index,
-    _parity,
-    _run_program,
+    _segment_states,
+    _setting_circuit,
+    _SettingCircuit,
     _term_sum,
     expectation,
-    rotate_batch,
     run_circuit,
     term_expectations,
 )
@@ -196,7 +188,7 @@ def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _map_variants(worker, n_variants: int, circuit: "_SettingCircuit", threads: int) -> list:
+def _map_variants(worker, n_variants: int, circuit: _SettingCircuit, threads: int) -> list:
     """``worker(lo, hi)`` over the chunks of ``n_variants`` variants of
     ``circuit``, spread over ``threads`` threads; results keep chunk order,
     and the chunk bounds never depend on ``threads``."""
@@ -207,86 +199,11 @@ def _map_variants(worker, n_variants: int, circuit: "_SettingCircuit", threads: 
         return list(pool.map(lambda bound: worker(*bound), bounds))
 
 
-def _chunk_buffers(n_rows: int, circuit: "_SettingCircuit"):
-    """``(state, spare)`` for one chunk of ``n_rows`` variants of
-    ``circuit``: C-contiguous ``(size, V)`` buffers, ``size`` the length of
-    ``circuit.initial``, so the kernel's inner loops run over the variants,
-    every column of the state starting as ``circuit.initial``."""
-    state = np.repeat(circuit.initial[:, None], n_rows, axis=1)
-    return state, np.empty_like(state)
-
-
-@dataclass(frozen=True)
-class _SettingCircuit:
-    """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
-    variant that draws setting ``s``.  Its first ``start`` gates take
-    setting 0 in every variant, so they run once: ``initial`` is the state
-    they make from ``|0...0>``, in the parity frame of ``sector`` (``None``:
-    the full state), which every variant shares.  The rest run in
-    ``segments``, ``(lo, hi, program)`` per cut after ``start``: the gates
-    from ``lo`` up to ``hi``, compiled once, in that frame, by
-    :func:`pai.statevector._compile_blocks`."""
-
-    start: int
-    initial: np.ndarray
-    segments: tuple
-    sector: int | None
-
-
-def _setting_circuit(
-    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None
-) -> _SettingCircuit:
-    """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
-    setting angles ``table``, in segments that end at each of the ascending
-    ``cuts`` after its fixed prefix (default: one segment to the last gate).
-
-    Its fixed prefix is the leading gates, up to the last cut, that
-    ``fixed`` marks as taking setting 0 in every variant, such as the Neel
-    X at pi; it runs once, on one row, through :func:`rotate_batch`, which
-    takes an angle at a multiple of pi exactly, so the Neel state has one
-    nonzero amplitude.  A cut at or before its end starts no segment.
-    Every segment is compiled in the frame of the exact parity of the
-    prefix state (:func:`pai.statevector._parity`) if all of them can keep
-    it, and on the full state otherwise; the prefix state enters the frame
-    here, once.
-    """
-    cuts = [len(generators)] if cuts is None else list(cuts)
-    amps = Statevector.zero(num_qubits).amps[None]
-    start = 0
-    while start < cuts[-1] and fixed[start]:
-        amps = rotate_batch(amps, generators[start], table[start, :1])
-        start += 1
-    sector = _parity(amps[0])
-    later = [cut for cut in cuts if cut > start]
-    bounds = list(zip([start, *later], later))
-    programs = [_compile_blocks(generators[lo:hi], table[lo:hi], sector) for lo, hi in bounds]
-    if sector is not None and any(program.sector is None for program in programs):
-        sector = None  # a gate flips the parity or acts on three qubits or more
-        programs = [_compile_blocks(generators[lo:hi], table[lo:hi]) for lo, hi in bounds]
-    initial = amps[0] if sector is None else amps[0][_frame_index(num_qubits, sector)]
-    segments = tuple((lo, hi, program) for (lo, hi), program in zip(bounds, programs))
-    return _SettingCircuit(start, initial, segments, sector)
-
-
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
     """The :class:`_SettingCircuit` of a decomposition; a gate whose first
     setting has probability 1 (a gate on a notch) is fixed."""
     fixed = dec.thresholds_low >= 1.0
     return _setting_circuit(dec.generators, dec.setting_angles, fixed, num_qubits)
-
-
-def _segment_states(circuit: _SettingCircuit, settings: np.ndarray):
-    """Run one chunk of ``circuit`` at the ``(V, nu)`` setting indices
-    ``settings`` in the buffers of :func:`_chunk_buffers`, yielding
-    ``(state, free)`` after each segment (or once, at the start, when there
-    is none): the ``(size, V)`` state, in the circuit's frame, and the
-    other buffer, free for the caller."""
-    state, spare = _chunk_buffers(settings.shape[0], circuit)
-    if not circuit.segments:
-        yield state, spare
-    for lo, hi, program in circuit.segments:
-        state, spare = _run_program(program, state, settings[:, lo:hi], spare)
-        yield state, spare
 
 
 def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray, terms) -> np.ndarray:

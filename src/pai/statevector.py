@@ -75,9 +75,19 @@ builder, :func:`_block_kernel`.  The start state enters the frame by one
 gather (:func:`_frame_index`) and never leaves it: a ring layer makes 12
 full-state passes against 24 at 8 qubits.  :func:`term_expectations` reads
 in either frame: a term as its frame Pauli string on the half state, or as
-itself on the full state.  A circuit with a gate that flips the parity or
-acts on three qubits or more runs on the full state, as
-:func:`run_circuit` does.
+itself on the full state.  :func:`_compile_blocks` refuses a frame that
+cannot hold a gate, one that flips the parity or acts on three qubits or
+more; such a circuit runs on the full state, as :func:`run_circuit` does.
+
+A sampled run builds one :class:`_SettingCircuit` (:func:`_setting_circuit`):
+gate ``j`` at setting ``s`` runs at ``table[j, s]``.  Its leading gates
+that every variant runs at setting 0, such as the Neel X at pi, run once
+on one row through :func:`rotate_batch`; that exact state starts every
+chunk, and its parity decides the frame once, from the blocks of every
+segment's plan.  The segments, one per cut, are compiled once, so a chunk
+(:func:`_segment_states`) only sums its variants' combination codes and
+runs the blocks, on half the amplitudes in the frame, in chunks of twice
+the rows.
 """
 
 from __future__ import annotations
@@ -222,15 +232,6 @@ def _apply_pauli(amps: np.ndarray, letters: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pauli_phase_vector(letters: str) -> np.ndarray:
-    """All ``2**n`` phases of the string ``letters`` as one contiguous
-    complex vector; for a diagonal string its real part is the diagonal."""
-    sizes, _, phase = _pauli_view(letters)
-    vec = np.empty(sizes, dtype=np.complex128)
-    vec[...] = phase[0]
-    return vec.reshape(-1)
-
-
 @dataclass(frozen=True)
 class Statevector:
     """Normalized pure state on ``num_qubits`` qubits."""
@@ -342,10 +343,10 @@ def _block_kernel(
 ):
     """``(shape, index, table_shape, rows)`` of a block on ``support`` (one
     or two qubits, ascending) whose unitary makes the local bit flip
-    ``flip``, 0 for a diagonal block, in the frame of ``sector``; ``None``
-    where the flip would leave that sector.  Sector ``None`` is the identity
-    frame.  Else qubit ``q``'s bit is ``b'_{q-1} ^ b'_q`` (``b'_{-1} = 0``,
-    ``b'_{n-1} = sector``), and flipping it flips ``b'_q`` and above.
+    ``flip``, 0 for a diagonal block, in the frame of ``sector``, which
+    the flip keeps.  Sector ``None`` is the identity frame.  Else qubit
+    ``q``'s bit is ``b'_{q-1} ^ b'_q`` (``b'_{-1} = 0``, ``b'_{n-1} =
+    sector``), and flipping it flips ``b'_q`` and above.
 
     A chunk reshaped to ``shape + (V,)`` has one axis per run of frame
     bits, highest first: a bit the entries depend on is an axis of its
@@ -359,8 +360,6 @@ def _block_kernel(
     w, bits = len(support), num_qubits - (sector is not None)
     if sector is None:
         reads, moves = [(q,) for q in support], [1 << q for q in support]
-    elif bin(flip).count("1") % 2:
-        return None
     else:
         reads = [tuple(j for j in (q - 1, q) if 0 <= j < bits) for q in support]
         moves = [(1 << bits) - (1 << q) for q in support]  # b'_q and above
@@ -558,15 +557,22 @@ def _frame_index(num_qubits: int, sector: int) -> np.ndarray:
     return (y ^ y << 1) & ((2 << bits) - 1)  # b_q = b'_{q-1} ^ b'_q
 
 
-def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) -> _BlockProgram:
+def _keeps_sector(blocks) -> bool:
+    """Whether a parity frame holds every block of a :func:`_plan`: each
+    acts on at most two qubits (its flip is not ``None``) and flips an even
+    number of them, so it keeps its parity sector."""
+    return all(flip is not None and flip.bit_count() % 2 == 0 for *_, flip in blocks)
+
+
+def _compile_blocks(generators, table: np.ndarray, sector: int | None = None) -> _BlockProgram:
     """Plan the blocks of ``generators`` at the ``(nu, S)`` setting angles
     ``table`` and look up every block's table, once per circuit; chunks
     then run through :func:`_run_program`.
 
-    ``parity`` is the exact index parity of every chunk's start state
-    (:func:`_parity`), or ``None``.  Where every gate keeps it and acts on
-    at most two qubits, the program runs in its parity frame (see the
-    module docstring), else on the full state.
+    ``sector`` is the exact index parity of every chunk's start state,
+    whose parity frame the program runs in (see the module docstring), or
+    ``None`` for the full state.  A frame that cannot hold a gate, one that
+    flips the parity or acts on three qubits or more, raises ``ValueError``.
     """
     nu = len(generators)
     table = np.asarray(table, dtype=np.float64)
@@ -578,26 +584,25 @@ def _compile_blocks(generators, table: np.ndarray, parity: int | None = None) ->
         return _BlockProgram(0, n_settings, (), empty, empty, empty, 0)
     n = generators[0].num_qubits
     blocks = _plan(tuple(g.letters for g in generators))
-    kernels = [local and _block_kernel(n, on, flip, parity) for _, local, on, flip in blocks]
-    if parity is not None and not all(kernels):  # an odd gate or a wide one (local None)
-        parity = None
-        kernels = [local and _block_kernel(n, on, flip) for _, local, on, flip in blocks]
+    if sector is not None and not _keeps_sector(blocks):
+        raise ValueError(f"the frame of sector {sector} cannot hold a parity flip or a wide gate")
     angles = table.tolist()
     steps, order, starts, weights = [], [], [], []
     rows = 1
-    for (gates, local, _, _), kernel in zip(blocks, kernels):
+    for gates, local, on, flip in blocks:
         starts.append(len(order))
         order += gates
         weights += [n_settings**i for i in range(len(gates))]
-        if kernel is None:  # a gate on more than two qubits
+        if local is None:  # a gate on more than two qubits
             steps.append((None, (generators[gates[0]], table[gates[0]])))
             continue
+        kernel = _block_kernel(n, on, flip, sector)
         entries = _block_table(local, tuple(tuple(angles[j]) for j in gates), kernel[3])
         rows = max(rows, entries.shape[0])
         steps.append((kernel, entries))
     order, starts = np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
     weights = np.array(weights, dtype=np.int16)[:, None]  # codes < 3**6 = 729
-    return _BlockProgram(n, n_settings, tuple(steps), order, starts, weights, rows, parity)
+    return _BlockProgram(n, n_settings, tuple(steps), order, starts, weights, rows, sector)
 
 
 def _passes(kernel) -> int:
@@ -682,6 +687,75 @@ def _run_program(
         out += src[index]
         state, spare = spare, state
     return state, spare
+
+
+@dataclass(frozen=True)
+class _SettingCircuit:
+    """A circuit whose gate ``j`` runs at angle ``table[j, s]`` in a
+    variant that draws setting ``s``.  Its first ``start`` gates take
+    setting 0 in every variant, so they run once: ``initial`` is the state
+    they make from ``|0...0>``, in the parity frame of ``sector`` (``None``:
+    the full state), which every variant shares.  The rest run in
+    ``segments``, ``(lo, hi, program)`` per cut after ``start``: the gates
+    from ``lo`` up to ``hi``, compiled once, in that frame, by
+    :func:`_compile_blocks`."""
+
+    start: int
+    initial: np.ndarray
+    segments: tuple
+    sector: int | None
+
+
+def _setting_circuit(
+    generators, table: np.ndarray, fixed, num_qubits: int, cuts=None
+) -> _SettingCircuit:
+    """The :class:`_SettingCircuit` of ``generators`` at the ``(nu, S)``
+    setting angles ``table``, in segments that end at each of the ascending
+    ``cuts`` after its fixed prefix (default: one segment to the last gate).
+
+    Its fixed prefix is the leading gates, up to the last cut, that
+    ``fixed`` marks as taking setting 0 in every variant, such as the Neel
+    X at pi; it runs once, on one row, through :func:`rotate_batch`, which
+    takes an angle at a multiple of pi exactly, so the Neel state has one
+    nonzero amplitude.  A cut at or before its end starts no segment.
+    The frame is decided here, once: every segment is compiled in the frame
+    of the exact parity of the prefix state (:func:`_parity`) if the blocks
+    of every segment's plan keep it (:func:`_keeps_sector`), and on the
+    full state otherwise; the prefix state enters that frame by one gather.
+    """
+    cuts = [len(generators)] if cuts is None else list(cuts)
+    amps = Statevector.zero(num_qubits).amps[None]
+    start = 0
+    while start < cuts[-1] and fixed[start]:
+        amps = rotate_batch(amps, generators[start], table[start, :1])
+        start += 1
+    later = [cut for cut in cuts if cut > start]
+    bounds = list(zip([start, *later], later))
+    sector = _parity(amps[0])
+    letters = tuple(g.letters for g in generators)
+    if sector is not None and not all(_keeps_sector(_plan(letters[lo:hi])) for lo, hi in bounds):
+        sector = None  # a gate flips the parity or acts on three qubits or more
+    programs = [_compile_blocks(generators[lo:hi], table[lo:hi], sector) for lo, hi in bounds]
+    initial = amps[0] if sector is None else amps[0][_frame_index(num_qubits, sector)]
+    segments = tuple((lo, hi, program) for (lo, hi), program in zip(bounds, programs))
+    return _SettingCircuit(start, initial, segments, sector)
+
+
+def _segment_states(circuit: _SettingCircuit, settings: np.ndarray):
+    """Run one chunk of ``circuit`` at the ``(V, nu)`` setting indices
+    ``settings``, yielding ``(state, free)`` after each segment (or once,
+    at the start, when there is none): the ``(size, V)`` state, in the
+    circuit's frame, and the other buffer, free for the caller.  The
+    chunk's two buffers are C-contiguous ``(size, V)``, ``size`` the length
+    of ``circuit.initial``, so the kernel's inner loops run over the
+    variants; every column of the state starts as ``circuit.initial``."""
+    state = np.repeat(circuit.initial[:, None], settings.shape[0], axis=1)
+    spare = np.empty_like(state)
+    if not circuit.segments:
+        yield state, spare
+    for lo, hi, program in circuit.segments:
+        state, spare = _run_program(program, state, settings[:, lo:hi], spare)
+        yield state, spare
 
 
 def run_circuit(
@@ -774,7 +848,10 @@ def term_expectations(
         else:  # a signed sum of probabilities
             if probs is None:
                 probs = state.real**2 + state.imag**2
-            cols = probs * _pauli_phase_vector(letters).real[:, None]
+            # the +-1 diagonal, a cached table broadcast over its axes
+            sizes, _, phase = _pauli_view(letters)
+            cols = probs.reshape(*sizes, -1) * phase[0].real[..., None]
+            cols = cols.reshape(state.shape)
         out[:, t] = sign * _column_sums(cols)
     return out
 

@@ -15,7 +15,6 @@ from pai.estimate import (
     EnumerationLimitError,
     _auto_chunk,
     _chunk_bounds,
-    _setting_circuit,
     _simulate_variants,
     _variant_uniforms,
     continuous_expectation,
@@ -29,7 +28,7 @@ from pai.estimate import (
 )
 from pai.notch import NotchGrid, nearest_notch, round_params_to_grid
 from pai.quasiprob import decompose_circuit
-from pai.statevector import Observable, PauliString, Statevector, run_circuit
+from pai.statevector import Observable, PauliString, Statevector, _setting_circuit, run_circuit
 
 X, Y, Z = PauliString("X"), PauliString("Y"), PauliString("Z")
 _SUM = Observable(terms=((0.5, PauliString("ZII")), (-0.3, PauliString("IXY"))))
@@ -312,6 +311,24 @@ def test_workload_prefix_states_are_exact(workload, n, bits, total_time, layers)
     assert all(program.sector == 0 for _, _, program in variants.segments)
 
 
+def test_mean_variant_sign_is_the_inverse_weight_at_depth():
+    # each gate's gammas sum to 1, so a variant's sign, the product of its
+    # settings' signs, has mean prod_j sum_s gamma_js / ||gamma_j||_1 = 1/w
+    # exactly; on the 388-gate trotter circuit the bank's mean sign lies
+    # within 5 sigma of it, sigma the spread of the mean of V signs of +-1
+    grid = NotchGrid.uniform(5)
+    circuit = _quench(8, 11, 2.0, 12)
+    assert len(circuit) == 388
+    dec = decompose_circuit(grid, circuit)
+    np.testing.assert_allclose(dec.gammas.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    n_variants = 10_000
+    bank = pai_shot_bank(grid, circuit, PauliString("ZIIIIIII"), n_variants, 1, 7)
+    w = bank.weight
+    assert w == dec.norm1_total and w > 5.0
+    sigma = math.sqrt((1.0 - 1.0 / w**2) / n_variants)
+    assert abs(bank.variant_signs.mean() - 1.0 / w) <= 5.0 * sigma
+
+
 def test_a_circuit_with_a_parity_flipping_gate_runs_every_segment_on_the_full_state(rng):
     # one frame per circuit: an X on one qubit in the third segment sends
     # every segment, the first two included, to the full state; each
@@ -332,7 +349,7 @@ def test_a_circuit_with_a_parity_flipping_gate_runs_every_segment_on_the_full_st
     want = np.zeros((5, 16), dtype=np.complex128)
     want[:, 0] = 1.0
     lo = 0
-    states = pai.estimate._segment_states(variants, settings)
+    states = statevector._segment_states(variants, settings)
     for (_, cp, _), (state, _) in zip(variants.segments, states):
         for j in range(lo, cp):
             want = oracles.gather_rotate_batch(want, circuit[j][0].letters, table[j, settings[:, j]])
@@ -353,7 +370,7 @@ def test_pauli_sum_banks_read_in_the_frame_match_the_full_state(monkeypatch):
     dec = decompose_circuit(grid, circuit)
     assert pai.estimate._pai_circuit(dec, 4).sector == 0
     frame = pai_shot_bank(grid, circuit, obs, 300, 4, 5, key=(3,))
-    monkeypatch.setattr(pai.estimate, "_parity", lambda amps: None)
+    monkeypatch.setattr(statevector, "_parity", lambda amps: None)
     assert pai.estimate._pai_circuit(dec, 4).sector is None
     full = pai_shot_bank(grid, circuit, obs, 300, 4, 5, key=(3,))
     np.testing.assert_array_equal(frame.outcomes, full.outcomes)
@@ -575,13 +592,13 @@ def test_exact_enumeration_chunks_by_the_qubit_count(monkeypatch):
     # 3**7 = 2,187 variants on 11 qubits: each chunk row is a 2**11 state,
     # so the rows per chunk follow the same memory budget as sampling
     rows = []
-    buffers = pai.estimate._chunk_buffers
+    states = statevector._segment_states
 
-    def spy(n_rows, initial):
-        rows.append(n_rows)
-        return buffers(n_rows, initial)
+    def spy(circuit, settings):
+        rows.append(settings.shape[0])
+        return states(circuit, settings)
 
-    monkeypatch.setattr(pai.estimate, "_chunk_buffers", spy)
+    monkeypatch.setattr(pai.estimate, "_segment_states", spy)
     grid = NotchGrid.uniform(4)
     circuit = [
         (PauliString("I" * q + "X" + "I" * (10 - q)), 0.3 + 0.4 * q) for q in range(7)

@@ -487,10 +487,17 @@ def test_sector_program_matches_the_full_program_and_the_oracle(
     start = _sector_start(r, n, n_rows, parity)
     assert statevector._parity(start[:, 0]) == parity
     generators = [PauliString(g) for g in letters]
-    sector = statevector._compile_blocks(generators, table, parity)
+    # the frame is decided from the circuit's plan, as _setting_circuit
+    # decides it; a frame that cannot hold the circuit is refused
+    holds = statevector._keeps_sector(statevector._plan(tuple(letters)))
+    if not holds:
+        with pytest.raises(ValueError, match="cannot hold"):
+            statevector._compile_blocks(generators, table, parity)
+    sector = statevector._compile_blocks(generators, table, parity if holds else None)
     full = statevector._compile_blocks(generators, table, None)
     assert full.sector is None
     wide = any(len(g) - g.count("I") > 2 for g in letters)
+    assert holds == (not wide)
     assert sector.sector == (None if wide else parity)
     # a gate on three qubits or more sends the circuit to the full state;
     # otherwise the same blocks run on the half
@@ -633,13 +640,17 @@ def test_ring_layers_run_every_block_on_the_half(n, half, full):
 
 
 def test_sector_is_refused_where_it_cannot_hold_or_help():
-    # an odd gate after the prefix: the sector would not hold
+    # an odd gate after the prefix: the sector would not hold, so the
+    # setting circuit runs on the full state; the ring alone runs in the
+    # frame of |0000>
     letters = _ring_layers(4) + ["IXII"]
     generators = [PauliString(g) for g in letters]
     table = np.full((len(letters), 2), 0.3)
-    assert statevector._compile_blocks(generators[:-1], table[:-1], 0).sector == 0
-    odd = statevector._compile_blocks(generators, table, 0)
-    assert odd.sector is None
+    fixed = [False] * len(letters)
+    ring = statevector._setting_circuit(generators[:-1], table[:-1], fixed, 4)
+    assert ring.sector == 0 and ring.segments[0][2].sector == 0
+    odd = statevector._setting_circuit(generators, table, fixed, 4)
+    assert odd.sector is None and odd.segments[0][2].sector is None
     # one nonzero amplitude in the other sector: no parity to compile for
     amps = np.zeros(16, dtype=np.complex128)
     amps[[0, 3, 5]] = 0.5
@@ -649,18 +660,39 @@ def test_sector_is_refused_where_it_cannot_hold_or_help():
     assert statevector._parity(np.zeros(16)) is None
     # a gate on three qubits keeps the sector, but the frame has no kernel
     # for it, so the whole circuit runs on the full state; the three-qubit
-    # ring alone runs in the frame, 3 * 3 half passes per layer against 9
-    # full passes
-    letters = _ring_layers(3, 2)
+    # ring alone, after a fixed X at pi, runs in the frame of sector 1, 3 *
+    # 3 half passes per layer against 9 full passes
+    letters = ["XII"] + _ring_layers(3, 2)
     generators = [PauliString(g) for g in letters]
     table = np.full((len(letters), 3), 0.2)
-    three = statevector._compile_blocks(generators, table, 1)
-    assert three.sector == 1
-    assert statevector._amp_updates(three) == 2 * 9 * 4
-    wide = statevector._compile_blocks(generators + [PauliString("XYZ")], np.full((len(letters) + 1, 3), 0.2), 1)
-    none = statevector._compile_blocks(generators + [PauliString("XYZ")], np.full((len(letters) + 1, 3), 0.2), None)
-    assert wide.sector is None
-    assert statevector._amp_updates(wide) == statevector._amp_updates(none) == (2 * 9 + 4) * 8
+    table[0] = np.pi
+    fixed = [True] + [False] * (len(letters) - 1)
+    three = statevector._setting_circuit(generators, table, fixed, 3)
+    assert three.start == 1 and three.sector == 1
+    assert statevector._amp_updates(three.segments[0][2]) == 2 * 9 * 4
+    wide = statevector._setting_circuit(
+        generators + [PauliString("XYZ")], np.vstack([table, np.full((1, 3), 0.2)]), fixed + [False], 3
+    )
+    none = statevector._compile_blocks(
+        generators[1:] + [PauliString("XYZ")], np.full((len(letters), 3), 0.2), None
+    )
+    assert wide.sector is None and wide.initial.shape == (8,)
+    program = wide.segments[0][2]
+    assert program.sector is None
+    assert statevector._amp_updates(program) == statevector._amp_updates(none) == (2 * 9 + 4) * 8
+
+
+@pytest.mark.parametrize("last", ["IXII", "XYZI"])
+def test_compile_blocks_refuses_a_frame_it_cannot_hold(last):
+    # a gate that flips the parity, or one on three qubits or more, has no
+    # kernel in a parity frame: the program is refused, not moved to the
+    # full state, which still compiles it
+    letters = _ring_layers(4) + [last]
+    generators = [PauliString(g) for g in letters]
+    table = np.full((len(letters), 2), 0.3)
+    with pytest.raises(ValueError, match="cannot hold"):
+        statevector._compile_blocks(generators, table, sector=0)
+    assert statevector._compile_blocks(generators, table).sector is None
 
 
 @pytest.mark.parametrize("letters", ["X", "ZY", "XIZ", "YXZY"])
