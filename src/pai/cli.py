@@ -37,7 +37,6 @@ import numpy as np
 
 from . import __version__
 from .estimate import (
-    continuous_expectation,
     continuous_shot_bank,
     nearest_notch_shot_bank,
     pai_shot_bank,
@@ -384,8 +383,9 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
         raise ConfigError("batch_size and n_batches must be positive")
     # before any bank is drawn, so an overhead that overflows exits 2 at once
     worst = worst_case_overhead(len(circuit), grid.delta_max)
-    exact = continuous_expectation(circuit, observable)
     n_shots = cfg.n_variants * cfg.shots_per_variant
+    continuous = continuous_shot_bank(circuit, observable, n_shots, cfg.master_seed)
+    exact = continuous.expectation  # the bank's run, so the circuit runs once
 
     banks = {
         "pai": pai_shot_bank(
@@ -400,9 +400,7 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
         "nearest": nearest_notch_shot_bank(
             grid, circuit, observable, n_shots, cfg.master_seed
         ),
-        "continuous": continuous_shot_bank(
-            circuit, observable, n_shots, cfg.master_seed
-        ),
+        "continuous": continuous,
     }
 
     dec = banks["pai"].decomposition
@@ -416,11 +414,10 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
         "refined_overhead": refined,
         "lam_tilde": lam_tilde,
     }
-    rows = []
+    # streamed to the CSV writer, one bank's rows at a time
+    rows = ((name, *row) for name, bank in banks.items() for row in per_variant_rows(bank))
     lines = [f"continuous expectation {exact:+.6f}"]
     for m, (name, bank) in enumerate(banks.items()):
-        for variant_id, sign, outcome_mean, factor in per_variant_rows(bank):
-            rows.append((name, variant_id, sign, outcome_mean, factor))
         res = bank.result()
         s = summary[name] = {
             **dataclasses.asdict(res),

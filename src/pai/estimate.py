@@ -241,15 +241,19 @@ def _pai_draws(dec, circuit, terms, n_variants, shots, master_seed, key, threads
     t, i]`` is the +-1 outcome of shot ``i`` of term ``t`` of variant ``v``.
     Variant ``v`` draws its setting uniforms and then its ``(T, shots)``
     shot uniforms, in term order, from its window of the stream
-    ``(master_seed, *key, 0)``.  Returns the list of ``reduce``'s results."""
+    ``(master_seed, *key, 0)``.  Returns the list of ``reduce``'s results.
+    A chunk copies its shot uniforms and frees its ``(V, nu + T * shots)``
+    draws once the settings are read, so its circuit runs beside little
+    more than its two state buffers and the int8 settings."""
     nu = dec.num_gates
     n_terms = len(terms)
 
     def worker(lo: int, hi: int):
         u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots)
+        u_shots = u_shots.reshape(hi - lo, n_terms, shots).copy()
         settings, signs = settings_from_uniforms(dec, u)
+        del u  # the last view of the draws
         evs = _simulate_variants(circuit, settings, terms)
-        u_shots = u_shots.reshape(hi - lo, n_terms, shots)
         return reduce(lo, hi, signs, _outcomes(u_shots, evs[:, :, None]))
 
     return _map_variants(worker, n_variants, circuit, threads)
@@ -310,9 +314,19 @@ def pai_shot_bank(
     )
 
 
+@dataclass
+class _ReferenceBank(ShotBank):
+    """The one-variant bank of :func:`_reference_bank` with the exact
+    expectation of the circuit it ran, the value of
+    :func:`continuous_expectation` on it, so a caller that reports both
+    runs the circuit once."""
+
+    expectation: float = field(compare=False)
+
+
 def _reference_bank(
     circuit: list, observable, n_shots: int, seed: int, key: tuple[int, ...]
-) -> ShotBank:
+) -> _ReferenceBank:
     """One-variant bank of ``circuit`` run once: every term draws its
     ``n_shots`` shot uniforms, in term order, from the stream
     ``(seed, *key)``."""
@@ -322,10 +336,11 @@ def _reference_bank(
     state = run_circuit(circuit, observable.num_qubits)
     evs = term_expectations(state.amps[:, None], terms)
     u = stream(seed, *key).random((1, len(terms), n_shots))
-    return ShotBank(
+    return _ReferenceBank(
         outcomes=_term_sum(_outcomes(u, evs[:, :, None]), terms),
         variant_signs=np.ones(1, dtype=np.int8),
         weight=1.0,
+        expectation=float(_term_sum(evs, terms)[0]),
     )
 
 
@@ -359,7 +374,8 @@ def continuous_shot_bank(
     seed: int,
 ) -> ShotBank:
     """Shot-sample the ideal continuous-angle circuit, every term
-    ``n_shots`` times, from the stream ``(seed, 2, 0)``."""
+    ``n_shots`` times, from the stream ``(seed, 2, 0)``.  The bank's
+    ``expectation`` is the circuit's :func:`continuous_expectation`."""
     circuit, _ = _circuit_qubits(circuit, observable)
     return _reference_bank(circuit, observable, n_shots, seed, CONTINUOUS_STREAM_KEY)
 
@@ -475,7 +491,8 @@ def two_notch_fidelity_profile(
 
     def worker(lo_v: int, hi_v: int):
         u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
-        settings = (u >= thresholds).astype(np.int8)
+        settings = (u >= thresholds).view(np.int8)
+        del u  # the draws, freed before the circuit runs
         fid = np.empty((hi_v - lo_v, len(cps)))
         fid[:, :n_prefix] = 1.0
         states = zip(ideal_conj, _segment_states(variants, settings))

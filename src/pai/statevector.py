@@ -47,11 +47,12 @@ A block holds at most six gates, ``3**6 = 729`` setting combinations; on
 the spin ring it is a bond's XX, YY, ZZ triple with the on-site Z gates
 that precede it.  A block's table holds the structurally nonzero entries
 of its unitary for every combination, built once per block letters and
-setting angles and cached.  :func:`_compile_blocks` plans a circuit's
-blocks and looks up their tables once; per chunk, :func:`_run_program`
-sums every block's combination codes in one ``np.add.reduceat`` over the
-setting indices and each code picks its column in one ``take``.  So a
-block is diagonal, a single in-place multiply, or makes one bit flip
+setting angles and cached.  :func:`_compile_blocks` compiles a circuit's
+plan once: it looks up the tables and lays out each block's gates by
+position; per chunk, :func:`_run_program` adds every block's combination
+code position by position, at most six row gathers of the setting
+indices, and each code picks its column in one ``take``.  So a block is
+diagonal, a single in-place multiply, or makes one bit flip
 ``f`` and is ``D_0 * psi + D_f * psi[c ^ f]``, the second product taken
 through a view of the ``(dim, V)`` chunk whose support axes are reversed
 where ``f`` flips them; only the structurally nonzero entries are touched
@@ -84,10 +85,12 @@ gate ``j`` at setting ``s`` runs at ``table[j, s]``.  Its leading gates
 that every variant runs at setting 0, such as the Neel X at pi, run once
 on one row through :func:`rotate_batch`; that exact state starts every
 chunk, and its parity decides the frame once, from the blocks of every
-segment's plan.  The segments, one per cut, are compiled once, so a chunk
-(:func:`_segment_states`) only sums its variants' combination codes and
-runs the blocks, on half the amplitudes in the frame, in chunks of twice
-the rows.
+segment's plan.  The segments, one per cut, are compiled once from those
+plans, so a chunk (:func:`_segment_states`) only adds its variants'
+combination codes and runs the blocks, on half the amplitudes in the
+frame, in chunks of twice the rows.  A chunk holds its two buffers and
+little else: the codes' scratch is freed before the blocks run, and
+:func:`term_expectations` reads a diagonal term inside the free buffer.
 """
 
 from __future__ import annotations
@@ -522,20 +525,19 @@ class _BlockProgram:
     :func:`_block_table`, gathered into the kernel's frame, or, for a gate
     on more than two qubits, ``kernel`` is ``None`` and ``entries`` is
     ``(generator, angles)``, the gate and its ``S`` setting angles.
-    ``order`` lists the gates block by block, ``starts`` the offset of each
-    block's first gate in ``order`` and ``weights`` the code weight
-    ``S**i`` of the ``i``-th gate of its block, as a column, so a variant's
-    setting indices sum to one combination code per block.  ``rows`` is the
-    most table rows of a block.  ``sector`` is the parity sector whose
-    frame the program runs in, or ``None`` for the full state.
+    ``slots[i, b]`` is the ``i``-th gate of block ``b``, whose setting
+    index has the code weight ``S**i``, or ``num_gates`` past the block's
+    last gate, a zero row, so a variant's setting indices add to one
+    combination code per block position by position.  ``rows`` is the most
+    table rows of a block.  ``sector`` is the parity sector whose frame the
+    program runs in, or ``None`` for the full state.
     """
 
     num_qubits: int
+    num_gates: int
     n_settings: int
     steps: tuple
-    order: np.ndarray
-    starts: np.ndarray
-    weights: np.ndarray
+    slots: np.ndarray
     rows: int
     sector: int | None = None
 
@@ -564,10 +566,13 @@ def _keeps_sector(blocks) -> bool:
     return all(flip is not None and flip.bit_count() % 2 == 0 for *_, flip in blocks)
 
 
-def _compile_blocks(generators, table: np.ndarray, sector: int | None = None) -> _BlockProgram:
-    """Plan the blocks of ``generators`` at the ``(nu, S)`` setting angles
-    ``table`` and look up every block's table, once per circuit; chunks
-    then run through :func:`_run_program`.
+def _compile_blocks(
+    generators, table: np.ndarray, sector: int | None = None, blocks=None
+) -> _BlockProgram:
+    """Compile the blocks of ``generators`` at the ``(nu, S)`` setting
+    angles ``table`` and look up every block's table, once per circuit;
+    chunks then run through :func:`_run_program`.  ``blocks`` is the
+    :func:`_plan` of ``generators``, planned here when not given.
 
     ``sector`` is the exact index parity of every chunk's start state,
     whose parity frame the program runs in (see the module docstring), or
@@ -580,19 +585,16 @@ def _compile_blocks(generators, table: np.ndarray, sector: int | None = None) ->
         raise ValueError(f"table must be (gates, S) = ({nu}, 1 to 3), got {table.shape}")
     n_settings = table.shape[1]
     if not nu:
-        empty = np.zeros(0, dtype=np.intp)
-        return _BlockProgram(0, n_settings, (), empty, empty, empty, 0)
+        return _BlockProgram(0, 0, n_settings, (), np.zeros((0, 0), dtype=np.intp), 0)
     n = generators[0].num_qubits
-    blocks = _plan(tuple(g.letters for g in generators))
+    if blocks is None:
+        blocks = _plan(tuple(g.letters for g in generators))
     if sector is not None and not _keeps_sector(blocks):
         raise ValueError(f"the frame of sector {sector} cannot hold a parity flip or a wide gate")
     angles = table.tolist()
-    steps, order, starts, weights = [], [], [], []
+    steps = []
     rows = 1
     for gates, local, on, flip in blocks:
-        starts.append(len(order))
-        order += gates
-        weights += [n_settings**i for i in range(len(gates))]
         if local is None:  # a gate on more than two qubits
             steps.append((None, (generators[gates[0]], table[gates[0]])))
             continue
@@ -600,9 +602,10 @@ def _compile_blocks(generators, table: np.ndarray, sector: int | None = None) ->
         entries = _block_table(local, tuple(tuple(angles[j]) for j in gates), kernel[3])
         rows = max(rows, entries.shape[0])
         steps.append((kernel, entries))
-    order, starts = np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
-    weights = np.array(weights, dtype=np.int16)[:, None]  # codes < 3**6 = 729
-    return _BlockProgram(n, n_settings, tuple(steps), order, starts, weights, rows, sector)
+    width = max(len(gates) for gates, *_ in blocks)
+    slots = np.array([(*gates, *[nu] * (width - len(gates))) for gates, *_ in blocks])
+    slots = np.ascontiguousarray(slots.T, dtype=np.intp)
+    return _BlockProgram(n, nu, n_settings, tuple(steps), slots, rows, sector)
 
 
 def _passes(kernel) -> int:
@@ -626,8 +629,11 @@ def _run_program(
     j]]``, ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
     C-contiguous ``(size, V)`` chunk ``state``, in the fused blocks that
     :func:`_compile_blocks` planned from ``generators`` and ``table`` (see
-    the module docstring).  Per chunk it only sums the combination codes,
-    takes each block's columns and multiplies.
+    the module docstring).  Per chunk it only adds the combination codes,
+    takes each block's columns and multiplies.  The codes' scratch, an
+    int16 copy of the settings with a zero row, is freed before the first
+    block, which leaves the two buffers, the ``(blocks, V)`` int16 codes
+    and one ``(rows, V)`` column buffer.
 
     ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
     1`` and entries in ``[0, S)``.  ``spare`` is a C-contiguous ``(size,
@@ -641,7 +647,7 @@ def _run_program(
     :func:`term_expectations` reads the result in that frame.
     """
     size, n_rows = state.shape
-    nu = program.order.size
+    nu = program.num_gates
     settings = np.asarray(settings)
     if n_rows < 1 or settings.shape != (n_rows, nu) or settings.dtype.kind not in "iu":
         raise ValueError(
@@ -659,9 +665,16 @@ def _run_program(
         return state, spare
     if size != 1 << program.num_qubits >> (program.sector is not None):
         raise ValueError("circuit generators do not match the state dimension")
-    # one combination code per block and variant, one contiguous row per block
-    weighted = np.multiply(settings.T[program.order], program.weights, dtype=np.int16)
-    codes = np.add.reduceat(weighted, program.starts, axis=0, dtype=np.int16)
+    # one combination code per block and variant, one contiguous row per
+    # block, added highest position first: code = (s_5 * S + s_4) * S + ...,
+    # below 3**6 = 729; the zero row nu pads a short block's slots
+    rows = np.zeros((nu + 1, n_rows), dtype=np.int16)
+    rows[:nu] = settings.T
+    codes = rows[program.slots[-1]]
+    for slot in program.slots[-2::-1]:
+        codes *= program.n_settings
+        codes += rows[slot]
+    del rows
     table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
     for (kernel, entries), code in zip(program.steps, codes):
         if kernel is None:  # a gate on more than two qubits
@@ -722,6 +735,7 @@ def _setting_circuit(
     of the exact parity of the prefix state (:func:`_parity`) if the blocks
     of every segment's plan keep it (:func:`_keeps_sector`), and on the
     full state otherwise; the prefix state enters that frame by one gather.
+    Each segment is planned once, and that plan is the one compiled.
     """
     cuts = [len(generators)] if cuts is None else list(cuts)
     amps = Statevector.zero(num_qubits).amps[None]
@@ -733,9 +747,13 @@ def _setting_circuit(
     bounds = list(zip([start, *later], later))
     sector = _parity(amps[0])
     letters = tuple(g.letters for g in generators)
-    if sector is not None and not all(_keeps_sector(_plan(letters[lo:hi])) for lo, hi in bounds):
+    plans = [_plan(letters[lo:hi]) for lo, hi in bounds]
+    if sector is not None and not all(_keeps_sector(blocks) for blocks in plans):
         sector = None  # a gate flips the parity or acts on three qubits or more
-    programs = [_compile_blocks(generators[lo:hi], table[lo:hi], sector) for lo, hi in bounds]
+    programs = [
+        _compile_blocks(generators[lo:hi], table[lo:hi], sector, blocks)
+        for (lo, hi), blocks in zip(bounds, plans)
+    ]
     initial = amps[0] if sector is None else amps[0][_frame_index(num_qubits, sector)]
     segments = tuple((lo, hi, program) for (lo, hi), program in zip(bounds, programs))
     return _SettingCircuit(start, initial, segments, sector)
@@ -829,29 +847,37 @@ def term_expectations(
     program compiled for it runs on, or on the full state for ``None``;
     each term is read as its :func:`_frame_term`.  A term on the wrong
     qubit count for ``size`` raises ``ValueError``.  ``spare``, a free
-    buffer of the state's shape, is overwritten; one is allocated when it
-    is not given and a term has an X or Y.
+    C-contiguous buffer of the state's shape, is overwritten; one is
+    allocated when it is not given.  The diagonal (Z-only) terms are read
+    first, the probabilities in one float half of ``spare`` and each term's
+    signed products in the other, so a read allocates no state-sized
+    temporary; then each X/Y term writes ``G psi`` over both halves.
     """
     out = np.zeros((state.shape[1], len(terms)))
-    probs = None
+    reads = []
     for t, (_, pauli) in enumerate(terms):
         _check_compatible(pauli, state.shape[0] << (sector is not None))
         letters, sign = _frame_term(pauli.letters, sector)
-        if letters is None:  # the term flips the parity: it reads 0
-            continue
-        if "X" in letters or "Y" in letters:  # <psi|G psi>, G psi in spare
-            if spare is None:
-                spare = np.empty_like(state)
+        if letters is not None:  # a term that flips the parity reads 0
+            reads.append(("X" in letters or "Y" in letters, t, letters, sign))
+    if spare is None:
+        spare = np.empty(state.shape, dtype=np.complex128)
+    probs = None
+    for flips, t, letters, sign in sorted(reads):  # diagonal terms first
+        if flips:  # <psi|G psi>, G psi in spare
             _apply_pauli(state.T, letters, spare.T)
             spare *= state.conj()
             cols = spare.real
         else:  # a signed sum of probabilities
             if probs is None:
-                probs = state.real**2 + state.imag**2
+                probs, cols = spare.reshape(-1).view(np.float64).reshape(2, *state.shape)
+                np.square(state.real, out=probs)
+                probs += np.square(state.imag, out=cols)
             # the +-1 diagonal, a cached table broadcast over its axes
             sizes, _, phase = _pauli_view(letters)
-            cols = probs.reshape(*sizes, -1) * phase[0].real[..., None]
-            cols = cols.reshape(state.shape)
+            np.multiply(
+                probs.reshape(*sizes, -1), phase[0].real[..., None], out=cols.reshape(*sizes, -1)
+            )
         out[:, t] = sign * _column_sums(cols)
     return out
 

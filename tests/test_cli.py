@@ -373,6 +373,30 @@ def test_trotter_decomposes_each_gate_once(tmp_path, monkeypatch, capsys):
     assert calls == [json.loads(out.with_suffix(".json").read_text())["n_gates"]] == [13]
 
 
+def test_trotter_runs_the_continuous_circuit_once(tmp_path, monkeypatch, capsys):
+    # the exact value is read from the continuous bank's state, so the run
+    # makes one run_circuit call for the rounded circuit and one for the
+    # continuous one, and the report still holds their exact value
+    from pai import estimate, statevector
+
+    calls = []
+    original = statevector.run_circuit
+
+    def spy(circuit, num_qubits, initial=None):
+        calls.append(len(circuit))
+        return original(circuit, num_qubits, initial)
+
+    for module in (estimate, statevector):
+        monkeypatch.setattr(module, "run_circuit", spy)
+    out = _run_trotter(tmp_path, "tr")
+    capsys.readouterr()
+    assert calls == [13, 13]
+    payload = json.loads(out.with_suffix(".json").read_text())
+    circuit = cli._quench_circuit(cli.TrotterConfig(**_TROTTER_TINY))
+    observable = statevector.PauliString("ZII")
+    assert payload["exact_continuous"] == estimate.continuous_expectation(circuit, observable)
+
+
 # pools shaped like trotter banks (+-w, uneven) and one with three values
 _POOLS = {
     "two": np.repeat([-5.647, 5.647], [1300, 1700]),

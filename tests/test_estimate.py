@@ -311,6 +311,45 @@ def test_workload_prefix_states_are_exact(workload, n, bits, total_time, layers)
     assert all(program.sector == 0 for _, _, program in variants.segments)
 
 
+@pytest.mark.parametrize(
+    "n, bits, total_time, layers, shots, bound",
+    [(8, 5, 2.0, 12, 10, 1.6), (4, 5, 0.5, 2, 1, 2.8)],
+    ids=["trotter", "rms"],
+)
+def test_a_chunk_holds_little_more_than_its_two_state_buffers(
+    n, bits, total_time, layers, shots, bound
+):
+    # one chunk of _pai_draws at the trotter shape (8 qubits, 256 rows of
+    # the 128-amplitude half state, 10 shots) and the rms shape (4 qubits,
+    # 2,048 rows, one shot): the draws are freed before the circuit runs,
+    # the codes' scratch before the blocks and the term read stays in the
+    # spare buffer, so the traced peak is at most 1.6x and 2.8x the two
+    # (size, V) complex buffers
+    import tracemalloc
+
+    dec = decompose_circuit(NotchGrid.uniform(bits), _quench(n, 11, total_time, layers))
+    circuit = pai.estimate._pai_circuit(dec, n)
+    size = circuit.initial.shape[0]
+    rows = _auto_chunk(size)
+    terms = ((1.0, PauliString("Z" + "I" * (n - 1))),)
+
+    def chunk():
+        parts = pai.estimate._pai_draws(
+            dec, circuit, terms, rows, shots, 3, (0, 0), 1, lambda lo, hi, *_: hi - lo
+        )
+        assert parts == [rows]
+
+    chunk()  # block tables and phase tables are cached by the first run
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        chunk()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2 * size * rows * 16
+
+
 def test_mean_variant_sign_is_the_inverse_weight_at_depth():
     # each gate's gammas sum to 1, so a variant's sign, the product of its
     # settings' signs, has mean prod_j sum_s gamma_js / ||gamma_j||_1 = 1/w

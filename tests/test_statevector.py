@@ -295,6 +295,10 @@ def _with_z_cases(test):
 
 
 @_with_z_cases
+@example(  # a six-gate bond block, then two blocks of one gate
+    circuit=(3, ["XXI", "YYI", "ZZI", "XXI", "YYI", "ZZI", "IIX", "XII"], [6]),
+    n_rows=7, n_settings=3, seed=5,
+)
 @given(
     circuit=fusable_circuits(),
     n_rows=st.sampled_from([1, 2, 7, 64]),
@@ -310,6 +314,8 @@ def test_fused_blocks_match_gate_by_gate_reference(circuit, n_rows, n_settings, 
     r = np.random.default_rng(seed)
     table = r.uniform(-4 * np.pi, 4 * np.pi, (len(letters), n_settings))
     idx = r.integers(0, n_settings, (n_rows, len(letters))).astype(np.int8)
+    if n_rows > 1:  # every block's top code: 728 for six gates at S = 3
+        idx[-1] = n_settings - 1
     generators = [PauliString(g) for g in letters]
     state = np.zeros((1 << n, n_rows), dtype=np.complex128)
     state[0] = 1.0
@@ -814,6 +820,31 @@ def test_long_plans_are_not_cached():
     long = short + ("IY",)
     assert len(statevector._plan(long)) == 2049
     assert statevector._block_plan.cache_info().currsize == 1
+
+
+def test_a_setting_circuit_plans_each_segment_once(monkeypatch):
+    # the plan that decides the frame is the plan compiled: a 2,400-gate
+    # segment is past the plan cache, so a second plan would be rebuilt
+    from pai.models import TrotterSpec, neel_prep_circuit, spin_ring, trotter_circuit
+
+    prep = neel_prep_circuit(12)
+    circuit = prep + trotter_circuit(spin_ring(12, 0.3, 11), TrotterSpec(1.0, 50))
+    generators = [g for g, _ in circuit]
+    table = np.array([[angle] for _, angle in circuit])
+    fixed = [j < len(prep) for j in range(len(circuit))]
+    calls = []
+    original = statevector._plan
+
+    def spy(letters):
+        calls.append(len(letters))
+        return original(letters)
+
+    monkeypatch.setattr(statevector, "_plan", spy)
+    built = statevector._setting_circuit(generators, table, fixed, 12)
+    assert calls == [2400] and built.sector == 0
+    calls.clear()
+    statevector._setting_circuit(generators, table, fixed, 12, cuts=[1206, len(circuit)])
+    assert calls == [1200, 1200]
 
 
 def test_run_circuit_leaves_its_initial_state_unchanged(rng):
