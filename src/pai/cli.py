@@ -179,6 +179,8 @@ def _coerce(name: str, raw, annotation):
         if not isinstance(raw, (list, tuple)):
             raise ConfigError(f"field {name!r} expects a list")
         return [_coerce(name, item, elem) for item in raw]
+    if isinstance(raw, bool):  # no field is boolean, and int(True) would be 1
+        raise ConfigError(f"field {name!r}: cannot interpret {raw!r}")
     try:
         if annotation is int:
             value = int(str(raw), 0) if isinstance(raw, str) else int(raw)
@@ -379,8 +381,9 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
     circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", cfg.observable_qubit, cfg.num_qubits)
     grid = _grid_from(cfg.bits)
-    if cfg.batch_size < 1 or cfg.n_batches < 1:
-        raise ConfigError("batch_size and n_batches must be positive")
+    for name in ("n_variants", "shots_per_variant", "batch_size", "n_batches"):
+        if (value := getattr(cfg, name)) < 1:
+            raise ConfigError(f"field {name!r} must be positive, got {value}")
     # before any bank is drawn, so an overhead that overflows exits 2 at once
     worst = worst_case_overhead(len(circuit), grid.delta_max)
     n_shots = cfg.n_variants * cfg.shots_per_variant

@@ -145,6 +145,28 @@ def test_non_integer_field_exits_2(capsys):
     assert run_cli("decompose", "--angle", "0.3", "--bits", "3.7") == 2
 
 
+@pytest.mark.parametrize(
+    "command, values, field",
+    [
+        ("trotter", {"n_layers": 1, "total_time": True}, "total_time"),
+        ("trotter", {"n_layers": False}, "n_layers"),
+        ("trotter", {"omega": [0.1, True, 0.3]}, "omega"),
+        ("rms", {"shot_grid": [True, 10]}, "shot_grid"),
+        ("decompose", {"angle": False}, "angle"),
+        ("vqe", {"mode": True}, "mode"),
+    ],
+)
+def test_boolean_config_value_exits_2_naming_the_field(command, values, field, tmp_path, capsys):
+    # JSON true and false are not the numbers 1 and 0: no field is boolean
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(values))
+    argv = [] if command == "decompose" else ["--output", tmp_path / "out" / "run"]
+    assert run_cli(command, "--config", cfg, *argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and repr(field) in captured.err and not captured.out
+    assert not (tmp_path / "out").exists()
+
+
 def test_bad_threads_value_exits_2(capsys):
     assert run_cli("decompose", "--angle", "0.3", "--threads", "many") == 2
     assert run_cli("decompose", "--angle", "0.3", "--threads", "0") == 2
@@ -468,11 +490,14 @@ def test_huge_batches_draw_counts_not_indices():
     assert 0.5 * sd < out["batch_width"] < 2.0 * sd
 
 
-@pytest.mark.parametrize("field", ["batch-size", "n-batches"])
-def test_trotter_rejects_empty_batches(tmp_path, capsys, field):
+@pytest.mark.parametrize("field", ["batch-size", "n-batches", "n-variants", "shots-per-variant"])
+def test_trotter_rejects_empty_batches(tmp_path, monkeypatch, capsys, field):
+    for bank in ("continuous_shot_bank", "nearest_notch_shot_bank", "pai_shot_bank"):
+        monkeypatch.setattr(cli, bank, lambda *a, **k: pytest.fail("a circuit ran"))
     assert run_cli("trotter", "--output", tmp_path / "tr", f"--{field}", "0") == 2
-    assert "batch_size and n_batches must be positive" in capsys.readouterr().err
-    assert not (tmp_path / "tr.json").exists()
+    name = field.replace("-", "_")
+    assert capsys.readouterr().err == f"config error: field {name!r} must be positive, got 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_trotter_threads_do_not_change_bytes(tmp_path, capsys):
@@ -870,3 +895,39 @@ def test_no_stream_key_is_drawn_twice_in_a_run(run, tmp_path, monkeypatch, capsy
             assert (0, 0, 0, 0, 0, 0, 0) in singles  # the Lanczos start vector
         if seed == 11:
             assert (seed,) in singles  # the model fields
+
+
+_REPRODUCED_RUNS = {
+    **_KEYED_RUNS,
+    "trotter-omega": _KEYED_RUNS["trotter"] + " --omega 0.1,0.2,0.3",
+    "decompose": "decompose --angle 0.3 --bits 5",
+    "overhead": "overhead --bits-list 4,6 --gate-counts 1,16",
+}
+
+
+@pytest.mark.parametrize("run", sorted(_REPRODUCED_RUNS))
+def test_an_artifacts_config_reproduces_it(run, tmp_path, capsys):
+    # rerun from the config that the artifact embeds, and nothing else
+    argv = _REPRODUCED_RUNS[run].split()
+    out, cfg = tmp_path / "run", tmp_path / "config.json"
+    paths = [] if run == "decompose" else [out.with_suffix(".csv"), out.with_suffix(".json")]
+    assert run_cli(*argv, *(["--output", out] if paths else [])) == 0
+    first = [capsys.readouterr().out, *(path.read_bytes() for path in paths)]
+    cfg.write_text(json.dumps(json.loads(first[-1])["config"]))
+    for path in paths:
+        path.unlink()
+    assert run_cli(argv[0], "--config", cfg) == 0
+    assert [capsys.readouterr().out, *(path.read_bytes() for path in paths)] == first
+
+
+def test_every_experiment_config_loads_for_its_command():
+    # a file's command is its stem up to the first "_"; an unknown key raises
+    paths = sorted((Path(__file__).resolve().parents[1] / "experiments").glob("*.json"))
+    assert [path.stem for path in paths] == [
+        "fidelity-decay", "overhead", "rms", "rms_quick", "trotter", "trotter_quick", "vqe"
+    ]
+    for path in paths:
+        values = json.loads(path.read_text())
+        config_type = cli._COMMANDS[path.stem.split("_")[0]][0]
+        resolved = vars(cli._build_config(config_type, str(path), {}))
+        assert {key: resolved[key] for key in values} == values
