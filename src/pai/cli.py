@@ -377,13 +377,18 @@ def _cmd_overhead(cfg: OverheadConfig, threads: int) -> int:
     )
 
 
+def _require_positive(cfg, *names: str) -> None:
+    """Exit 2 naming the first of the fields ``names`` of ``cfg`` below 1."""
+    for name in names:
+        if (value := getattr(cfg, name)) < 1:
+            raise ConfigError(f"field {name!r} must be positive, got {value}")
+
+
 def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
     circuit = _quench_circuit(cfg)
     observable = _observable_string("Z", cfg.observable_qubit, cfg.num_qubits)
     grid = _grid_from(cfg.bits)
-    for name in ("n_variants", "shots_per_variant", "batch_size", "n_batches"):
-        if (value := getattr(cfg, name)) < 1:
-            raise ConfigError(f"field {name!r} must be positive, got {value}")
+    _require_positive(cfg, "n_variants", "shots_per_variant", "batch_size", "n_batches")
     # before any bank is drawn, so an overhead that overflows exits 2 at once
     worst = worst_case_overhead(len(circuit), grid.delta_max)
     n_shots = cfg.n_variants * cfg.shots_per_variant
@@ -442,6 +447,8 @@ def _cmd_trotter(cfg: TrotterConfig, threads: int) -> int:
 
 
 def _cmd_vqe(cfg: VqeConfig, threads: int) -> int:
+    if cfg.mode != "exact":  # exact mode draws no shots
+        _require_positive(cfg, "n_variants", "shots_per_variant")
     model = _ring(cfg)
     grid = _grid_from(cfg.bits)
     est = EstimatorConfig(

@@ -30,14 +30,20 @@ rms sweep shares it, and the fidelity profile's ideal states are one more
 row of it, at a third, continuous-angle setting; terms and overlaps are
 read in the circuit's frame.
 
-Multi-threading only partitions variants into fixed-size chunks; stream
-contents and reduction order are independent of the thread count, so
-results are bit-identical for any ``threads`` value.
+Multi-threading only partitions variants into fixed-size chunks, which
+the calling thread and ``threads - 1`` helpers claim in turn; stream
+contents, chunk bounds and reduction order are independent of the thread
+count, so results are bit-identical for any ``threads`` value.  Each thread
+that runs chunks allocates one workspace per :func:`_map_variants` call,
+sized for the larger of a chunk's two phases, its draws and its circuit,
+which overlay the same bytes; once warm, the loop allocates no chunk
+buffer.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -55,10 +61,12 @@ from .statevector import (
     Observable,
     PauliString,
     _as_observable,
+    _chunk_bytes,
     _column_sums,
     _segment_states,
     _setting_circuit,
     _SettingCircuit,
+    _span,
     _term_sum,
     expectation,
     run_circuit,
@@ -188,15 +196,67 @@ def _chunk_bounds(n: int, chunk: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
-def _map_variants(worker, n_variants: int, circuit: _SettingCircuit, threads: int) -> list:
-    """``worker(lo, hi)`` over the chunks of ``n_variants`` variants of
-    ``circuit``, spread over ``threads`` threads; results keep chunk order,
-    and the chunk bounds never depend on ``threads``."""
-    bounds = _chunk_bounds(n_variants, _auto_chunk(circuit.initial.shape[0]))
-    if threads <= 1 or len(bounds) <= 1:
-        return [worker(lo, hi) for lo, hi in bounds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda bound: worker(*bound), bounds))
+def _workspace_bytes(circuit: _SettingCircuit, n_rows: int, width: int) -> int:
+    """Bytes of one chunk loop's workspace: the larger of a chunk's two
+    phases at ``n_rows`` variants of ``circuit``, each drawing ``width``
+    doubles.  The draw phase holds the ``(V, 4 * ceil(width / 4))`` window
+    doubles of :func:`pai.rng.chunk_uniforms`; the circuit phase holds the
+    :func:`pai.statevector._chunk_bytes` of :func:`_segment_states`.  The
+    phases share the same bytes: a chunk reads its draws before its circuit
+    runs."""
+    draws = _span((n_rows, 4 * -(-width // 4)), np.float64)
+    return max(draws, _chunk_bytes(circuit, n_rows))
+
+
+def _workspace(nbytes: int) -> np.ndarray:
+    """One thread's workspace for one :func:`_map_variants` call: ``nbytes``
+    uint8, of no set value."""
+    return np.empty(nbytes, dtype=np.uint8)
+
+
+def _map_variants(
+    worker, n_variants: int, circuit: _SettingCircuit, threads: int, width: int = 0
+) -> list:
+    """``worker(work, lo, hi)`` over the chunks of ``n_variants`` variants
+    of ``circuit``, run on ``threads`` threads, the calling one included,
+    each variant drawing ``width`` doubles; results keep chunk order, and
+    the chunk bounds never depend on ``threads``.
+
+    Each thread claims the next chunk index until none is left and stores
+    its result at that index.  A thread allocates one uint8 workspace
+    ``work`` of :func:`_workspace_bytes` at its first chunk and hands it to
+    every chunk it runs; the workspace is dropped when the call returns.  A
+    worker takes views of ``work`` for its draws and its circuit, never
+    trusts its bytes from an earlier chunk, and returns only fresh arrays,
+    so no view of it outlives the chunk."""
+    n_rows = _auto_chunk(circuit.initial.shape[0])
+    bounds = _chunk_bounds(n_variants, n_rows)
+    nbytes = _workspace_bytes(circuit, min(n_rows, n_variants), width)
+    results = [None] * len(bounds)
+    claims = iter(range(len(bounds)))
+    lock = threading.Lock()
+
+    def drain():
+        work = None
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            if work is None:
+                work = _workspace(nbytes)
+            results[i] = worker(work, *bounds[i])
+
+    helpers = min(threads, len(bounds)) - 1
+    if helpers < 1:
+        drain()
+        return results
+    with ThreadPoolExecutor(max_workers=helpers) as pool:
+        started = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+        for future in started:
+            future.result()
+    return results
 
 
 def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
@@ -206,23 +266,29 @@ def _pai_circuit(dec: CircuitDecomposition, num_qubits: int) -> _SettingCircuit:
     return _setting_circuit(dec.generators, dec.setting_angles, fixed, num_qubits)
 
 
-def _simulate_variants(circuit: _SettingCircuit, angles: np.ndarray, terms) -> np.ndarray:
+def _simulate_variants(
+    circuit: _SettingCircuit, angles: np.ndarray, terms, work=None
+) -> np.ndarray:
     """Run one realized circuit per row of ``angles``, the ``(V, nu)``
     setting indices: variant ``v`` runs gate ``j`` at its setting
-    ``angles[v, j]``.  Returns the ``(V, T)`` term expectations of
-    ``terms``, coefficients not applied, read in the circuit's frame."""
-    for state, spare in _segment_states(circuit, angles):
+    ``angles[v, j]``, in the workspace ``work`` of :func:`_segment_states`
+    (a fresh one when not given).  Returns the fresh ``(V, T)`` term
+    expectations of ``terms``, coefficients not applied, read in the
+    circuit's frame."""
+    for state, spare in _segment_states(circuit, angles, work):
         pass
     return term_expectations(state, terms, circuit.sector, spare)
 
 
-def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=None):
+def _variant_uniforms(master_seed: int, key, lo: int, hi: int, nu: int, shots=None, work=None):
     """Uniforms of variants ``lo`` to ``hi - 1``: ``(V, nu)`` for the
     settings and, when ``shots`` is given, ``(V, shots)`` for the shots
     (else ``None``).  Variant ``v`` draws both, in that order, from its
     window of ``nu + shots`` doubles in the stream ``(master_seed, *key,
-    0)``."""
-    draws = chunk_uniforms(master_seed, key, lo, hi, nu + (shots or 0))
+    0)``.  Given a uint8 workspace ``work``, both are views of its head,
+    which the chunk's circuit overwrites; else they are fresh."""
+    out = None if work is None else work.view(np.float64)
+    draws = chunk_uniforms(master_seed, key, lo, hi, nu + (shots or 0), out)
     return draws[:, :nu], None if shots is None else draws[:, nu:]
 
 
@@ -242,21 +308,22 @@ def _pai_draws(dec, circuit, terms, n_variants, shots, master_seed, key, threads
     Variant ``v`` draws its setting uniforms and then its ``(T, shots)``
     shot uniforms, in term order, from its window of the stream
     ``(master_seed, *key, 0)``.  Returns the list of ``reduce``'s results.
-    A chunk copies its shot uniforms and frees its ``(V, nu + T * shots)``
-    draws once the settings are read, so its circuit runs beside little
-    more than its two state buffers and the int8 settings."""
+    A chunk draws its ``(V, nu + T * shots)`` uniforms into its thread's
+    workspace (:func:`_map_variants`), copies its shot uniforms and reads
+    its settings, and then runs its circuit over the same bytes, beside
+    little more than the int8 settings."""
     nu = dec.num_gates
     n_terms = len(terms)
 
-    def worker(lo: int, hi: int):
-        u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots)
+    def worker(work: np.ndarray, lo: int, hi: int):
+        u, u_shots = _variant_uniforms(master_seed, key, lo, hi, nu, n_terms * shots, work)
         u_shots = u_shots.reshape(hi - lo, n_terms, shots).copy()
         settings, signs = settings_from_uniforms(dec, u)
-        del u  # the last view of the draws
-        evs = _simulate_variants(circuit, settings, terms)
+        del u  # the last view of the draws, whose bytes the circuit takes
+        evs = _simulate_variants(circuit, settings, terms, work)
         return reduce(lo, hi, signs, _outcomes(u_shots, evs[:, :, None]))
 
-    return _map_variants(worker, n_variants, circuit, threads)
+    return _map_variants(worker, n_variants, circuit, threads, nu + n_terms * shots)
 
 
 def _circuit_qubits(circuit, observable) -> tuple[list, int]:
@@ -413,12 +480,13 @@ def exact_pai_expectation(
     # every variant is enumerated, so no gate is fixed
     variants = _setting_circuit(dec.generators, dec.setting_angles, [False] * nu, n)
 
-    def worker(lo: int, hi: int) -> float:
+    def worker(work: np.ndarray, lo: int, hi: int) -> float:
         # variant v takes the settings of v's base-3 digits, last gate fastest
         idx = np.stack(np.unravel_index(np.arange(lo, hi), (3,) * nu), axis=-1)
         idx = idx.astype(np.int8)
         weights = dec.gammas[cols, idx].prod(axis=1)
-        return float(weights @ _term_sum(_simulate_variants(variants, idx, terms), terms))
+        evs = _simulate_variants(variants, idx, terms, work)
+        return float(weights @ _term_sum(evs, terms))
 
     # a plain loop keeps chunk-order addition; sum() compensates from 3.12
     total = 0.0
@@ -489,20 +557,20 @@ def two_notch_fidelity_profile(
     states = zip(variants.segments, _segment_states(variants, ideal))
     ideal_conj = [np.conj(state[:, 0]) for _, (state, _) in states]
 
-    def worker(lo_v: int, hi_v: int):
-        u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu)
+    def worker(work: np.ndarray, lo_v: int, hi_v: int):
+        u, _ = _variant_uniforms(master_seed, (), lo_v, hi_v, nu, work=work)
         settings = (u >= thresholds).view(np.int8)
-        del u  # the draws, freed before the circuit runs
+        del u  # the draws, whose bytes the circuit takes
         fid = np.empty((hi_v - lo_v, len(cps)))
         fid[:, :n_prefix] = 1.0
-        states = zip(ideal_conj, _segment_states(variants, settings))
+        states = zip(ideal_conj, _segment_states(variants, settings, work))
         for m, (want, (state, spare)) in enumerate(states, n_prefix):
             # spare is free between segments; it holds the products
             np.multiply(state, want[:, None], out=spare)
             fid[:, m] = np.abs(_column_sums(spare)) ** 2
         return fid
 
-    fids = np.concatenate(_map_variants(worker, n_variants, variants, threads), axis=0)
+    fids = np.concatenate(_map_variants(worker, n_variants, variants, threads, nu), axis=0)
     points = []
     for m, cp in enumerate(cps):
         col = fids[:, m]

@@ -249,9 +249,12 @@ def settings_from_uniforms(
     negative settings.  Gate ``j`` of a row takes setting 0 for a uniform
     below ``p1``, 1 below ``p1 + p2`` and 2 otherwise.
     """
-    idx = (u >= dec.thresholds_low).astype(np.int8)
+    # in place where it can be, so a chunk's draws sit beside two (V, nu)
+    # int8 arrays at most
+    idx = (u >= dec.thresholds_low).view(np.int8)
     idx += u >= dec.thresholds_high
-    negative = (dec.negative_settings >> idx) & 1
+    negative = dec.negative_settings >> idx
+    negative &= 1
     return idx, 1 - 2 * np.bitwise_xor.reduce(negative, axis=1).astype(np.int64)
 
 

@@ -58,11 +58,21 @@ def stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def chunk_uniforms(master_seed: int, key, lo: int, hi: int, width: int) -> np.ndarray:
+def chunk_uniforms(
+    master_seed: int, key, lo: int, hi: int, width: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """``(hi - lo, width)`` uniforms: row ``i`` holds the window of variant
-    ``lo + i`` in the stream ``(master_seed, *key, 0)``."""
+    ``lo + i`` in the stream ``(master_seed, *key, 0)``.
+
+    ``out``, a C-contiguous float64 array of at least ``(hi - lo) * 4 *
+    ceil(width / 4)`` elements, takes the draws in its head when given, and
+    the result is a view of it; the doubles are the same either way."""
     blocks = -(-width // 4)  # four doubles per Philox block
     draw = stream(master_seed, *key, 0)
     # advance also empties the buffer, so the next draw starts a block
     draw.bit_generator.advance(lo * blocks)
-    return draw.random((hi - lo, 4 * blocks))[:, :width]
+    shape = (hi - lo, 4 * blocks)
+    if out is None:
+        return draw.random(shape)[:, :width]
+    head = out.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+    return draw.random(out=head)[:, :width]

@@ -89,12 +89,15 @@ segment's plan.  The segments, one per cut, are compiled once from those
 plans, so a chunk (:func:`_segment_states`) only adds its variants'
 combination codes and runs the blocks, on half the amplitudes in the
 frame, in chunks of twice the rows.  A chunk holds its two buffers and
-little else: the codes' scratch is freed before the blocks run, and
-:func:`term_expectations` reads a diagonal term inside the free buffer.
+little else, all views of one workspace (:func:`_chunk_bytes`) that a
+chunk loop reuses: the codes' scratch gives its bytes to the column
+buffer before the blocks run, and :func:`term_expectations` reads a
+diagonal term inside the free buffer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
@@ -622,18 +625,52 @@ def _amp_updates(program: _BlockProgram) -> int:
     return passes << program.num_qubits >> (program.sector is not None)
 
 
+def _span(shape, dtype) -> int:
+    """Bytes that a C-contiguous ``shape`` array of ``dtype`` takes in a
+    workspace, rounded up to whole 64-byte lines, so the next view starts
+    on a line."""
+    return -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64
+
+
+def _view(work: np.ndarray, offset: int, shape, dtype) -> np.ndarray:
+    """The C-contiguous ``shape`` array of ``dtype`` over the bytes of the
+    uint8 workspace ``work`` from ``offset``."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    return work[offset : offset + nbytes].view(dtype).reshape(shape)
+
+
+def _program_bytes(program: _BlockProgram, n_rows: int) -> int:
+    """Scratch bytes of :func:`_run_program` on ``n_rows`` columns: the
+    ``(blocks, V)`` int16 codes, then either the int8 copy of the settings
+    with a zero row and one gathered setting row per block, while the codes
+    are added, or the ``(rows, V)`` column buffer, while the blocks run."""
+    if not program.num_gates:
+        return 0
+    code_shape = (len(program.steps), n_rows)
+    build = _span((program.num_gates + 1, n_rows), np.int8) + _span(code_shape, np.int8)
+    tables = _span((program.rows, n_rows), np.complex128)
+    return _span(code_shape, np.int16) + max(build, tables)
+
+
 def _run_program(
-    program: _BlockProgram, state: np.ndarray, settings: np.ndarray, spare: np.ndarray
+    program: _BlockProgram,
+    state: np.ndarray,
+    settings: np.ndarray,
+    spare: np.ndarray,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply gate ``j`` of ``program`` at angle ``table[j, settings[v,
     j]]``, ``exp(-1j*angle/2 * generators[j])``, to column ``v`` of the
     C-contiguous ``(size, V)`` chunk ``state``, in the fused blocks that
     :func:`_compile_blocks` planned from ``generators`` and ``table`` (see
     the module docstring).  Per chunk it only adds the combination codes,
-    takes each block's columns and multiplies.  The codes' scratch, an
-    int16 copy of the settings with a zero row, is freed before the first
-    block, which leaves the two buffers, the ``(blocks, V)`` int16 codes
-    and one ``(rows, V)`` column buffer.
+    takes each block's columns and multiplies.  Its scratch is the uint8
+    ``scratch`` of at least :func:`_program_bytes`, or a fresh one when
+    not given: the ``(blocks, V)`` int16 codes lie at its head, and behind
+    them the codes' scratch, an int8 copy of the settings with a zero row,
+    gives way to one ``(rows, V)`` column buffer before the first block.
+    Its bytes need no value on entry; every view is written before it is
+    read.
 
     ``settings`` is a ``(V, len(generators))`` integer array with ``V >=
     1`` and entries in ``[0, S)``.  ``spare`` is a C-contiguous ``(size,
@@ -665,17 +702,25 @@ def _run_program(
         return state, spare
     if size != 1 << program.num_qubits >> (program.sector is not None):
         raise ValueError("circuit generators do not match the state dimension")
+    if scratch is None:
+        scratch = np.empty(_program_bytes(program, n_rows), dtype=np.uint8)
     # one combination code per block and variant, one contiguous row per
     # block, added highest position first: code = (s_5 * S + s_4) * S + ...,
-    # below 3**6 = 729; the zero row nu pads a short block's slots
-    rows = np.zeros((nu + 1, n_rows), dtype=np.int16)
+    # below 3**6 = 729; the zero row nu pads a short block's slots.  "clip"
+    # takes no copy of out, and every slot lies in [0, nu]
+    code_shape = (len(program.steps), n_rows)
+    head = _span(code_shape, np.int16)
+    codes = _view(scratch, 0, code_shape, np.int16)
+    rows = _view(scratch, head, (nu + 1, n_rows), np.int8)
+    gathered = _view(scratch, head + _span(rows.shape, np.int8), code_shape, np.int8)
     rows[:nu] = settings.T
-    codes = rows[program.slots[-1]]
+    rows[nu] = 0
+    codes[...] = rows.take(program.slots[-1], axis=0, out=gathered, mode="clip")
     for slot in program.slots[-2::-1]:
         codes *= program.n_settings
-        codes += rows[slot]
-    del rows
-    table_buf = np.empty((program.rows, n_rows), dtype=np.complex128)
+        codes += rows.take(slot, axis=0, out=gathered, mode="clip")
+    del rows, gathered  # the column buffer takes their bytes
+    table_buf = _view(scratch, head, (program.rows, n_rows), np.complex128)
     for (kernel, entries), code in zip(program.steps, codes):
         if kernel is None:  # a gate on more than two qubits
             generator, angles = entries
@@ -759,20 +804,42 @@ def _setting_circuit(
     return _SettingCircuit(start, initial, segments, sector)
 
 
-def _segment_states(circuit: _SettingCircuit, settings: np.ndarray):
+def _chunk_bytes(circuit: _SettingCircuit, n_rows: int) -> int:
+    """Bytes of the workspace that :func:`_segment_states` runs a chunk of
+    ``n_rows`` variants of ``circuit`` in: its two ``(size, V)`` complex
+    buffers and the largest segment's :func:`_program_bytes`."""
+    buffer = _span((circuit.initial.shape[0], n_rows), np.complex128)
+    programs = [_program_bytes(program, n_rows) for *_, program in circuit.segments]
+    return 2 * buffer + max(programs, default=0)
+
+
+def _segment_states(circuit: _SettingCircuit, settings: np.ndarray, work=None):
     """Run one chunk of ``circuit`` at the ``(V, nu)`` setting indices
     ``settings``, yielding ``(state, free)`` after each segment (or once,
     at the start, when there is none): the ``(size, V)`` state, in the
     circuit's frame, and the other buffer, free for the caller.  The
     chunk's two buffers are C-contiguous ``(size, V)``, ``size`` the length
     of ``circuit.initial``, so the kernel's inner loops run over the
-    variants; every column of the state starts as ``circuit.initial``."""
-    state = np.repeat(circuit.initial[:, None], settings.shape[0], axis=1)
-    spare = np.empty_like(state)
+    variants; every column of the state starts as ``circuit.initial``.
+
+    The buffers, and behind them every segment's :func:`_run_program`
+    scratch, are views of the uint8 workspace ``work`` of at least
+    :func:`_chunk_bytes`, which a chunk loop reuses from chunk to chunk,
+    or of a fresh one when it is not given.  Its bytes need no value on
+    entry: the state is filled here."""
+    n_rows = settings.shape[0]
+    shape = (circuit.initial.shape[0], n_rows)
+    if work is None:
+        work = np.empty(_chunk_bytes(circuit, n_rows), dtype=np.uint8)
+    buffer = _span(shape, np.complex128)
+    state = _view(work, 0, shape, np.complex128)
+    spare = _view(work, buffer, shape, np.complex128)
+    scratch = work[2 * buffer :]
+    state[...] = circuit.initial[:, None]
     if not circuit.segments:
         yield state, spare
     for lo, hi, program in circuit.segments:
-        state, spare = _run_program(program, state, settings[:, lo:hi], spare)
+        state, spare = _run_program(program, state, settings[:, lo:hi], spare, scratch)
         yield state, spare
 
 

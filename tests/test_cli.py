@@ -671,6 +671,20 @@ def test_vqe_non_finite_learning_rate_exits_2_naming_the_field(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", ["nearest", "pai"])
+@pytest.mark.parametrize("field", ["n-variants", "shots-per-variant"])
+def test_vqe_sampled_modes_reject_empty_banks_naming_the_field(
+    mode, field, tmp_path, monkeypatch, capsys
+):
+    for name in ("gradient", "run_circuit"):
+        monkeypatch.setattr(models, name, lambda *a, **k: pytest.fail("a circuit ran"))
+    argv = ["vqe", *_VQE_TINY, "--mode", mode, "--n-iters", "1", f"--{field}", "0"]
+    assert run_cli(*argv, "--output", tmp_path / "v") == 2
+    name = field.replace("-", "_")
+    assert capsys.readouterr().err == f"config error: field {name!r} must be positive, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_vqe_bad_mode_exits_2(tmp_path, capsys):
     assert (
         run_cli("vqe", *_VQE_TINY, "--mode", "magic", "--output", tmp_path / "x") == 2
@@ -822,10 +836,10 @@ def _record_stream_keys(monkeypatch) -> tuple[list, list]:
             windows.append((address, span))
         return original_stream(master_seed, *key)
 
-    def recording_chunk(master_seed, key, lo, hi, width):
+    def recording_chunk(master_seed, key, lo, hi, width, out=None):
         chunk.span = (lo, hi)
         try:
-            return original_chunk(master_seed, key, lo, hi, width)
+            return original_chunk(master_seed, key, lo, hi, width, out)
         finally:
             chunk.span = None
 

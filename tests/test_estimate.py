@@ -1,6 +1,9 @@
 """Sampled estimators: unbiasedness, determinism, error scaling."""
 
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -350,6 +353,149 @@ def test_a_chunk_holds_little_more_than_its_two_state_buffers(
     assert peak <= bound * 2 * size * rows * 16
 
 
+_GARBAGE = np.random.default_rng(2026).integers(0, 256, 4096, dtype=np.uint8)
+
+
+def _fill_nan(work):
+    work.view(np.float64)[:] = np.nan
+
+
+def _fill_garbage(work):
+    work[:] = np.resize(_GARBAGE, work.size)
+
+
+def _pai_chunks(dec, num_qubits: int, n_variants: int) -> int:
+    circuit = pai.estimate._pai_circuit(dec, num_qubits)
+    return len(_chunk_bounds(n_variants, _auto_chunk(circuit.initial.shape[0])))
+
+
+def _fixed_setting_circuit():
+    return pai.estimate._pai_circuit(decompose_circuit(NotchGrid.uniform(4), _fixed_circuit()), 3)
+
+
+def _workspace_runs(threads: int):
+    # a trotter-shape bank of three 256-row chunks, a 2-budget rms sweep
+    # whose second budget takes two chunks, the 12-qubit profile's two
+    # chunks of three segments and an enumeration of four chunks
+    grid = NotchGrid.uniform(5)
+    dec = decompose_circuit(grid, _quench(8, 11, 1.0, 2))
+    assert _pai_chunks(dec, 8, 600) == 3
+    trotter = _quench(8, 11, 1.0, 2)
+    bank = pai_shot_bank(grid, trotter, PauliString("ZIIIIIII"), 600, 3, 5, threads=threads)
+    ring = _quench(4, 5, 0.5, 2)
+    rms = rms_vs_shots(grid, ring, PauliString("ZIII"), [5, 600], 4, 9, threads=threads)
+    profile = _ring_profile(threads)
+    circuit = oracles.random_circuit(np.random.default_rng(8), 3, 8)
+    exact = exact_pai_expectation(grid, circuit, _SUM)
+    return bank.outcomes, bank.variant_signs, rms, profile, exact
+
+
+@pytest.mark.parametrize("fill", [_fill_nan, _fill_garbage], ids=["nan", "garbage"])
+def test_no_chunk_reads_stale_workspace_bytes(fill, monkeypatch):
+    # every chunk finds its thread's workspace filled with NaN, or with a
+    # fixed byte pattern, and still gives the bits of a plain run: no view
+    # of the workspace is read before the chunk writes it
+    want = _workspace_runs(1)
+    run_map = pai.estimate._map_variants
+    filled = []
+
+    def dirty_map(worker, *args, **kwargs):
+        def dirty(work, lo, hi):
+            fill(work)
+            filled.append(work.size)
+            return worker(work, lo, hi)
+
+        return run_map(dirty, *args, **kwargs)
+
+    monkeypatch.setattr(pai.estimate, "_map_variants", dirty_map)
+    for threads in (1, 3):
+        filled.clear()
+        outcomes, signs, rms, profile, exact = _workspace_runs(threads)
+        np.testing.assert_array_equal(outcomes, want[0])
+        np.testing.assert_array_equal(signs, want[1])
+        assert rms == want[2]
+        assert profile == want[3]
+        assert exact == want[4]
+        assert len(filled) == 3 + (1 + 2) + 2 + 4
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_chunks_that_finish_out_of_order_keep_chunk_order(threads):
+    # six chunks of 2,048 rows sleep a seeded random time each; with more
+    # than one thread, chunk 0 also waits for another chunk to finish, so
+    # results are stored out of order, and eight threads outnumber the chunks
+    circuit = _fixed_setting_circuit()
+    rows = _auto_chunk(circuit.initial.shape[0])
+    n_variants = 5 * rows + 7
+    delays = np.random.default_rng(26).uniform(0.0, 0.01, 6)
+    finished = []
+    other_done = threading.Event()
+
+    def worker(work, lo, hi):
+        assert work.dtype == np.uint8
+        if lo == 0 and threads > 1:
+            assert other_done.wait(timeout=10.0)
+        time.sleep(delays[lo // rows])
+        finished.append(lo // rows)
+        if lo:
+            other_done.set()
+        return lo, hi, (hi - lo) ** 2
+
+    got = pai.estimate._map_variants(worker, n_variants, circuit, threads)
+    want = [(lo, hi, (hi - lo) ** 2) for lo, hi in _chunk_bounds(n_variants, rows)]
+    assert len(want) == 6
+    assert got == want
+    assert sorted(finished) == list(range(6))
+    assert (finished != sorted(finished)) == (threads > 1)
+
+
+def test_every_chunk_is_claimed_once_under_contention():
+    # eight threads on 300 instant chunks, switching every microsecond: a
+    # chunk index claimed twice, or never, breaks the call count or the list
+    circuit = _fixed_setting_circuit()
+    rows = _auto_chunk(circuit.initial.shape[0])
+    calls = []
+
+    def worker(work, lo, hi):
+        calls.append(lo)
+        return lo
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = pai.estimate._map_variants(worker, 300 * rows, circuit, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == list(range(0, 300 * rows, rows))
+    assert sorted(calls) == got
+
+
+@pytest.mark.parametrize("run", ["trotter", "rms"])
+def test_each_thread_allocates_one_workspace_per_call(run, monkeypatch):
+    # a 9-chunk trotter bank at one thread and a 20-chunk rms budget at two
+    # threads: one workspace per thread that runs chunks, not per chunk, and
+    # the calling thread is one of them
+    made = []
+    workspace = pai.estimate._workspace
+
+    def spy(nbytes):
+        made.append(threading.get_ident())
+        return workspace(nbytes)
+
+    monkeypatch.setattr(pai.estimate, "_workspace", spy)
+    grid = NotchGrid.uniform(5)
+    if run == "trotter":
+        dec = decompose_circuit(grid, _quench(8, 11, 2.0, 12))
+        assert _pai_chunks(dec, 8, 2100) == 9
+        pai_shot_bank(grid, _quench(8, 11, 2.0, 12), PauliString("ZIIIIIII"), 2100, 1, 3)
+        assert made == [threading.get_ident()]
+    else:
+        assert len(_chunk_bounds(20 * 2048, _auto_chunk(8))) == 20
+        rms_vs_shots(grid, _quench(4, 5, 0.5, 2), PauliString("ZIII"), [2048], 20, 3, threads=2)
+        assert threading.get_ident() in made
+        assert len(made) == len(set(made)) <= 2
+
+
 def test_mean_variant_sign_is_the_inverse_weight_at_depth():
     # each gate's gammas sum to 1, so a variant's sign, the product of its
     # settings' signs, has mean prod_j sum_s gamma_js / ||gamma_j||_1 = 1/w
@@ -633,9 +779,9 @@ def test_exact_enumeration_chunks_by_the_qubit_count(monkeypatch):
     rows = []
     states = statevector._segment_states
 
-    def spy(circuit, settings):
+    def spy(circuit, settings, work=None):
         rows.append(settings.shape[0])
-        return states(circuit, settings)
+        return states(circuit, settings, work)
 
     monkeypatch.setattr(pai.estimate, "_segment_states", spy)
     grid = NotchGrid.uniform(4)

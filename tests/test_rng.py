@@ -84,6 +84,11 @@ def test_chunk_uniforms_equal_stream_draws(master_seed, key):
         got = chunk_uniforms(master_seed, key, lo, hi, width)
         assert got.shape == (hi - lo, width)
         assert np.array_equal(got, _reference_rows(master_seed, key, lo, hi, width))
+        # drawn into the head of a longer buffer, the doubles are the same
+        out = np.full((hi - lo) * 4 * _blocks(width) + 9, np.nan)
+        into = chunk_uniforms(master_seed, key, lo, hi, width, out)
+        assert np.shares_memory(into, out)
+        assert np.array_equal(into, got)
 
 
 def test_windows_tile_the_stream():
