@@ -308,11 +308,16 @@ def _batch_means(values: np.ndarray, batch_size: int, n_batches: int, rng) -> np
     ``K`` distinct values.  Work and memory are O(n_batches * K) and do
     not depend on ``batch_size``; a trotter bank holds K <= 2 values (+-w,
     or +-1 for the references), because its observable is one Pauli
-    string.
+    string.  The counts are weighted and added level by level, in level
+    order, not by a BLAS product, whose order and fused steps depend on
+    the CPU kernel.
     """
     levels, counts = np.unique(values, return_counts=True)
     drawn = rng.multinomial(batch_size, counts / values.shape[0], size=n_batches)
-    return drawn @ levels / batch_size
+    total = drawn[:, 0] * levels[0]
+    for k in range(1, levels.shape[0]):
+        total += drawn[:, k] * levels[k]
+    return total / batch_size
 
 
 def _resampled_batches(values: np.ndarray, batch_size: int, n_batches: int, rng) -> dict:
@@ -521,6 +526,23 @@ def _cmd_fidelity(cfg: FidelityConfig, threads: int) -> int:
     )
 
 
+def _loglog_slope(xs: list, ys: list) -> float:
+    """Least-squares slope of ``log10(ys)`` against ``log10(xs)``, in
+    closed form and added left to right in plain floats: a LAPACK fit
+    would load LAPACK for one line and round by the CPU kernel."""
+    logs = [(math.log10(x), math.log10(y)) for x, y in zip(xs, ys)]
+    mean_x = mean_y = 0.0
+    for lx, ly in logs:
+        mean_x += lx
+        mean_y += ly
+    mean_x, mean_y = mean_x / len(logs), mean_y / len(logs)
+    sxy = sxx = 0.0
+    for lx, ly in logs:
+        sxy += (lx - mean_x) * (ly - mean_y)
+        sxx += (lx - mean_x) * (lx - mean_x)
+    return sxy / sxx
+
+
 def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
     if len(set(cfg.shot_grid)) < 2:  # the log-log slope is fitted through them
         raise ConfigError("need at least 2 distinct shot budgets")
@@ -537,9 +559,9 @@ def _cmd_rms(cfg: RmsConfig, threads: int) -> int:
         threads=threads,
     )
     rows = [(p.n_shots, p.rms_error, p.shot_noise, p.worst_case) for p in points]
-    logs, errors = np.log10([p.n_shots for p in points]), [p.rms_error for p in points]
+    errors = [p.rms_error for p in points]
     # a budget whose repeats were all exact has no log error, so no slope
-    slope = None if 0.0 in errors else float(np.polyfit(logs, np.log10(errors), 1)[0])
+    slope = None if 0.0 in errors else _loglog_slope([p.n_shots for p in points], errors)
     return _write_outputs(
         cfg,
         ["n_shots", "rms_error", "shot_noise", "worst_case"],

@@ -205,22 +205,28 @@ def dense_hamiltonian(model: SpinRingModel) -> np.ndarray:
     return _apply_hamiltonian(model, np.eye(dim, dtype=np.complex128)).T
 
 
+def _real_inner(a: np.ndarray, b: np.ndarray) -> float:
+    """``Re <a|b>`` by ufuncs and one ``add`` reduction, whose order does
+    not depend on the CPU kernel, as a BLAS dot product's does."""
+    return float(np.add.reduce(a.real * b.real + a.imag * b.imag))
+
+
 def ground_energy(model: SpinRingModel) -> float:
     """Lowest eigenvalue by plain Lanczos from the random vector of stream
     ``(0, 0, 0, 0, 0, 0, 0)``; it stops once the lowest Ritz pair's residual
     ``beta_k |s_k|`` is below 1e-10 or the Krylov space spans all ``2**n``."""
     dim = 1 << model.num_qubits
     v = stream(0, 0, 0, 0, 0, 0, 0).standard_normal(dim).astype(np.complex128)
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(_real_inner(v, v))
     prev, beta = np.zeros_like(v), 0.0
     alphas, betas = [], []
     for k in range(1, dim + 1):
         w = _apply_hamiltonian(model, v[None])[0]
-        alphas.append(np.vdot(v, w).real)
+        alphas.append(_real_inner(v, w))
         w -= alphas[-1] * v
         w -= beta * prev
         vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(_real_inner(w, w))
         if beta * abs(vecs[-1, 0]) < 1e-10 or k == dim:
             return float(vals[0])
         betas.append(beta)

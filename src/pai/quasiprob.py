@@ -24,7 +24,7 @@ solving the 3x3 constraint system in absolute angles.
 
 :func:`decompose_circuit` decomposes a whole circuit in one array pass:
 one :func:`pai.notch.locate` call places every angle, the closed form (or
-the stacked 3x3 solves of :func:`gamma_general`) runs over all gates at
+the 3x3 solves of :func:`gamma_general`) runs over all gates at
 once, and the result is a :class:`CircuitDecomposition` of ``(nu, 3)``
 arrays.  A single gate is the one-row case: decompose
 ``[(generator, angle)]`` and read row 0.
@@ -111,8 +111,8 @@ def gamma_general(target_angle, setting_angles):
     channel's action on the generator's invariant components; they reduce
     to ``sum(g) = 1`` plus matching ``cos`` and ``sin`` of the angles.
     ``target_angle`` has some shape ``S`` and ``setting_angles`` the shape
-    ``S + (3,)``; the stacked 3x3 systems are solved at once and each of
-    the returned ``(g1, g2, g3)`` has shape ``S``.  Raises
+    ``S + (3,)``; the 3x3 systems are solved at once and each of the
+    returned ``(g1, g2, g3)`` has shape ``S``.  Raises
     :class:`DegenerateSettingsError` when a system is singular (condition
     number above 1e12), e.g. for coincident settings.
     """
@@ -125,8 +125,18 @@ def gamma_general(target_angle, setting_angles):
         raise DegenerateSettingsError(
             f"interpolation settings {tuple(worst.tolist())} are degenerate"
         )
-    sol = np.linalg.solve(mat, _constraint_rhs(target_angle)[..., None])[..., 0]
-    return sol[..., 0][()], sol[..., 1][()], sol[..., 2][()]
+    # Cramer's rule on the same system as sum(g) = 1, sum(g cos a) = cos t
+    # and sum(g sin a) = sin t, whose determinant at settings (x, y, z) is
+    # -4 sin((z - y)/2) sin((x - z)/2) sin((y - x)/2): ufuncs in a fixed
+    # order, not a LAPACK solve that rounds by the CPU kernel and leaves a
+    # coefficient near 0 an absolute, not a relative, error
+    t = np.asarray(target_angle, dtype=np.float64)
+    a1, a2, a3 = np.moveaxis(np.asarray(setting_angles, dtype=np.float64), -1, 0)
+    s12, s23, s31 = np.sin(0.5 * (a2 - a1)), np.sin(0.5 * (a3 - a2)), np.sin(0.5 * (a1 - a3))
+    g1 = np.sin(0.5 * (t - a3)) * np.sin(0.5 * (a2 - t)) / (s31 * s12)
+    g2 = np.sin(0.5 * (t - a1)) * np.sin(0.5 * (a3 - t)) / (s12 * s23)
+    g3 = np.sin(0.5 * (t - a2)) * np.sin(0.5 * (a1 - t)) / (s23 * s31)
+    return g1[()], g2[()], g3[()]
 
 
 def interpolation_residual(
@@ -137,7 +147,10 @@ def interpolation_residual(
     """Max-norm violation of the interpolation constraints; a diagnostic
     that should sit at rounding-error level for valid decompositions."""
     mat = _constraint_matrix(setting_angles)
-    resid = mat @ np.asarray(gammas) - _constraint_rhs(target_angle)
+    g = np.asarray(gammas, dtype=np.float64)
+    # added setting by setting, not by a BLAS product
+    resid = mat[:, 0] * g[0] + mat[:, 1] * g[1] + mat[:, 2] * g[2]
+    resid -= _constraint_rhs(target_angle)
     return float(np.max(np.abs(resid)))
 
 

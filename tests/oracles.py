@@ -222,14 +222,27 @@ def gamma_uniform_scalar(theta: float, delta: float) -> tuple[float, float, floa
 
 
 def gamma_general_scalar(target: float, settings) -> tuple[float, float, float]:
-    """Coefficients from one 3x3 constraint solve in absolute angles."""
+    """Coefficients from one 3x3 constraint solve in absolute angles, by
+    Cramer's rule.  With rows ``1``, ``cos`` and ``sin`` the determinant of
+    settings ``(x, y, z)`` is ``sin(z - y) + sin(x - z) + sin(y - x)``, that
+    is ``-4 sin((z - y)/2) sin((x - z)/2) sin((y - x)/2)``, so each ratio
+    keeps two half-angle sines over two.  A LAPACK solve is no reference
+    here: it leaves a coefficient near 0 an absolute, not a relative,
+    rounding error."""
     a = np.asarray(settings, dtype=np.float64)
     mat = np.vstack([1.0 + np.cos(a), np.sin(a), 1.0 - np.cos(a)])
     if np.linalg.cond(mat) > 1e12:
         raise ValueError(f"interpolation settings {tuple(settings)} are degenerate")
-    t = float(target)
-    sol = np.linalg.solve(mat, np.array([1.0 + np.cos(t), np.sin(t), 1.0 - np.cos(t)]))
-    return (float(sol[0]), float(sol[1]), float(sol[2]))
+    t, (a1, a2, a3) = float(target), (float(v) for v in a)
+
+    def half_sin(x: float, y: float) -> float:
+        return math.sin(0.5 * (x - y))
+
+    return (
+        half_sin(t, a3) * half_sin(a2, t) / (half_sin(a1, a3) * half_sin(a2, a1)),
+        half_sin(t, a1) * half_sin(a3, t) / (half_sin(a2, a1) * half_sin(a3, a2)),
+        half_sin(t, a2) * half_sin(a1, t) / (half_sin(a3, a2) * half_sin(a1, a3)),
+    )
 
 
 def decompose_scalar(grid, target: float) -> dict:

@@ -945,3 +945,63 @@ def test_every_experiment_config_loads_for_its_command():
         config_type = cli._COMMANDS[path.stem.split("_")[0]][0]
         resolved = vars(cli._build_config(config_type, str(path), {}))
         assert {key: resolved[key] for key in values} == values
+
+
+# ------------------------------------------------------------- BLAS kernels
+
+
+def _numpy_uses_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# small runs that reach every number a BLAS or LAPACK call would round:
+# trotter's batch means (1,000-shot batches of +-w), rms's two-budget
+# log-log slope, vqe's Lanczos ground energy, and decompose's residual and
+# explicit-grid solve
+_KERNEL_RUNS = [
+    "trotter --num-qubits 3 --bits 4 --total-time 0.7 --n-layers 1 --n-variants 60 "
+    "--shots-per-variant 2 --batch-size 1000 --n-batches 50 --output trotter",
+    "rms --num-qubits 3 --bits 4 --n-layers 1 --shot-grid 5,20 --repeats 3 --output rms",
+    "vqe --num-qubits 3 --bits 4 --n-layers 1 --mode exact --n-iters 2 --output vqe_exact",
+    "vqe --num-qubits 3 --bits 4 --n-layers 1 --mode pai --n-iters 2 --n-variants 4 "
+    "--shots-per-variant 2 --output vqe_pai",
+    "decompose --angle 1.234 --bits 7",
+    "decompose --angle 0.9 --grid-file grid.json",
+    "decompose --angle 2.1 --grid-file grid.json",
+]
+
+
+@pytest.mark.skipif(not _numpy_uses_openblas(), reason="numpy is not built on OpenBLAS")
+def test_artifacts_do_not_depend_on_the_blas_kernel(tmp_path):
+    # one process at OpenBLAS's own choice of CPU kernel and one forced to
+    # the SSE3 (Prescott) kernel run the same commands, side by side
+    script = (
+        "import sys; from pai.cli import main\n"
+        "for line in sys.argv[1:]:\n"
+        "    assert main(line.split()) == 0, line\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("OPENBLAS_CORETYPE", None)
+    runs = {}
+    for kernel in ("default", "Prescott"):
+        cwd = tmp_path / kernel
+        cwd.mkdir()
+        (cwd / "grid.json").write_text("[0.0, 0.5, 1.2, 1.8, 2.4, 3.0, 3.6, 4.2, 4.8, 5.4, 6.0]")
+        kernel_env = env if kernel == "default" else {**env, "OPENBLAS_CORETYPE": kernel}
+        runs[kernel] = subprocess.Popen(
+            [sys.executable, "-c", script, *_KERNEL_RUNS],
+            cwd=cwd,
+            env=kernel_env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    outputs = {}
+    for kernel, proc in runs.items():
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        files = sorted((tmp_path / kernel).iterdir())
+        outputs[kernel] = [out, *((path.name, path.read_bytes()) for path in files)]
+    assert len(outputs["default"]) == 2 + 2 * 4  # stdout, grid.json and 8 artifacts
+    assert outputs["Prescott"] == outputs["default"]
